@@ -13,13 +13,12 @@ product states to coherent states, and ``harness`` wires everything into
 reproducible convergence experiments with CSV/JSON output.
 """
 
-from .grid import GridSpec, PotentialSpec, Wavefunction, make_grid
+from .grid import GridSpec, PotentialSpec, make_grid
 from .harness import ExperimentConfig, default_config
 
 __all__ = [
     "GridSpec",
     "PotentialSpec",
-    "Wavefunction",
     "make_grid",
     "ExperimentConfig",
     "default_config",

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands share a common flag set (--config, --out, --seed, --quiet) and
-exit with 0 on pass, 1 on failure, 2 when a check was inconclusive because a
-diagnostic limit (truncation, tolerance sweep) was hit.
+Subcommands share a common flag set (--config, --out, --quiet). Each one runs
+its harness check, writes its output files, prints one line per check item,
+and exits with 0 on pass, 1 on failure, 2 when a check was inconclusive
+because a diagnostic limit (truncation, tolerance sweep) was hit.  A rejected
+configuration or a run refused for its memory footprint exits with 1 and an
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -10,185 +13,87 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import bogoliubov as bg
-from . import combinatorics as cb
-from . import fock as fk
-from . import hartree as ha
 from . import harness as hn
-from .grid import sample_potential
 
-PASS, FAIL, INCONCLUSIVE = 0, 1, 2
-
-
-def _load_config(args) -> hn.ExperimentConfig:
-    cfg = hn.ExperimentConfig.from_json(args.config) if args.config else hn.default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
-def _say(args, *parts):
-    if not args.quiet:
-        print(*parts)
+def cmd_hartree(cfg, out: Path, quiet: bool) -> hn.Report:
+    report, table = hn.hartree_check(cfg)
+    (out / "hartree.csv").write_text(table)
+    return report
 
 
-def cmd_hartree(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.grid()
-    vsamp = sample_potential(cfg.potential, grid)
-    phi0 = cfg.initial_state.build(grid)
-    traj = ha.evolve_hartree(phi0, vsamp, grid, cfg.horizon, cfg.dt)
-
-    e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
-    rows = ["t,mass_drift,energy_drift,boundary_mass"]
-    worst_mass = worst_energy = 0.0
-    stride = max(1, len(traj.times) // 64)
-    for i in range(0, len(traj.times), stride):
-        phi = traj.states[i]
-        md = abs(ha.mass(phi, grid) - 1.0)
-        ed = abs(ha.hartree_energy(phi, vsamp, grid) - e0)
-        worst_mass = max(worst_mass, md)
-        worst_energy = max(worst_energy, ed)
-        rows.append(f"{float(traj.times[i])!r},{md!r},{ed!r},{ha.boundary_mass(phi, grid)!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "hartree.csv").write_text("\n".join(rows) + "\n")
-
-    tol = cfg.tolerances
-    ok = worst_mass <= tol.mass_drift and worst_energy <= tol.energy_drift * max(abs(e0), 1.0)
-    _say(args, f"hartree: mass drift {worst_mass:.3e}, energy drift {worst_energy:.3e} -> "
-               f"{'pass' if ok else 'fail'}")
-    return PASS if ok else FAIL
+def cmd_nbody(cfg, out: Path, quiet: bool) -> hn.Report:
+    return _convergence(cfg, out, quiet, fit=False)
 
 
-def cmd_nbody(args) -> int:
-    return _run_pipeline(args, with_fit=False)
+def cmd_rate(cfg, out: Path, quiet: bool) -> hn.Report:
+    return _convergence(cfg, out, quiet, fit=True)
 
 
-def cmd_rate(args) -> int:
-    return _run_pipeline(args, with_fit=True)
-
-
-def _run_pipeline(args, with_fit: bool) -> int:
-    cfg = _load_config(args)
-    run = hn.run_convergence(cfg, quiet=args.quiet)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _convergence(cfg, out: Path, quiet: bool, fit: bool) -> hn.Report:
+    run, report = hn.convergence_check(cfg, fit, quiet)
     hn.save_records(run.records, out / "records.csv")
     hn.save_manifest(run, out / "manifest.json")
-
-    code = PASS
-    if not all(run.diagnostics["ok"].values()):
-        _say(args, f"diagnostics exceeded: {run.diagnostics}")
-        code = INCONCLUSIVE
-    if with_fit:
-        lo, hi = cfg.tolerances.rate_band
-        final = run.fits[repr(float(max(cfg.sample_times)))]
-        _say(args, f"rate: slope {final['slope']:.4f}, R^2 {final['r_squared']:.5f} "
-                   f"(band [{lo}, {hi}], R^2 >= {cfg.tolerances.r_squared_min})")
-        if not (lo <= final["slope"] <= hi and final["r_squared"] >= cfg.tolerances.r_squared_min):
-            code = FAIL
-    _say(args, f"wrote {out / 'records.csv'} and {out / 'manifest.json'}")
-    return code
+    return report
 
 
-def cmd_bogoliubov(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.grid()
-    vsamp = sample_potential(cfg.potential, grid)
-    phi0 = cfg.initial_state.build(grid)
-    traj = ha.evolve_hartree(phi0, vsamp, grid, cfg.horizon, cfg.dt)
-    pair, snaps = bg.evolve_pair(grid, vsamp, traj, cfg.horizon, cfg.dt, cfg.sample_times)
-
-    rows = ["t,depletion,identity_defect,symmetry_defect"]
-    worst = 0.0
-    for ts in sorted(snaps):
-        d1, d2 = bg.symplectic_defect(snaps[ts])
-        worst = max(worst, d1, d2)
-        rows.append(f"{ts!r},{bg.depletion(snaps[ts])!r},{d1!r},{d2!r}")
-    rows.append("")
-    rows.append("N,t,correction_norm")
-    for n in cfg.particle_counts:
-        for ts in sorted(snaps):
-            corr = bg.correction_kernel(snaps[ts], phi0, traj.state_at(ts), n)
-            rows.append(f"{n},{ts!r},{corr.norm()!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bogoliubov.csv").write_text("\n".join(rows) + "\n")
-
-    ok = worst <= cfg.tolerances.defect
-    _say(args, f"bogoliubov: worst pair-relation defect {worst:.3e} -> {'pass' if ok else 'fail'}")
-    return PASS if ok else FAIL
+def cmd_bogoliubov(cfg, out: Path, quiet: bool) -> hn.Report:
+    report, table = hn.bogoliubov_check(cfg)
+    (out / "bogoliubov.csv").write_text(table)
+    return report
 
 
-def cmd_fock_check(args) -> int:
-    cfg = _load_config(args)
-    report = hn.cross_validate(cfg, quiet=args.quiet)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_fock_check(cfg, out: Path, quiet: bool) -> hn.Report:
+    report = hn.cross_validate(cfg, quiet=quiet)
     with open(out / "fock_check.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for item in report.items:
-        _say(args, f"  {item.name}: {item.status} (measured {item.measured:.3e}, "
-                   f"threshold {item.threshold:.3e})")
-    _say(args, f"fock-check: {report.status}")
-    return {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[report.status]
+    return report
 
 
-def cmd_laguerre(args) -> int:
-    cfg = _load_config(args)
-    rows = ["n,first_overlap,sum_sq,weighted_sum,scaled_weighted_sum"]
-    scaled = []
-    ok = True
-    for n in cfg.combinatorics_counts:
-        table = cb.sector_overlaps(n)
-        ws = cb.weighted_sector_sum(n, table)
-        scaled.append(ws.scaled)
-        rows.append(f"{n},{float(table.values[0])!r},{table.sum_sq!r},{ws.value!r},{ws.scaled!r}")
-        ok &= abs(table.values[0] - np.exp(-cb.log_coherent_norm(n))) <= 1e-12 * table.values[0]
-        ok &= table.sum_sq <= 1.0 + 1e-10
-    for n in cfg.krasikov_grid:
-        table = cb.sector_overlaps(n)
-        for m in range(1, n):
-            ok &= cb.krasikov_check(n, m, table).ok
-    spread = max(scaled) / min(scaled)
-    ok &= spread <= 10.0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "laguerre.csv").write_text("\n".join(rows) + "\n")
-    _say(args, f"laguerre: scaled weighted-sum spread {spread:.3f} -> {'pass' if ok else 'fail'}")
-    return PASS if ok else FAIL
+def cmd_laguerre(cfg, out: Path, quiet: bool) -> hn.Report:
+    report, table = hn.laguerre_check(cfg)
+    (out / "laguerre.csv").write_text(table)
+    return report
+
+
+COMMANDS = {
+    "hartree": cmd_hartree,
+    "nbody": cmd_nbody,
+    "rate": cmd_rate,
+    "bogoliubov": cmd_bogoliubov,
+    "fock-check": cmd_fock_check,
+    "laguerre": cmd_laguerre,
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="meanfieldlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "hartree": cmd_hartree,
-        "nbody": cmd_nbody,
-        "rate": cmd_rate,
-        "bogoliubov": cmd_bogoliubov,
-        "fock-check": cmd_fock_check,
-        "laguerre": cmd_laguerre,
-    }
-    for name in commands:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a JSON experiment config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
-        return commands[args.command](args)
-    except (hn.ConfigError, ValueError, OSError) as exc:
+        cfg = hn.ExperimentConfig.from_json(args.config) if args.config else hn.default_config()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        report = COMMANDS[args.command](cfg, out, args.quiet)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+        return EXIT_CODES["fail"]
+    if not args.quiet:
+        for item in report.items:
+            print(f"  {item.name}: {item.status} (measured {item.measured:.3e}, "
+                  f"threshold {item.threshold:.3e})")
+        print(f"{args.command}: {report.status}")
+    return EXIT_CODES[report.status]
 
 
 if __name__ == "__main__":

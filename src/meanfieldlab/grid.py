@@ -48,25 +48,6 @@ def make_grid(points: int, length: float) -> GridSpec:
     return GridSpec(int(points), float(length))
 
 
-@dataclass
-class Wavefunction:
-    """One-particle state: complex samples on a grid at a given time."""
-
-    grid: GridSpec
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.points,):
-            raise ValueError(
-                f"expected {self.grid.points} samples, got shape {self.values.shape}"
-            )
-
-    def norm(self) -> float:
-        return l2_norm(self.values, self.grid)
-
-
 def l2_inner(f, g, grid: GridSpec) -> complex:
     """Riemann-sum inner product <f, g>, conjugate-linear in f."""
     return complex(np.vdot(f, g) * grid.dx)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,52 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    unknown = set(d) - set(allowed)
+def _in_section(section: str, key: str, default):
+    """A flat config field that the JSON config keeps at ``section.key``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+def _entries(raw, layout: dict, where: str):
+    """(field name, JSON value, key path) for every key of the JSON object ``raw``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(layout)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    out = dict(allowed)
-    out.update(d)
-    return out
+    for key, value in raw.items():
+        if isinstance(layout[key], dict):
+            yield from _entries(value, layout[key], f"{where}.{key}")
+        else:
+            yield layout[key], value, f"{where}.{key}"
+
+
+def _merge(default, raw, where: str):
+    """The dataclass instance ``default`` with the JSON object ``raw`` merged over it."""
+    layout = {}  # JSON key -> field name, or a JSON section -> its own such dict
+    for f in fields(default):
+        if "section" in f.metadata:
+            layout.setdefault(f.metadata["section"], {})[f.metadata["key"]] = f.name
+        else:
+            layout[f.name] = f.name
+    changes = {
+        name: _convert(getattr(default, name), value, path)
+        for name, value, path in _entries(raw, layout, where)
+    }
+    return replace(default, **changes)
+
+
+def _convert(default, value, where: str):
+    """``value`` read as the type of the default value it replaces."""
+    if is_dataclass(default):
+        return _merge(default, value, where)
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list, got {value!r}")
+        return tuple(_convert(default[0], v, where) for v in value)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {value!r} as {type(default).__name__}") from exc
 
 
 @dataclass(frozen=True)
@@ -82,20 +121,26 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    grid_points: int = 16
-    grid_length: float = 16.0
+    """Every setting of an experiment; ``from_dict`` reads the JSON layout.
+
+    The JSON config nests each field by its own name, except the flat fields
+    declared with ``_in_section``, which it groups under ``grid``, ``time``
+    and ``combinatorics``.
+    """
+
+    grid_points: int = _in_section("grid", "points", 16)
+    grid_length: float = _in_section("grid", "length", 16.0)
     potential: PotentialSpec = field(default_factory=lambda: PotentialSpec("gaussian", 0.5, 1.0))
     initial_state: InitialStateConfig = field(default_factory=InitialStateConfig)
     particle_counts: tuple = (2, 3, 4, 5, 6)
-    horizon: float = 1.0
-    dt: float = 1e-3
-    nbody_dt: float = 4e-3
-    sample_times: tuple = (0.5, 1.0)
+    horizon: float = _in_section("time", "horizon", 1.0)
+    dt: float = _in_section("time", "dt", 1e-3)
+    nbody_dt: float = _in_section("time", "nbody_dt", 4e-3)
+    sample_times: tuple = _in_section("time", "sample_times", (0.5, 1.0))
     fock: FockSectionConfig = field(default_factory=FockSectionConfig)
-    combinatorics_counts: tuple = (4, 16, 64, 256, 1024)
-    krasikov_grid: tuple = (10, 50, 200)
+    combinatorics_counts: tuple = _in_section("combinatorics", "counts", (4, 16, 64, 256, 1024))
+    krasikov_grid: tuple = _in_section("combinatorics", "krasikov_grid", (10, 50, 200))
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    seed: int = 0
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_points, self.grid_length)
@@ -105,101 +150,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        top = _take(
-            raw,
-            {
-                "grid": {},
-                "potential": {},
-                "initial_state": {},
-                "particle_counts": list(ExperimentConfig.particle_counts),
-                "time": {},
-                "fock": {},
-                "combinatorics": {},
-                "tolerances": {},
-                "seed": 0,
-            },
-            "config",
-        )
-        g = _take(top["grid"], {"points": 16, "length": 16.0}, "grid")
-        pot = _take(
-            top["potential"],
-            {"kind": "gaussian", "amplitude": 0.5, "width": 1.0, "harmonic": 1, "softening": 1.0},
-            "potential",
-        )
-        ini = _take(
-            top["initial_state"],
-            {"profile": "gaussian", "center": 8.0, "width": 1.0, "momentum": 0.0},
-            "initial_state",
-        )
-        tm = _take(
-            top["time"],
-            {"horizon": 1.0, "dt": 1e-3, "nbody_dt": 4e-3, "sample_times": [0.5, 1.0]},
-            "time",
-        )
-        fsec = _take(
-            top["fock"],
-            {
-                "sites": 4,
-                "length": 4.0,
-                "cutoff": 13,
-                "cutoff_step": 2,
-                "dt": 1e-3,
-                "coupling_values": [8, 16, 32, 64],
-                "residual_time": 0.5,
-                "identity_times": [0.25, 0.5, 1.0],
-                "initial_state": {},
-            },
-            "fock",
-        )
-        fini = _take(
-            fsec["initial_state"],
-            {"profile": "gaussian", "center": 1.7, "width": 0.8, "momentum": 0.0},
-            "fock.initial_state",
-        )
-        cb = _take(
-            top["combinatorics"],
-            {"counts": list(ExperimentConfig.combinatorics_counts), "krasikov_grid": [10, 50, 200]},
-            "combinatorics",
-        )
-        defaults = ToleranceConfig()
-        tol = _take(top["tolerances"], asdict(defaults), "tolerances")
-        tol["rate_band"] = tuple(tol["rate_band"])
-        return ExperimentConfig(
-            grid_points=int(g["points"]),
-            grid_length=float(g["length"]),
-            potential=PotentialSpec(
-                pot["kind"],
-                float(pot["amplitude"]),
-                float(pot["width"]),
-                int(pot["harmonic"]),
-                float(pot["softening"]),
-            ),
-            initial_state=InitialStateConfig(
-                ini["profile"], float(ini["center"]), float(ini["width"]), float(ini["momentum"])
-            ),
-            particle_counts=tuple(int(n) for n in top["particle_counts"]),
-            horizon=float(tm["horizon"]),
-            dt=float(tm["dt"]),
-            nbody_dt=float(tm["nbody_dt"]),
-            sample_times=tuple(float(t) for t in tm["sample_times"]),
-            fock=FockSectionConfig(
-                sites=int(fsec["sites"]),
-                length=float(fsec["length"]),
-                cutoff=int(fsec["cutoff"]),
-                cutoff_step=int(fsec["cutoff_step"]),
-                dt=float(fsec["dt"]),
-                coupling_values=tuple(int(n) for n in fsec["coupling_values"]),
-                residual_time=float(fsec["residual_time"]),
-                identity_times=tuple(float(t) for t in fsec["identity_times"]),
-                initial_state=InitialStateConfig(
-                    fini["profile"], float(fini["center"]), float(fini["width"]), float(fini["momentum"])
-                ),
-            ),
-            combinatorics_counts=tuple(int(n) for n in cb["counts"]),
-            krasikov_grid=tuple(int(n) for n in cb["krasikov_grid"]),
-            tolerances=ToleranceConfig(**tol),
-            seed=int(top["seed"]),
-        )
+        return _merge(ExperimentConfig(), raw, "config")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -306,7 +257,51 @@ def records_for_fit(records, t, column="trace_err"):
 
 
 # ---------------------------------------------------------------------------
+# verdicts
+
+_STATUS_RANK = {"pass": 0, "inconclusive": 1, "fail": 2}
+
+
+@dataclass
+class CheckItem:
+    name: str
+    status: str  # pass | fail | inconclusive
+    measured: float
+    threshold: float
+    details: dict = field(default_factory=dict)
+
+
+def _check(name: str, measured, threshold, ok=None) -> CheckItem:
+    """A pass-or-fail item; ``ok`` defaults to ``measured <= threshold``."""
+    if ok is None:
+        ok = measured <= threshold
+    return CheckItem(name, "pass" if ok else "fail", float(measured), float(threshold))
+
+
+@dataclass
+class Report:
+    """The verdict of one subcommand: its check items and their worst status."""
+
+    items: list
+
+    @property
+    def status(self) -> str:
+        return max((i.status for i in self.items), key=_STATUS_RANK.get, default="pass")
+
+    def to_dict(self) -> dict:
+        return {"status": self.status, "items": [asdict(i) for i in self.items]}
+
+
+# ---------------------------------------------------------------------------
 # convergence run
+
+
+def _hartree_flow(config: ExperimentConfig):
+    """Grid, potential samples, initial orbital and its Hartree trajectory."""
+    grid = config.grid()
+    vsamp = sample_potential(config.potential, grid)
+    phi0 = config.initial_state.build(grid)
+    return grid, vsamp, phi0, ha.evolve_hartree(phi0, vsamp, grid, config.horizon, config.dt)
 
 
 @dataclass
@@ -319,16 +314,13 @@ class ConvergenceRun:
 
 def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
     """Full pipeline: Hartree, Bogoliubov correction, exact N-body sweep."""
-    grid = config.grid()
-    vsamp = sample_potential(config.potential, grid)
-    phi0 = config.initial_state.build(grid)
     sample_times = tuple(sorted(config.sample_times))
     if not sample_times:
         raise ConfigError("need at least one sample time")
     if sample_times[-1] > config.horizon + 1e-9:
         raise ConfigError("sample times must lie within the horizon")
 
-    traj = ha.evolve_hartree(phi0, vsamp, grid, config.horizon, config.dt)
+    grid, vsamp, phi0, traj = _hartree_flow(config)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, sample_times)
 
     records = []
@@ -413,30 +405,109 @@ def save_manifest(run: ConvergenceRun, path, extra: dict | None = None):
         fh.write("\n")
 
 
+def convergence_check(
+    config: ExperimentConfig, fit: bool, quiet: bool = True
+) -> tuple[ConvergenceRun, Report]:
+    """The N-body sweep, its diagnostics as items, and with ``fit`` the rate band.
+
+    An exceeded diagnostic makes the run inconclusive rather than failed.
+    """
+    if fit and len(config.particle_counts) < 2:
+        raise ConfigError("a rate fit needs at least two particle counts")
+    run = run_convergence(config, quiet)
+    tol = config.tolerances
+    worst = run.diagnostics["worst"]
+    items = [
+        CheckItem(name, "pass" if ok else "inconclusive", float(worst[name]), getattr(tol, name))
+        for name, ok in run.diagnostics["ok"].items()
+    ]
+    if fit:
+        final = run.fits[repr(float(max(config.sample_times)))]
+        lo, hi = tol.rate_band
+        slope = _check("slope", final["slope"], hi, ok=lo <= final["slope"] <= hi)
+        slope.details = {"band": [lo, hi]}
+        items += [slope, _check("r_squared", final["r_squared"], tol.r_squared_min,
+                                ok=final["r_squared"] >= tol.r_squared_min)]
+    return run, Report(items)
+
+
+def hartree_check(config: ExperimentConfig) -> tuple[Report, str]:
+    """Mass and energy drift of the Hartree flow, and its monitor table as CSV."""
+    grid, vsamp, _, traj = _hartree_flow(config)
+    e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
+    rows = ["t,mass_drift,energy_drift,boundary_mass"]
+    worst_mass = worst_energy = 0.0
+    stride = max(1, len(traj.times) // 64)
+    for i in range(0, len(traj.times), stride):
+        phi = traj.states[i]
+        md = abs(ha.mass(phi, grid) - 1.0)
+        ed = abs(ha.hartree_energy(phi, vsamp, grid) - e0)
+        worst_mass = max(worst_mass, md)
+        worst_energy = max(worst_energy, ed)
+        rows.append(f"{float(traj.times[i])!r},{md!r},{ed!r},{ha.boundary_mass(phi, grid)!r}")
+    tol = config.tolerances
+    report = Report([
+        _check("mass_drift", worst_mass, tol.mass_drift),
+        _check("energy_drift", worst_energy, tol.energy_drift * max(abs(e0), 1.0)),
+    ])
+    return report, "\n".join(rows) + "\n"
+
+
+def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, str]:
+    """Pair-relation defect of the kernel flow, and defects and correction norms as CSV."""
+    grid, vsamp, phi0, traj = _hartree_flow(config)
+    _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
+    rows = ["t,depletion,identity_defect,symmetry_defect"]
+    worst = 0.0
+    for ts in sorted(snaps):
+        d1, d2 = bg.symplectic_defect(snaps[ts])
+        worst = max(worst, d1, d2)
+        rows.append(f"{ts!r},{bg.depletion(snaps[ts])!r},{d1!r},{d2!r}")
+    rows.append("")
+    rows.append("N,t,correction_norm")
+    for n in config.particle_counts:
+        for ts in sorted(snaps):
+            corr = bg.correction_kernel(snaps[ts], phi0, traj.state_at(ts), n)
+            rows.append(f"{n},{ts!r},{corr.norm()!r}")
+    report = Report([_check("pair_relation_defect", worst, config.tolerances.defect)])
+    return report, "\n".join(rows) + "\n"
+
+
+def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
+    """Sector-overlap tables against their bounds, and the tables as CSV.
+
+    Items: the leading value against its closed form (relative gap), the
+    total squared mass, the Krasikov envelope (worst log margin, which must
+    stay strictly negative), and the spread of the scaled weighted sums.
+    """
+    rows = ["n,first_overlap,sum_sq,weighted_sum,scaled_weighted_sum"]
+    lead_gaps, masses, scaled, margins = [], [], [], []
+    for n in config.combinatorics_counts:
+        table = comb_mod.sector_overlaps(n)
+        ws = comb_mod.weighted_sector_sum(n, table)
+        first = table.values[0]
+        rows.append(f"{n},{float(first)!r},{table.sum_sq!r},{ws.value!r},{ws.scaled!r}")
+        lead_gaps.append(abs(first - np.exp(-comb_mod.log_coherent_norm(n))) / first)
+        masses.append(table.sum_sq)
+        scaled.append(ws.scaled)
+    for n in config.krasikov_grid:
+        table = comb_mod.sector_overlaps(n)
+        for m in range(1, n):
+            check = comb_mod.krasikov_check(n, m, table)
+            margins.append(check.log_value - check.log_bound)
+    # np.max, unlike max, carries a NaN through to a failed item
+    margin = np.max(margins, initial=-np.inf)
+    report = Report([
+        _check("leading_value", np.max(lead_gaps), 1e-12),
+        _check("total_mass", np.max(masses), 1.0 + 1e-10),
+        _check("envelope_log_margin", margin, 0.0, ok=margin < 0.0),
+        _check("weighted_sum_spread", max(scaled) / min(scaled), 10.0),
+    ])
+    return report, "\n".join(rows) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Fock cross-validation
-
-
-@dataclass
-class CheckItem:
-    name: str
-    status: str  # pass | fail | inconclusive
-    measured: float
-    threshold: float
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
-class CrossValidationReport:
-    items: list
-    status: str
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "items": [asdict(i) for i in self.items]}
-
-
-def _status_rank(s: str) -> int:
-    return {"pass": 0, "inconclusive": 1, "fail": 2}[s]
 
 
 def _lattice_observables(
@@ -525,7 +596,7 @@ def _lattice_observables(
     return out
 
 
-def cross_validate(config: ExperimentConfig, quiet: bool = True) -> CrossValidationReport:
+def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     """Engine-versus-kernel consistency battery with a cutoff sweep.
 
     The full battery runs at the configured cutoff.  The sweep rerun at
@@ -548,17 +619,13 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> CrossValidat
 
     items: list[CheckItem] = []
 
-    def add(name, measured, threshold, swept_pair=None, predicate=None):
-        ok = (measured <= threshold) if predicate is None else predicate(measured)
-        status = "pass" if ok else "fail"
-        details = {}
-        if swept_pair is not None:
-            a, b = swept_pair
-            agree = abs(a - b) <= tol.cutoff_agreement * (1.0 + abs(a))
-            details = {"base": a, "swept": b}
-            if not agree:
-                status = "inconclusive"
-        items.append(CheckItem(name, status, float(measured), float(threshold), details))
+    def add(name, measured, threshold, swept_pair, ok=None):
+        item = _check(name, measured, threshold, ok)
+        a, b = swept_pair
+        item.details = {"base": a, "swept": b}
+        if not abs(a - b) <= tol.cutoff_agreement * (1.0 + abs(a)):
+            item.status = "inconclusive"
+        items.append(item)
 
     # truncation leakage across every evolution involved
     add("leakage", lo["leakage"], tol.leakage, (lo["leakage"], hi["leakage"]))
@@ -598,8 +665,6 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> CrossValidat
             r_lo,
             2.4,
             res_pair,
-            predicate=lambda r: 1.6 <= r <= 2.4,
+            ok=1.6 <= r_lo <= 2.4,
         )
-
-    status = max((i.status for i in items), key=_status_rank, default="pass")
-    return CrossValidationReport(items, status)
+    return Report(items)

@@ -18,7 +18,7 @@ from scipy import fft as sfft
 
 from .grid import GridSpec, PotentialSpec, potential_matrix, sample_potential
 
-# Default cap on the number of complex amplitudes of one state (2 GiB).
+# Default cap on the number of complex amplitudes of one state (4 GiB of complex128).
 DEFAULT_AMPLITUDE_BUDGET = 2**28
 
 

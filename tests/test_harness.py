@@ -1,6 +1,8 @@
 """Configuration, record handling, rate fits, the pipeline driver, and the CLI."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,15 @@ def test_nested_overrides_land_in_the_right_fields(tiny_config):
     # untouched sections keep their defaults
     assert cfg.potential == hn.ExperimentConfig().potential
     assert cfg.tolerances == hn.ToleranceConfig()
+    # a partial section keeps the defaults of its other keys
+    partial = hn.ExperimentConfig.from_dict({"fock": {"initial_state": {"width": 0.5}}})
+    assert partial.fock.initial_state.center == 1.7 and partial.fock.initial_state.width == 0.5
+
+
+def test_readme_config_block_is_the_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert hn.ExperimentConfig.from_dict(json.loads(block)) == hn.ExperimentConfig()
 
 
 def test_default_lattice_section_is_self_consistent():
@@ -83,6 +94,12 @@ def test_default_lattice_section_is_self_consistent():
         ({"fock": {"cutof": 3}}, "fock"),
         ({"initial_state": {"centre": 1.0}}, "centre"),
         ({"tolerances": {"mass": 1.0}}, "tolerances"),
+        ({"potential": {"kinds": "zero"}}, "potential"),
+        ({"combinatorics": {"count": [4]}}, "combinatorics"),
+        ({"fock": {"initial_state": {"centre": 1.0}}}, "fock.initial_state"),
+        ({"seed": 0}, "seed"),
+        ({"grid": 5}, "grid"),
+        ({"particle_counts": 3}, "particle_counts"),
     ],
 )
 def test_unknown_keys_are_rejected(bad, fragment):
@@ -100,7 +117,7 @@ def test_config_hash_is_stable_and_sensitive(tiny_config):
     again = hn.ExperimentConfig.from_dict(tiny_dict())
     assert tiny_config.config_hash() == again.config_hash()
     assert len(tiny_config.config_hash()) == 64
-    bumped = hn.ExperimentConfig.from_dict({**tiny_dict(), "seed": 1})
+    bumped = hn.ExperimentConfig.from_dict({**tiny_dict(), "grid": {"points": 21, "length": 10.0}})
     assert bumped.config_hash() != tiny_config.config_hash()
 
 
@@ -190,12 +207,27 @@ def test_pipeline_produces_one_record_per_count_and_time(tiny_run, tiny_config):
 
 
 def test_pipeline_rejects_bad_sample_plans(tiny_config):
-    from dataclasses import replace
-
     with pytest.raises(hn.ConfigError):
         hn.run_convergence(replace(tiny_config, sample_times=()), quiet=True)
     with pytest.raises(hn.ConfigError):
         hn.run_convergence(replace(tiny_config, sample_times=(0.1, 0.3)), quiet=True)
+
+
+def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_config):
+    strict = replace(tiny_config.tolerances, sym_defect=0.0)
+    _, report = hn.convergence_check(replace(tiny_config, tolerances=strict), fit=True)
+    status = {item.name: item.status for item in report.items}
+    assert status == {
+        "mass_drift": "pass",
+        "sym_defect": "inconclusive",
+        "boundary_mass": "pass",
+        "slope": "pass",
+        "r_squared": "pass",
+    }
+    assert report.status == "inconclusive"
+    off_band = replace(strict, rate_band=(-0.5, 0.0))
+    _, report = hn.convergence_check(replace(tiny_config, tolerances=off_band), fit=True)
+    assert report.status == "fail"
 
 
 def test_manifest_is_deterministic(tmp_path, tiny_run, tiny_config):
@@ -272,12 +304,6 @@ def test_cli_rate_writes_records_and_manifest(tmp_path, cfg_file, capsys):
     assert len(recs) == 4
 
 
-def test_cli_seed_override_lands_in_manifest(tmp_path, cfg_file):
-    out = tmp_path / "seeded"
-    assert cli.main(["rate", "--config", str(cfg_file), "--out", str(out), "--seed", "7", "--quiet"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
-
-
 def test_cli_quiet_silences_stdout(tmp_path, cfg_file, capsys):
     assert cli.main(["hartree", "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
@@ -323,3 +349,19 @@ def test_cli_bad_config_key_reports_error(tmp_path, capsys):
     code = cli.main(["rate", "--config", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert "pointz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, fragment",
+    [
+        ("nbody", "exceeds the budget"),  # 17^7 > 2^28: refused before allocating
+        ("rate", "two particle counts"),
+    ],
+)
+def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"grid": {"points": 17}, "particle_counts": [7]}))
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
