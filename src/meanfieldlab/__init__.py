@@ -14,14 +14,13 @@ reproducible convergence experiments with CSV/JSON output.
 """
 
 from .grid import GridSpec, PotentialSpec, make_grid
-from .harness import ExperimentConfig, default_config
+from .harness import ExperimentConfig
 
 __all__ = [
     "GridSpec",
     "PotentialSpec",
     "make_grid",
     "ExperimentConfig",
-    "default_config",
 ]
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import GridSpec, PotentialSpec, periodic_convolve, potential_matrix, sample_potential
+from .grid import GridSpec, periodic_convolve, potential_matrix, step_schedule
 from .hartree import HartreeTrajectory
 
 
@@ -97,34 +97,27 @@ def step_pair(
 
 def evolve_pair(
     grid: GridSpec,
-    potential: PotentialSpec | np.ndarray,
+    potential_samples: np.ndarray,
     trajectory: HartreeTrajectory,
     t_final: float,
     dt: float,
     snapshot_times=(),
 ) -> tuple[BogoliubovPair, dict[float, BogoliubovPair]]:
     """Evolve the identity pair to t_final along a stored Hartree trajectory."""
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9:
-        raise ValueError(f"horizon {t_final} is not an integer number of steps of dt={dt}")
+    n_steps, indices = step_schedule(t_final, dt, snapshot_times)
     if t_final > trajectory.horizon + 1e-9:
         raise ValueError("trajectory does not cover the requested horizon")
-    vsamp = potential if isinstance(potential, np.ndarray) else sample_potential(potential, grid)
-
-    want = {}
-    for ts in snapshot_times:
-        i = int(round(ts / dt))
-        if not 0 <= i <= n_steps or abs(i * dt - ts) > 1e-9:
-            raise ValueError(f"snapshot time {ts} does not land on a step boundary")
-        want[i] = float(ts)
+    want = {i: float(ts) for i, ts in zip(indices, snapshot_times)}
 
     pair = identity_pair(grid)
     snaps: dict[float, BogoliubovPair] = {}
     if 0 in want:
         snaps[want[0]] = BogoliubovPair(grid, pair.u.copy(), pair.v.copy(), 0.0)
     for step in range(n_steps):
-        kern_start = coupling_kernels(trajectory.interpolate(step * dt), vsamp, grid)
-        kern_mid = coupling_kernels(trajectory.interpolate((step + 0.5) * dt), vsamp, grid)
+        start = trajectory.interpolate(step * dt)
+        mid = trajectory.interpolate((step + 0.5) * dt)
+        kern_start = coupling_kernels(start, potential_samples, grid)
+        kern_mid = coupling_kernels(mid, potential_samples, grid)
         pair = step_pair(pair, kern_start, kern_mid, dt)
         if step + 1 in want:
             snaps[want[step + 1]] = BogoliubovPair(grid, pair.u.copy(), pair.v.copy(), pair.t)

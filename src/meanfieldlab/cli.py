@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
-        cfg = hn.ExperimentConfig.from_json(args.config) if args.config else hn.default_config()
+        cfg = hn.ExperimentConfig.from_json(args.config) if args.config else hn.ExperimentConfig()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = COMMANDS[args.command](cfg, out, args.quiet)

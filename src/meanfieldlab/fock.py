@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .bogoliubov import coupling_kernels
-from .grid import GridSpec, kinetic_matrix, potential_matrix
+from .grid import GridSpec, kinetic_matrix, potential_matrix, step_schedule
 from .hartree import HartreeTrajectory
 
 
@@ -361,17 +361,11 @@ def evolve_fock(
     trajectory and applied through the exponential action.  ``top_mass`` is
     the largest mass seen in the top two sectors, the truncation monitor.
     """
-    span = t1 - t0
-    n_steps = int(round(abs(span) / dt))
-    if n_steps < 1 or abs(n_steps * dt - abs(span)) > 1e-9:
-        raise ValueError(f"span {span} is not an integer number of steps of dt={dt}")
-    sign = 1.0 if span > 0 else -1.0
-    want = {}
-    for ts in snapshot_times:
-        i = int(round((ts - t0) / (sign * dt)))
-        if not 0 <= i <= n_steps or abs(t0 + sign * i * dt - ts) > 1e-9:
-            raise ValueError(f"snapshot time {ts} does not land on a step boundary")
-        want[i] = float(ts)
+    sign = 1.0 if t1 > t0 else -1.0
+    n_steps, indices = step_schedule(
+        abs(t1 - t0), dt, [sign * (ts - t0) for ts in snapshot_times]
+    )
+    want = {i: float(ts) for i, ts in zip(indices, snapshot_times)}
 
     space = gens.space
     coeffs = start.coeffs.copy()
@@ -433,9 +427,9 @@ def annihilator_residual(
     t: float,
     dt: float,
     n_field: float,
+    forward_full: FockVector,
+    quad_parts: tuple,
     weights=(0, 1, 2),
-    forward_full: FockVector | None = None,
-    quad_parts: tuple | None = None,
 ) -> ResidualField:
     """Difference between full and quadratic Heisenberg-evolved annihilators.
 
@@ -448,27 +442,16 @@ def annihilator_residual(
     sum_y dx * || (N+1)^{j/2} r_y ||^2 for each requested weight j; their
     1/N decay is the quantitative content of the mean-field error bound.
 
-    The quadratic flow does not depend on the field strength, and a caller
-    running several strengths can pass its forward state at time t
-    (``forward_full``) and the shared quadratic site backs with their
-    truncation mass (``quad_parts``) to avoid recomputing them.
+    ``forward_full`` is the vacuum evolved to time t by the full generator.
+    The quadratic flow does not depend on the field strength, so its site
+    backs and their truncation mass come in as ``quad_parts`` and are
+    shared across strengths.
     """
     space = gens.space
     dx = space.grid.dx
-    top = 0.0
-    if forward_full is None:
-        run = evolve_fock(gens, vacuum(space), trajectory, 0.0, t, dt, "full", n_field)
-        forward_full = run.state
-        top = run.top_mass
-    if quad_parts is None:
-        fwd_quad = evolve_fock(gens, vacuum(space), trajectory, 0.0, t, dt, "quadratic", n_field)
-        backs_quad, top_q = site_backs(
-            gens, trajectory, fwd_quad.state, t, dt, "quadratic", n_field
-        )
-        quad_parts = (backs_quad, max(fwd_quad.top_mass, top_q))
     backs_quad, top_quad = quad_parts
     backs_full, top_full = site_backs(gens, trajectory, forward_full, t, dt, "full", n_field)
-    top = max(top, top_quad, top_full)
+    top = max(top_quad, top_full)
 
     residuals = np.array(
         [bf.coeffs - bq.coeffs for bf, bq in zip(backs_full, backs_quad)], dtype=complex

@@ -48,6 +48,25 @@ def make_grid(points: int, length: float) -> GridSpec:
     return GridSpec(int(points), float(length))
 
 
+def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
+    """Number of steps of dt in ``span``, and the step index of each offset.
+
+    The span must be a positive whole number of steps, and each offset (a
+    snapshot time measured from the start) must lie within 1e-9 of a step in
+    [0, span].
+    """
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9:
+        raise ValueError(f"span {span} is not a whole number of steps of dt={dt}")
+    indices = []
+    for offset in offsets:
+        i = int(round(offset / dt))
+        if not 0 <= i <= n_steps or abs(i * dt - offset) > 1e-9:
+            raise ValueError(f"snapshot offset {offset} does not land on a step of dt={dt}")
+        indices.append(i)
+    return n_steps, indices
+
+
 def l2_inner(f, g, grid: GridSpec) -> complex:
     """Riemann-sum inner product <f, g>, conjugate-linear in f."""
     return complex(np.vdot(f, g) * grid.dx)
@@ -80,6 +99,14 @@ def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     f = sfft.fft(np.eye(m), axis=0)
     mat = sfft.ifft(grid.wavenumbers[:, None] ** 2 * f, axis=0)
     return np.ascontiguousarray(mat.real)
+
+
+def edge_mass(density, grid: GridSpec, fraction: float = 0.125) -> float:
+    """Mass of a position density within ``fraction`` of the box at each edge."""
+    m = grid.points
+    edge = max(1, int(round(fraction * m)))
+    rho = density * grid.dx
+    return float(np.sum(rho[:edge]) + np.sum(rho[m - edge :]))
 
 
 def periodic_convolve(f, g, grid: GridSpec) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -61,18 +62,33 @@ def _merge(default, raw, where: str):
     return replace(default, **changes)
 
 
+# The JSON values each scalar field type accepts; bools are refused separately.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
 def _convert(default, value, where: str):
-    """``value`` read as the type of the default value it replaces."""
+    """``value`` read as the type of the default value it replaces.
+
+    Only lossless reads are allowed: an int field takes a JSON integer, a
+    float field any finite JSON number within float range, a str field a
+    string, and none takes a bool.
+    """
     if is_dataclass(default):
         return _merge(default, value, where)
     if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list, got {value!r}")
         return tuple(_convert(default[0], v, where) for v in value)
+    kind = type(default)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}")
     try:
-        return type(default)(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: cannot read {value!r} as {type(default).__name__}") from exc
+        value = kind(value)
+    except OverflowError as exc:  # an integer beyond float range
+        raise ConfigError(f"{where}: {value} is out of range for {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):  # NaN and Infinity are not JSON numbers
+        raise ConfigError(f"{where}: {value} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -164,10 +180,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +344,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
         e0 = nb.nbody_energy(state, vsamp)
         prev_t = 0.0
         for ts in sample_times:
-            state, _ = nb.evolve_nbody(state, vsamp, ts - prev_t, config.nbody_dt)
+            state = nb.evolve_nbody(state, vsamp, ts - prev_t, config.nbody_dt)
             prev_t = ts
             gamma = nb.reduce_marginal(state, 1) if n > 1 else nb.MarginalDensity(
                 grid, 1, np.outer(state.psi, state.psi.conj()), state.t

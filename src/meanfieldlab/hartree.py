@@ -9,26 +9,12 @@ conservation up to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import (
-    GridSpec,
-    PotentialSpec,
-    kinetic_phase,
-    l2_norm,
-    periodic_convolve,
-    sample_potential,
-)
-
-
-def _steps_for(t_final: float, dt: float) -> int:
-    n = int(round(t_final / dt))
-    if n < 1 or abs(n * dt - t_final) > 1e-9:
-        raise ValueError(f"horizon {t_final} is not an integer number of steps of dt={dt}")
-    return n
+from .grid import GridSpec, edge_mass, kinetic_phase, l2_norm, periodic_convolve, step_schedule
 
 
 @dataclass
@@ -79,7 +65,7 @@ class HartreeTrajectory:
 
 def evolve_hartree(
     phi0,
-    potential: PotentialSpec | np.ndarray,
+    potential_samples: np.ndarray,
     grid: GridSpec,
     t_final: float,
     dt: float,
@@ -89,9 +75,7 @@ def evolve_hartree(
     phi = np.asarray(phi0, dtype=complex).copy()
     if phi.shape != (grid.points,):
         raise ValueError(f"initial state has shape {phi.shape}, expected ({grid.points},)")
-    vsamp = potential if isinstance(potential, np.ndarray) else sample_potential(potential, grid)
-
-    n_steps = _steps_for(t_final, dt)
+    n_steps, _ = step_schedule(t_final, dt)
     if sample_stride < 1 or n_steps % sample_stride:
         raise ValueError(f"sample_stride {sample_stride} must divide the {n_steps} steps")
 
@@ -99,14 +83,14 @@ def evolve_hartree(
     states = [phi.copy()]
     for step in range(n_steps):
         phi = sfft.ifft(half * sfft.fft(phi))
-        u_eff = periodic_convolve(vsamp, np.abs(phi) ** 2, grid)
+        u_eff = periodic_convolve(potential_samples, np.abs(phi) ** 2, grid)
         phi *= np.exp(-1j * dt * u_eff)
         phi = sfft.ifft(half * sfft.fft(phi))
         if (step + 1) % sample_stride == 0:
             states.append(phi.copy())
 
     times = np.arange(len(states)) * (dt * sample_stride)
-    return HartreeTrajectory(grid, vsamp, dt, times, np.array(states))
+    return HartreeTrajectory(grid, potential_samples, dt, times, np.array(states))
 
 
 def effective_potential(phi, potential_samples, grid: GridSpec) -> np.ndarray:
@@ -134,7 +118,4 @@ def boundary_mass(phi, grid: GridSpec, fraction: float = 0.125) -> float:
     The default experiment centers the packet at L/2, so mass near x = 0 or
     x = L signals wrap-around artifacts.
     """
-    m = grid.points
-    edge = max(1, int(round(fraction * m)))
-    rho = np.abs(np.asarray(phi)) ** 2 * grid.dx
-    return float(np.sum(rho[:edge]) + np.sum(rho[m - edge :]))
+    return edge_mass(np.abs(np.asarray(phi)) ** 2, grid, fraction)

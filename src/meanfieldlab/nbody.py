@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import GridSpec, PotentialSpec, potential_matrix, sample_potential
+from .grid import GridSpec, edge_mass, kinetic_matrix, potential_matrix, step_schedule
 
 # Default cap on the number of complex amplitudes of one state (4 GiB of complex128).
 DEFAULT_AMPLITUDE_BUDGET = 2**28
@@ -84,32 +84,11 @@ def interaction_tensor(grid: GridSpec, potential_samples: np.ndarray, n: int) ->
 
 
 def evolve_nbody(
-    state: NBodyState,
-    potential: PotentialSpec | np.ndarray,
-    t_final: float,
-    dt: float,
-    sample_times=(),
-) -> tuple[NBodyState, list[NBodyState]]:
-    """Propagate to ``state.t + t_final``; return final state and samples.
-
-    ``sample_times`` are offsets from the starting time and must land on step
-    boundaries; each sample is a full copy of the state tensor, so request
-    them only when the tensor is small.
-    """
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9:
-        raise ValueError(f"horizon {t_final} is not an integer number of steps of dt={dt}")
-    sample_idx = []
-    for ts in sample_times:
-        i = int(round(ts / dt))
-        if not 1 <= i <= n_steps or abs(i * dt - ts) > 1e-9:
-            raise ValueError(f"sample time {ts} does not land on a step boundary")
-        sample_idx.append(i)
-    if sample_idx != sorted(sample_idx):
-        raise ValueError("sample times must be increasing")
-
+    state: NBodyState, potential_samples: np.ndarray, span: float, dt: float
+) -> NBodyState:
+    """Propagate the state over ``span``, a whole number of steps of dt."""
+    n_steps, _ = step_schedule(span, dt)
     grid, n = state.grid, state.n
-    vsamp = potential if isinstance(potential, np.ndarray) else sample_potential(potential, grid)
 
     k2 = grid.wavenumbers**2
     ksum = np.zeros((grid.points,) * n)
@@ -120,36 +99,21 @@ def evolve_nbody(
     half_phase = np.exp(-0.5j * dt * ksum)
     full_phase = half_phase * half_phase
     del ksum
-    pot_phase = np.exp(-1j * dt * interaction_tensor(grid, vsamp, n))
+    pot_phase = np.exp(-1j * dt * interaction_tensor(grid, potential_samples, n))
 
-    psi = state.psi.copy()
-    samples: list[NBodyState] = []
-    t0 = state.t
-    # Fused Strang sweep per segment between sample points: one leading half
-    # kinetic step, then [potential, kinetic] pairs with the last kinetic
-    # factor demoted to a half step.
-    boundaries = sample_idx + [n_steps] if (not sample_idx or sample_idx[-1] != n_steps) else sample_idx
-    start = 0
-    for stop in boundaries:
-        psi = sfft.ifftn(half_phase * sfft.fftn(psi, overwrite_x=True), overwrite_x=True)
-        for step in range(start, stop):
-            psi *= pot_phase
-            phase = full_phase if step < stop - 1 else half_phase
-            psi = sfft.ifftn(phase * sfft.fftn(psi, overwrite_x=True), overwrite_x=True)
-        start = stop
-        if stop in sample_idx:
-            samples.append(NBodyState(grid, n, psi.copy(), t0 + stop * dt))
-
-    final = NBodyState(grid, n, psi, t0 + n_steps * dt)
-    if sample_idx and sample_idx[-1] == n_steps:
-        samples[-1] = final
-    return final, samples
+    # Fused Strang sweep: one leading half kinetic step, then [potential,
+    # kinetic] pairs with the last kinetic factor demoted to a half step.
+    psi = sfft.ifftn(half_phase * sfft.fftn(state.psi.copy(), overwrite_x=True), overwrite_x=True)
+    for step in range(n_steps):
+        psi *= pot_phase
+        phase = full_phase if step < n_steps - 1 else half_phase
+        psi = sfft.ifftn(phase * sfft.fftn(psi, overwrite_x=True), overwrite_x=True)
+    return NBodyState(grid, n, psi, state.t + n_steps * dt)
 
 
-def nbody_energy(state: NBodyState, potential: PotentialSpec | np.ndarray) -> float:
+def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
     """<psi, H psi> with the spectral kinetic sum and the scaled pair term."""
     grid, n = state.grid, state.n
-    vsamp = potential if isinstance(potential, np.ndarray) else sample_potential(potential, grid)
     weight = grid.dx**n
     spec_density = np.abs(sfft.fftn(state.psi)) ** 2
     k2 = grid.wavenumbers**2
@@ -158,7 +122,7 @@ def nbody_energy(state: NBodyState, potential: PotentialSpec | np.ndarray) -> fl
         other = tuple(a for a in range(n) if a != axis)
         kinetic += float(k2 @ spec_density.sum(axis=other))
     kinetic *= weight / grid.points**n
-    w = interaction_tensor(grid, vsamp, n)
+    w = interaction_tensor(grid, potential_samples, n)
     pot = float(np.sum(w * np.abs(state.psi) ** 2)) * weight
     return kinetic + pot
 
@@ -215,13 +179,10 @@ def marginal_boundary_mass(md: MarginalDensity, fraction: float = 0.125) -> floa
     """Mass of the position density near the box edges (k=1 marginals)."""
     if md.k != 1:
         raise ValueError("boundary mass is defined for one-body marginals")
-    m = md.grid.points
-    edge = max(1, int(round(fraction * m)))
-    rho = np.diag(md.matrix).real * md.grid.dx
-    return float(np.sum(rho[:edge]) + np.sum(rho[m - edge :]))
+    return edge_mass(np.diag(md.matrix).real, md.grid, fraction)
 
 
-def bbgky_residual(samples: list[NBodyState], potential: PotentialSpec | np.ndarray, k: int = 1) -> float:
+def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: int = 1) -> float:
     """Defect of the first hierarchy equation on three consecutive snapshots.
 
     Uses a central difference in time for d/dt gamma^(1) at the middle
@@ -246,7 +207,6 @@ def bbgky_residual(samples: list[NBodyState], potential: PotentialSpec | np.ndar
         raise ValueError("snapshots must be uniformly spaced in time")
 
     grid, n = now.grid, now.n
-    vsamp = potential if isinstance(potential, np.ndarray) else sample_potential(potential, grid)
     m = grid.points
 
     g_before = _one_body_matrix(before)
@@ -254,12 +214,10 @@ def bbgky_residual(samples: list[NBodyState], potential: PotentialSpec | np.ndar
     gamma = _one_body_matrix(now)
     dgdt = (g_after - g_before) / (2.0 * spacing)
 
-    from .grid import kinetic_matrix
-
     tmat = kinetic_matrix(grid)
     rhs = tmat @ gamma - gamma @ tmat
     if n >= 2:
-        vmat = potential_matrix(vsamp, grid)
+        vmat = potential_matrix(potential_samples, grid)
         g2 = reduce_marginal(now, 2).matrix.reshape(m, m, m, m)
         diag = np.einsum("xzyz->xyz", g2)
         coll = np.einsum("xz,xyz->xy", vmat, diag) - np.einsum("yz,xyz->xy", vmat, diag)

@@ -370,21 +370,6 @@ def test_snapshots_and_span_validation(lattice):
 # Heisenberg residual field
 
 
-def test_residual_injected_parts_equivalence(lattice):
-    space, _, _, traj, gens = lattice
-    t, dt, n = 0.2, 2e-3, 8.0
-    scratch = fk.annihilator_residual(gens, traj, t, dt, n)
-    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "full", n)
-    fwd_quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "quadratic", n)
-    bq, tq = fk.site_backs(gens, traj, fwd_quad.state, t, dt, "quadratic", n)
-    injected = fk.annihilator_residual(
-        gens, traj, t, dt, n,
-        forward_full=fwd.state, quad_parts=(bq, max(fwd_quad.top_mass, tq)),
-    )
-    assert np.array_equal(scratch.site_residuals, injected.site_residuals)
-    assert scratch.aggregates == injected.aggregates
-
-
 def test_residual_aggregates_decay_with_coupling(lattice):
     space, _, _, traj, gens = lattice
     t, dt = 0.5, 2e-3
@@ -393,7 +378,8 @@ def test_residual_aggregates_decay_with_coupling(lattice):
     parts = (bq, max(fwd_quad.top_mass, tq))
     aggs = {}
     for n in (8, 16):
-        res = fk.annihilator_residual(gens, traj, t, dt, n, quad_parts=parts)
+        fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "full", n)
+        res = fk.annihilator_residual(gens, traj, t, dt, n, fwd.state, parts)
         aggs[n] = res.aggregates
         assert res.top_mass < 1e-4
         # the (N+1)^j weights are >= 1 and increasing in j

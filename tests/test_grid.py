@@ -26,6 +26,7 @@ from meanfieldlab.grid import (
     potential_matrix,
     sample_potential,
     sech_packet,
+    step_schedule,
 )
 
 
@@ -68,6 +69,19 @@ def test_grid_dx_consistency(points, length):
     assert g.dx * g.points == pytest.approx(g.length, rel=1e-12)
     assert len(g.x) == points
     assert len(g.wavenumbers) == points
+
+
+def test_step_schedule():
+    assert step_schedule(0.5, 1e-3) == (500, [])
+    assert step_schedule(0.3, 0.1) == (3, [])  # 0.3 / 0.1 is 2.9999999999999996
+    n, idx = step_schedule(0.4, 2e-3, (0.0, 0.2, 0.4, 0.1 + 1e-12))
+    assert n == 200 and idx == [0, 100, 200, 50]
+    for span in (0.5005, 0.0, -0.5, 4e-4):  # not whole, zero, negative, below one step
+        with pytest.raises(ValueError, match="whole number"):
+            step_schedule(span, 1e-3)
+    for offset in (0.2001, 0.402, -2e-3):  # off the grid, past the end, before the start
+        with pytest.raises(ValueError, match="does not land"):
+            step_schedule(0.4, 2e-3, (offset,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanfieldlab.cli as cli
 import meanfieldlab.harness as hn
@@ -48,7 +50,6 @@ def tiny_run(tiny_config):
 
 def test_empty_dict_gives_defaults():
     assert hn.ExperimentConfig.from_dict({}) == hn.ExperimentConfig()
-    assert hn.default_config() == hn.ExperimentConfig()
 
 
 def test_nested_overrides_land_in_the_right_fields(tiny_config):
@@ -67,6 +68,9 @@ def test_nested_overrides_land_in_the_right_fields(tiny_config):
     # a partial section keeps the defaults of its other keys
     partial = hn.ExperimentConfig.from_dict({"fock": {"initial_state": {"width": 0.5}}})
     assert partial.fock.initial_state.center == 1.7 and partial.fock.initial_state.width == 0.5
+    # a JSON integer in a float field loads as that float
+    length = hn.ExperimentConfig.from_dict({"grid": {"length": 10}}).grid_length
+    assert length == 10.0 and type(length) is float
 
 
 def test_readme_config_block_is_the_default():
@@ -100,11 +104,62 @@ def test_default_lattice_section_is_self_consistent():
         ({"seed": 0}, "seed"),
         ({"grid": 5}, "grid"),
         ({"particle_counts": 3}, "particle_counts"),
+        ({"grid": {"points": 16.7}}, "grid.points"),
+        ({"fock": {"cutoff": True}}, "fock.cutoff"),
+        ({"particle_counts": [2.9, 3]}, "particle_counts"),
+        ({"time": {"horizon": False}}, "time.horizon"),
+        ({"initial_state": {"profile": 3}}, "initial_state.profile"),
+        ({"grid": {"length": 10**400}}, "grid.length"),
+        ({"time": {"horizon": float("inf")}}, "time.horizon"),
+        ({"tolerances": {"mass_drift": float("nan")}}, "tolerances.mass_drift"),
     ],
 )
 def test_unknown_keys_are_rejected(bad, fragment):
     with pytest.raises(hn.ConfigError, match=fragment):
         hn.ExperimentConfig.from_dict(bad)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.integers(-(2**40), 2**40),
+    length=finite | st.integers(-(2**40), 2**40),
+    counts=st.lists(st.integers(1, 9), max_size=4),
+    profile=st.text(max_size=6),
+    cutoff=st.integers(0, 40),
+    width=finite,
+    rate_band=st.lists(finite | st.integers(-5, 5), max_size=3),
+)
+def test_valid_scalar_overrides_load_exactly(
+    points, length, counts, profile, cutoff, width, rate_band
+):
+    raw = {
+        "grid": {"points": points, "length": length},
+        "particle_counts": counts,
+        "initial_state": {"profile": profile},
+        "fock": {"cutoff": cutoff, "initial_state": {"width": width}},
+        "tolerances": {"rate_band": rate_band},
+    }
+    default = hn.ExperimentConfig()
+    want = replace(
+        default,
+        grid_points=points,
+        grid_length=float(length),
+        particle_counts=tuple(counts),
+        initial_state=replace(default.initial_state, profile=profile),
+        fock=replace(
+            default.fock,
+            cutoff=cutoff,
+            initial_state=replace(default.fock.initial_state, width=width),
+        ),
+        tolerances=replace(default.tolerances, rate_band=tuple(float(v) for v in rate_band)),
+    )
+    got = hn.ExperimentConfig.from_dict(raw)
+    assert got == want
+    assert type(got.grid_length) is float
+    assert all(type(v) is float for v in got.tolerances.rate_band)
 
 
 def test_unknown_initial_profile_is_rejected():

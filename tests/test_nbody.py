@@ -126,7 +126,7 @@ def test_marginal_tower_property(small):
     # tracing the two-body marginal down one slot reproduces the one-body one
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    st, _ = evolve_nbody(st, vs, 0.2, 2e-3)
+    st = evolve_nbody(st, vs, 0.2, 2e-3)
     g1 = reduce_marginal(st, 1)
     g2 = reduce_marginal(st, 2).matrix.reshape(8, 8, 8, 8)
     traced = np.einsum("xzyz->xy", g2) * g.dx
@@ -162,7 +162,7 @@ def test_trace_distance_orthogonal_pure_states(small):
 def test_trace_distance_against_jacobi_oracle(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    st, _ = evolve_nbody(st, vs, 0.3, 2e-3)
+    st = evolve_nbody(st, vs, 0.3, 2e-3)
     gamma = reduce_marginal(st, 1)
     proj = projection_marginal(phi, g)
     diff = gamma.matrix - proj.matrix
@@ -218,11 +218,11 @@ def test_two_body_evolution_matches_dense_exponential(small):
     st = product_state(phi, 2, g)
     h = dense_two_body_hamiltonian(g, vs)
     want = expm(-1j * h * 0.25) @ st.psi.ravel()
-    got, _ = evolve_nbody(st, vs, 0.25, 1e-3)
+    got = evolve_nbody(st, vs, 0.25, 1e-3)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx
     assert err < 1e-6
     # and the splitting error shrinks at second order
-    got2, _ = evolve_nbody(st, vs, 0.25, 5e-4)
+    got2 = evolve_nbody(st, vs, 0.25, 5e-4)
     err2 = np.linalg.norm(got2.psi.ravel() - want) * g.dx
     assert 3.0 <= err / err2 <= 5.0
 
@@ -239,7 +239,7 @@ def test_conservation_and_symmetry(small):
     g, vs, phi = small
     st = product_state(phi, 3, g)
     e0 = nbody_energy(st, vs)
-    fin, _ = evolve_nbody(st, vs, 0.5, 2e-3)
+    fin = evolve_nbody(st, vs, 0.5, 2e-3)
     assert abs(fin.norm() ** 2 - 1.0) < 1e-12
     assert abs(nbody_energy(fin, vs) - e0) < 1e-6
     assert symmetry_defect(fin) < 1e-12
@@ -253,26 +253,13 @@ def test_symmetry_defect_detects_asymmetry(small):
     assert symmetry_defect(st) > 0.1
 
 
-def test_sampling_consistency(small):
-    g, vs, phi = small
-    st = product_state(phi, 2, g)
-    fin, samples = evolve_nbody(st, vs, 0.4, 2e-3, sample_times=(0.2, 0.4))
-    assert len(samples) == 2
-    assert samples[0].t == pytest.approx(0.2)
-    direct, _ = evolve_nbody(st, vs, 0.2, 2e-3)
-    assert np.allclose(samples[0].psi, direct.psi, atol=1e-12)
-    assert samples[1].psi is fin.psi  # final snapshot aliases the final state
-
-
 def test_evolution_validation(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
     with pytest.raises(ValueError):
         evolve_nbody(st, vs, 0.1003, 1e-3)
     with pytest.raises(ValueError):
-        evolve_nbody(st, vs, 0.1, 1e-3, sample_times=(0.05, 0.02))
-    with pytest.raises(ValueError):
-        evolve_nbody(st, vs, 0.1, 1e-3, sample_times=(0.2,))
+        evolve_nbody(st, vs, 0.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +272,9 @@ def test_bbgky_residual_shrinks_at_second_order(small):
     dt = 5e-4
     resid = {}
     for spacing in (8e-3, 4e-3):
-        _, samples = evolve_nbody(
-            st, vs, 0.2, dt, sample_times=(0.1 - spacing, 0.1, 0.1 + spacing)
-        )
+        samples = [evolve_nbody(st, vs, 0.1 - spacing, dt)]
+        for _ in range(2):
+            samples.append(evolve_nbody(samples[-1], vs, spacing, dt))
         resid[spacing] = bbgky_residual(samples, vs)
     order = math.log2(resid[8e-3] / resid[4e-3])
     assert 1.7 <= order <= 2.3
@@ -296,7 +283,9 @@ def test_bbgky_residual_shrinks_at_second_order(small):
 def test_bbgky_residual_validation(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    _, samples = evolve_nbody(st, vs, 0.3, 1e-3, sample_times=(0.1, 0.2, 0.3))
+    samples = [evolve_nbody(st, vs, 0.1, 1e-3)]
+    for _ in range(2):
+        samples.append(evolve_nbody(samples[-1], vs, 0.1, 1e-3))
     with pytest.raises(ValueError):
         bbgky_residual(samples[:2], vs)
     with pytest.raises(ValueError):
