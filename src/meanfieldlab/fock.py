@@ -95,14 +95,17 @@ def build_basis(sites: int, cutoff: int, length: float | None = None) -> Lattice
 
 @dataclass
 class FockVector:
+    """One state, shape (dimension,), or a block of states, one per column."""
+
     space: LatticeFockSpace
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.space.dimension,):
+        if self.coeffs.ndim not in (1, 2) or self.coeffs.shape[0] != self.space.dimension:
             raise ValueError(
-                f"coefficient vector has shape {self.coeffs.shape}, expected ({self.space.dimension},)"
+                f"coefficients have shape {self.coeffs.shape}, expected "
+                f"({self.space.dimension},) or ({self.space.dimension}, k)"
             )
 
     def norm(self) -> float:
@@ -132,35 +135,40 @@ def ladder(space: LatticeFockSpace, f, create: bool) -> sparse.csr_matrix:
 
 
 def sector_masses(vec: FockVector) -> np.ndarray:
-    """Squared-norm mass per total-occupation sector."""
-    masses = np.zeros(vec.space.cutoff + 1)
-    offs = vec.space.sector_offsets
-    for n in range(vec.space.cutoff + 1):
-        masses[n] = float(np.sum(np.abs(vec.coeffs[offs[n] : offs[n + 1]]) ** 2))
-    return masses
+    """Squared-norm mass per total-occupation sector, one column per state.
+
+    Each column is summed on its own, so a block's masses equal the
+    per-column results stacked, bit for bit.
+    """
+    per_state = np.abs(vec.coeffs.reshape(vec.space.dimension, -1).T, order="C") ** 2
+    masses = np.add.reduceat(per_state, vec.space.sector_offsets[:-1], axis=1).T
+    return masses.reshape((vec.space.cutoff + 1,) + vec.coeffs.shape[1:])
 
 
 def number_moment(vec: FockVector, j: int = 1) -> float:
     """<vec, N^j vec> computed exactly from sector masses."""
     masses = sector_masses(vec)
-    return float(np.sum(np.arange(len(masses), dtype=float) ** j * masses))
+    return float(np.arange(len(masses), dtype=float) ** j @ masses)
 
 
 def shifted_number_norm(vec: FockVector, j: int) -> float:
     """|| (N+1)^{j/2} vec ||."""
     masses = sector_masses(vec)
-    return float(np.sqrt(np.sum((np.arange(len(masses)) + 1.0) ** j * masses)))
+    return float(np.sqrt((np.arange(len(masses)) + 1.0) ** j @ masses))
 
 
 def odd_sector_mass(vec: FockVector) -> float:
     masses = sector_masses(vec)
-    return float(np.sum(masses[1::2]))
+    return float(np.sum(masses[1::2], axis=0))
 
 
 def top_sector_mass(vec: FockVector, levels: int = 2) -> float:
-    """Mass in the top ``levels`` sectors; the truncation-leakage monitor."""
+    """Mass in the top ``levels`` sectors; the truncation-leakage monitor.
+
+    For a block this is the worst column.
+    """
     masses = sector_masses(vec)
-    return float(np.sum(masses[-levels:]))
+    return float(np.max(np.sum(masses[-levels:], axis=0)))
 
 
 def weyl_apply(space: LatticeFockSpace, f, vec: FockVector) -> tuple[FockVector, float]:
@@ -238,8 +246,10 @@ class GeneratorSet:
     Sparse skeletons (one-body transfers b_i* b_j, pair raisers b_i* b_j*,
     their adjoints, the cubic strings b_i* b_j* b_i and b_i* b_j b_i, and the
     diagonal quartic) are built once; ``matrix`` contracts them with
-    state-dependent coefficients on a shared sparsity pattern, so per-step
-    assembly is a single dense matvec.
+    state-dependent coefficients on a shared sparsity pattern.  The
+    coefficient bank is sparse (row alpha holds skeleton alpha on the
+    pattern), so per-step assembly costs one sparse matvec over the stored
+    skeleton entries.
     """
 
     def __init__(self, space: LatticeFockSpace, potential_samples: np.ndarray):
@@ -294,16 +304,18 @@ class GeneratorSet:
         self._indptr = union.indptr
         self._indices = union.indices
         self._nnz = union.nnz
-        # dense coefficient bank: row alpha holds skeleton alpha on the union
-        self._bank = np.zeros((self.n_terms, self._nnz))
-        key = {}
-        for r in range(space.dimension):
-            for p in range(union.indptr[r], union.indptr[r + 1]):
-                key[(r, union.indices[p])] = p
-        for a, sk in enumerate(skeletons):
-            coo = sk.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                self._bank[a, key[(r, c)]] += v
+        # sparse coefficient bank: row alpha holds skeleton alpha on the
+        # union, located by the sorted keys row * dim + col
+        dim = space.dimension
+        union_coo = union.tocoo()
+        union_keys = union_coo.row.astype(np.int64) * dim + union_coo.col
+        coos = [sk.tocoo() for sk in skeletons]
+        keys = np.concatenate([c.row.astype(np.int64) * dim + c.col for c in coos])
+        terms = np.repeat(np.arange(self.n_terms), [c.nnz for c in coos])
+        self._bank = sparse.csr_matrix(
+            (np.concatenate([c.data for c in coos]), (terms, np.searchsorted(union_keys, keys))),
+            shape=(self.n_terms, self._nnz),
+        )
 
     def coefficients(self, phi, which: str, n_field: float) -> np.ndarray:
         """Complex weight per skeleton for the generator at Hartree state phi."""
@@ -331,7 +343,7 @@ class GeneratorSet:
         return c
 
     def matrix(self, phi, which: str = "full", n_field: float = 1.0) -> sparse.csr_matrix:
-        data = self.coefficients(phi, which, n_field) @ self._bank
+        data = self._bank.T @ self.coefficients(phi, which, n_field)
         return sparse.csr_matrix(
             (data, self._indices.copy(), self._indptr.copy()),
             shape=(self.space.dimension, self.space.dimension),
@@ -358,8 +370,9 @@ def evolve_fock(
     """Integrate i d_t psi = H(t) psi from t0 to t1 (either direction).
 
     The generator is assembled at each step midpoint from the Hartree
-    trajectory and applied through the exponential action.  ``top_mass`` is
-    the largest mass seen in the top two sectors, the truncation monitor.
+    trajectory and applied through the exponential action, to one state or
+    to a block of states at once.  ``top_mass`` is the largest mass seen in
+    the top two sectors of any column, the truncation monitor.
     """
     sign = 1.0 if t1 > t0 else -1.0
     n_steps, indices = step_schedule(
@@ -403,22 +416,25 @@ def site_backs(
     """Apply a_y to a time-t state and evolve each copy back to time zero.
 
     Returns one backward state per requested site (all sites by default) and
-    the worst truncation mass seen along the way.
+    the worst truncation mass seen along the way.  The copies travel as one
+    (dimension, sites) block, so each step assembles its generator once.
+
+    expm_multiply stays on its deterministic branch only while
+    ||dt (H - mu)||_1 <= 63.36 / k, with mu = trace(H) / dimension and k the
+    number of sites in the block; beyond that it estimates norms of powers
+    with the randomised onenormest, and reruns are no longer bitwise
+    identical.
     """
     space = gens.space
     dx = space.grid.dx
     if sites is None:
         sites = range(space.grid.points)
-    backs = []
-    top = 0.0
-    for site in sites:
-        a_site = space.annihilators[site] / np.sqrt(dx)
-        run = evolve_fock(
-            gens, FockVector(space, a_site @ state.coeffs), trajectory, t, 0.0, dt, which, n_field
-        )
-        backs.append(run.state)
-        top = max(top, run.top_mass)
-    return backs, top
+    block = np.stack(
+        [(space.annihilators[site] / np.sqrt(dx)) @ state.coeffs for site in sites], axis=1
+    )
+    run = evolve_fock(gens, FockVector(space, block), trajectory, t, 0.0, dt, which, n_field)
+    backs = [FockVector(space, col) for col in np.ascontiguousarray(run.state.coeffs.T)]
+    return backs, run.top_mass
 
 
 def annihilator_residual(

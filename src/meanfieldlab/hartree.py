@@ -21,8 +21,8 @@ from .grid import GridSpec, edge_mass, kinetic_phase, l2_norm, periodic_convolve
 class HartreeTrajectory:
     """Stored samples of a Hartree evolution, with linear-in-time access.
 
-    ``states[i]`` holds the wavefunction at ``times[i]``; times are uniform
-    with spacing dt * stride and always include 0 and the final time.
+    ``states[i]`` holds the wavefunction at ``times[i]``; times are uniform,
+    one per step of ``dt``, from 0 to the final time.
     """
 
     grid: GridSpec
@@ -69,27 +69,23 @@ def evolve_hartree(
     grid: GridSpec,
     t_final: float,
     dt: float,
-    sample_stride: int = 1,
 ) -> HartreeTrajectory:
-    """Propagate phi0 to t_final, storing every ``sample_stride``-th step."""
+    """Propagate phi0 to t_final, storing the state after every step."""
     phi = np.asarray(phi0, dtype=complex).copy()
     if phi.shape != (grid.points,):
         raise ValueError(f"initial state has shape {phi.shape}, expected ({grid.points},)")
     n_steps, _ = step_schedule(t_final, dt)
-    if sample_stride < 1 or n_steps % sample_stride:
-        raise ValueError(f"sample_stride {sample_stride} must divide the {n_steps} steps")
 
     half = kinetic_phase(grid, 0.5 * dt)
     states = [phi.copy()]
-    for step in range(n_steps):
+    for _ in range(n_steps):
         phi = sfft.ifft(half * sfft.fft(phi))
         u_eff = periodic_convolve(potential_samples, np.abs(phi) ** 2, grid)
         phi *= np.exp(-1j * dt * u_eff)
         phi = sfft.ifft(half * sfft.fft(phi))
-        if (step + 1) % sample_stride == 0:
-            states.append(phi.copy())
+        states.append(phi.copy())
 
-    times = np.arange(len(states)) * (dt * sample_stride)
+    times = np.arange(len(states)) * dt
     return HartreeTrajectory(grid, potential_samples, dt, times, np.array(states))
 
 

@@ -117,6 +117,28 @@ def test_sector_diagnostics_on_hand_vector():
     assert fk.top_sector_mass(vec, levels=3) == pytest.approx(0.64)
 
 
+def test_block_diagnostics_are_per_column():
+    space = fk.build_basis(2, 4)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((space.dimension, 3)) + 1j * rng.standard_normal((space.dimension, 3))
+    cols = [fk.FockVector(space, block[:, k]) for k in range(3)]
+    masses = fk.sector_masses(fk.FockVector(space, block))
+    assert masses.shape == (space.cutoff + 1, 3)
+    assert np.array_equal(masses, np.stack([fk.sector_masses(c) for c in cols], axis=1))
+    for levels in (1, 2, 3):
+        want = max(fk.top_sector_mass(c, levels) for c in cols)
+        for shift in range(3):  # the worst column may sit anywhere in the block
+            rolled = fk.FockVector(space, np.roll(block, shift, axis=1))
+            assert fk.top_sector_mass(rolled, levels) == want
+    # scalar diagnostics refuse a block instead of mixing its columns
+    with pytest.raises(TypeError):
+        fk.number_moment(fk.FockVector(space, block))
+    with pytest.raises(ValueError):
+        fk.FockVector(space, np.zeros((space.dimension + 1, 3)))
+    with pytest.raises(ValueError):
+        fk.FockVector(space, np.zeros((space.dimension, 3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # displacement
 
@@ -392,6 +414,10 @@ def test_site_backs_restriction(lattice):
     space, _, _, traj, gens = lattice
     fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic")
     all_backs, _ = fk.site_backs(gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0)
-    one_back, _ = fk.site_backs(gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0, sites=(1,))
-    assert len(all_backs) == 2 and len(one_back) == 1
-    assert np.array_equal(one_back[0].coeffs, all_backs[1].coeffs)
+    assert len(all_backs) == space.grid.points
+    for site in range(space.grid.points):
+        one_back, _ = fk.site_backs(
+            gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0, sites=(site,)
+        )
+        assert len(one_back) == 1
+        assert np.array_equal(one_back[0].coeffs, all_backs[site].coeffs)

@@ -392,6 +392,16 @@ def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
     assert code == 2
 
 
+def test_cli_fock_check_rerun_is_bitwise_identical(tmp_path, cfg_file):
+    """Block back-propagation keeps expm_multiply on its deterministic branch."""
+    blobs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        cli.main(["fock-check", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+        blobs.append((out / "fock_check.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_missing_config_reports_error(tmp_path, capsys):
     code = cli.main(["rate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1

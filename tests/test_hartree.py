@@ -13,6 +13,7 @@ from meanfieldlab.grid import (
     sample_potential,
 )
 from meanfieldlab.hartree import (
+    HartreeTrajectory,
     boundary_mass,
     effective_potential,
     evolve_hartree,
@@ -126,11 +127,13 @@ def test_trajectory_sampling_and_interpolation(setup):
 
 def test_interpolation_error_is_second_order(setup):
     g, vs, phi0 = setup
-    fine = evolve_hartree(phi0, vs, g, 0.5, 1e-3)
-    mid = evolve_hartree(phi0, vs, g, 0.5, 1e-3, sample_stride=5)
-    wide = evolve_hartree(phi0, vs, g, 0.5, 1e-3, sample_stride=25)
+    dt = 1e-3
+    fine = evolve_hartree(phi0, vs, g, 0.5, dt)
+    # every 5th and every 25th sample of the same run
+    mid = HartreeTrajectory(g, vs, dt, fine.times[::5], fine.states[::5])
+    wide = HartreeTrajectory(g, vs, dt, fine.times[::25], fine.states[::25])
     # probe instants sitting mid-gap for both coarse sample spacings; the
-    # stride-1 trajectory's own interpolation error is 625x smaller, so it
+    # full trajectory's own interpolation error is 625x smaller, so it
     # serves as the reference
     for t in (0.1125, 0.3875):
         e5 = l2_norm(mid.interpolate(t) - fine.interpolate(t), g)
@@ -139,10 +142,8 @@ def test_interpolation_error_is_second_order(setup):
         assert 15.0 <= e25 / e5 <= 40.0
 
 
-def test_stride_and_horizon_validation(setup):
+def test_horizon_and_shape_validation(setup):
     g, vs, phi0 = setup
-    with pytest.raises(ValueError):
-        evolve_hartree(phi0, vs, g, 0.5, 1e-3, sample_stride=7)  # 500 % 7 != 0
     with pytest.raises(ValueError):
         evolve_hartree(phi0, vs, g, 0.5005, 1e-3)
     with pytest.raises(ValueError):
