@@ -13,13 +13,12 @@ product states to coherent states, and ``harness`` wires everything into
 reproducible convergence experiments with CSV/JSON output.
 """
 
-from .grid import GridSpec, PotentialSpec, make_grid
+from .grid import GridSpec, PotentialSpec
 from .harness import ExperimentConfig
 
 __all__ = [
     "GridSpec",
     "PotentialSpec",
-    "make_grid",
     "ExperimentConfig",
 ]
 

@@ -42,23 +42,9 @@ def log_coherent_norm(n: int) -> float:
     return 0.5 * gammaln(n + 1) - 0.5 * n * np.log(n) + 0.5 * n
 
 
-def assoc_laguerre(n: int, alpha: float, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{(alpha)}(x), upward recurrence."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
 @dataclass
 class SectorOverlapTable:
-    """Sector norms A_m, m = 0..n-1, with log-magnitudes and signs.
+    """Sector norms A_m, m = 0..n-1, with their log-magnitudes.
 
     ``cumulative_sq[m]`` is sum_{j<=m} A_j^2; the grand total over all m >= 0
     would be 1, and the stored range always sums to <= 1.
@@ -67,7 +53,6 @@ class SectorOverlapTable:
     n: int
     values: np.ndarray
     log_abs: np.ndarray
-    signs: np.ndarray
     cumulative_sq: np.ndarray
 
     @property
@@ -91,7 +76,6 @@ def sector_overlaps(n: int) -> SectorOverlapTable:
         n=n,
         values=a,
         log_abs=log_abs,
-        signs=np.sign(a).astype(int),
         cumulative_sq=np.cumsum(a**2),
     )
 
@@ -102,7 +86,7 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
-def krasikov_check(n: int, m: int, table: SectorOverlapTable | None = None) -> BoundCheck:
+def krasikov_check(table: SectorOverlapTable, m: int) -> BoundCheck:
     """Compare |L_m^{(n-m-1)}(n)| against Krasikov's uniform bound, in logs.
 
     The bound reads, with s = sqrt(n) + sqrt(m), q = sqrt(n) - sqrt(m),
@@ -110,17 +94,13 @@ def krasikov_check(n: int, m: int, table: SectorOverlapTable | None = None) -> B
         |L| < sqrt((n-1)!/m!) sqrt(n (s^2-q^2) / r) e^{n/2} n^{-(n-m)/2},
         r = (n - q^2)(s^2 - n) = 4 n m - m^2,
 
-    valid for 1 <= m <= n-1 (at m = n the window r degenerates).  Both sides
-    are evaluated in the log domain via the sector-overlap recurrence, so the
-    check never overflows.
+    valid for 1 <= m <= n-1 (at m = n the window r degenerates), with n the
+    count of ``table``.  Both sides are evaluated in the log domain via the
+    sector-overlap recurrence, so the check never overflows.
     """
-    n = _check_count(n)
+    n = table.n
     if not 1 <= m <= n - 1:
         raise ValueError(f"bound window requires 1 <= m <= n-1, got m={m}, n={n}")
-    if table is None:
-        table = sector_overlaps(n)
-    elif table.n != n:
-        raise ValueError(f"table was built for n={table.n}, not n={n}")
 
     # |A_m| = prefactor * |L|, so log|L| = log|A_m| - log(prefactor).
     log_pref = (
@@ -146,18 +126,14 @@ class WeightedSectorSum(NamedTuple):
     scaled: float
 
 
-def weighted_sector_sum(n: int, table: SectorOverlapTable | None = None) -> WeightedSectorSum:
+def weighted_sector_sum(table: SectorOverlapTable) -> WeightedSectorSum:
     """sum_{m<n} A_m^2/(m+1), a rigorous tail bound, and the sqrt(n)-scaled value.
 
     The tail over m >= n is bounded by (1/n)(1 - sum_{m<n} A_m^2) since each
     omitted weight 1/(m+1) is at most 1/n and the squared norms sum to one.
-    The scaled value sqrt(n) * sum stays order one in n.
+    The scaled value sqrt(n) * sum stays order one in n, the count of ``table``.
     """
-    n = _check_count(n)
-    if table is None:
-        table = sector_overlaps(n)
-    elif table.n != n:
-        raise ValueError(f"table was built for n={table.n}, not n={n}")
+    n = table.n
     value = float(np.sum(table.values**2 / (np.arange(n) + 1.0)))
     tail = (1.0 - table.sum_sq) / n
     return WeightedSectorSum(value, tail, float(np.sqrt(n) * value))

@@ -88,11 +88,6 @@ class LatticeFockSpace:
         return slice(self.sector_offsets[total], self.sector_offsets[total + 1])
 
 
-def build_basis(sites: int, cutoff: int, length: float | None = None) -> LatticeFockSpace:
-    """Fock space over ``sites`` lattice modes; length defaults to dx = 1."""
-    return LatticeFockSpace(GridSpec(sites, float(length if length is not None else sites)), cutoff)
-
-
 @dataclass
 class FockVector:
     """One state, shape (dimension,), or a block of states, one per column."""
@@ -162,13 +157,13 @@ def odd_sector_mass(vec: FockVector) -> float:
     return float(np.sum(masses[1::2], axis=0))
 
 
-def top_sector_mass(vec: FockVector, levels: int = 2) -> float:
-    """Mass in the top ``levels`` sectors; the truncation-leakage monitor.
+def top_sector_mass(vec: FockVector) -> float:
+    """Mass in the top two sectors; the truncation-leakage monitor.
 
     For a block this is the worst column.
     """
     masses = sector_masses(vec)
-    return float(np.max(np.sum(masses[-levels:], axis=0)))
+    return float(np.max(np.sum(masses[-2:], axis=0)))
 
 
 def weyl_apply(space: LatticeFockSpace, f, vec: FockVector) -> tuple[FockVector, float]:
@@ -398,7 +393,6 @@ def evolve_fock(
 
 
 class ResidualField(NamedTuple):
-    site_residuals: np.ndarray  # (sites, dimension)
     aggregates: dict[int, float]
     top_mass: float
 
@@ -469,16 +463,11 @@ def annihilator_residual(
     backs_full, top_full = site_backs(gens, trajectory, forward_full, t, dt, "full", n_field)
     top = max(top_quad, top_full)
 
-    residuals = np.array(
-        [bf.coeffs - bq.coeffs for bf, bq in zip(backs_full, backs_quad)], dtype=complex
-    )
-    aggregates = {}
-    for j in weights:
-        total = 0.0
-        for site in range(space.grid.points):
-            total += dx * shifted_number_norm(FockVector(space, residuals[site]), j) ** 2
-        aggregates[j] = total
-    return ResidualField(residuals, aggregates, top)
+    residuals = [
+        FockVector(space, bf.coeffs - bq.coeffs) for bf, bq in zip(backs_full, backs_quad)
+    ]
+    aggregates = {j: sum(dx * shifted_number_norm(r, j) ** 2 for r in residuals) for j in weights}
+    return ResidualField(aggregates, top)
 
 
 def generator_bound_probe(

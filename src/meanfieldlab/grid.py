@@ -44,10 +44,6 @@ class GridSpec:
         return 2.0 * np.pi * sfft.fftfreq(self.points, d=self.dx)
 
 
-def make_grid(points: int, length: float) -> GridSpec:
-    return GridSpec(int(points), float(length))
-
-
 def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
     """Number of steps of dt in ``span``, and the step index of each offset.
 
@@ -67,11 +63,6 @@ def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
     return n_steps, indices
 
 
-def l2_inner(f, g, grid: GridSpec) -> complex:
-    """Riemann-sum inner product <f, g>, conjugate-linear in f."""
-    return complex(np.vdot(f, g) * grid.dx)
-
-
 def l2_norm(f, grid: GridSpec) -> float:
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx))
 
@@ -88,11 +79,6 @@ def kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     return np.exp(-1j * grid.wavenumbers**2 * dt)
 
 
-def apply_kinetic(values, grid: GridSpec, dt: float) -> np.ndarray:
-    """Evolve samples by the free flow over time dt (exact, spectral)."""
-    return sfft.ifft(kinetic_phase(grid, dt) * sfft.fft(np.asarray(values, dtype=complex)))
-
-
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     """Dense grid-space matrix of the spectral operator k^2 (real symmetric)."""
     m = grid.points
@@ -101,10 +87,10 @@ def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-def edge_mass(density, grid: GridSpec, fraction: float = 0.125) -> float:
-    """Mass of a position density within ``fraction`` of the box at each edge."""
+def edge_mass(density, grid: GridSpec) -> float:
+    """Mass of a position density within an eighth of the box at each edge."""
     m = grid.points
-    edge = max(1, int(round(fraction * m)))
+    edge = max(1, int(round(0.125 * m)))
     rho = density * grid.dx
     return float(np.sum(rho[:edge]) + np.sum(rho[m - edge :]))
 

@@ -3,7 +3,8 @@
 Everything an experiment produces is derived from one ExperimentConfig, is
 bitwise reproducible (no timestamps, no threading, fixed summation orders),
 and lands in two files: a CSV of per-(N, t) records and a JSON manifest
-carrying the config hash, library versions and diagnostic outcomes.
+carrying the config (in the layout ``from_dict`` reads), its hash, library
+versions and diagnostic outcomes.
 """
 
 from __future__ import annotations
@@ -47,14 +48,19 @@ def _entries(raw, layout: dict, where: str):
             yield layout[key], value, f"{where}.{key}"
 
 
+def _slot(layout: dict, f) -> tuple[dict, str]:
+    """The JSON object of ``layout`` that holds field ``f``, and its key there."""
+    if "section" in f.metadata:
+        return layout.setdefault(f.metadata["section"], {}), f.metadata["key"]
+    return layout, f.name
+
+
 def _merge(default, raw, where: str):
     """The dataclass instance ``default`` with the JSON object ``raw`` merged over it."""
     layout = {}  # JSON key -> field name, or a JSON section -> its own such dict
     for f in fields(default):
-        if "section" in f.metadata:
-            layout.setdefault(f.metadata["section"], {})[f.metadata["key"]] = f.name
-        else:
-            layout[f.name] = f.name
+        section, key = _slot(layout, f)
+        section[key] = f.name
     changes = {
         name: _convert(getattr(default, name), value, path)
         for name, value, path in _entries(raw, layout, where)
@@ -88,6 +94,19 @@ def _convert(default, value, where: str):
         raise ConfigError(f"{where}: {value} is out of range for {kind.__name__}") from exc
     if kind is float and not math.isfinite(value):  # NaN and Infinity are not JSON numbers
         raise ConfigError(f"{where}: {value} is not a finite number")
+    return value
+
+
+def _to_json(value):
+    """``value`` as the JSON value that ``_merge`` and ``_convert`` read back."""
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            section, key = _slot(out, f)
+            section[key] = _to_json(getattr(value, f.name))
+        return out
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     return value
 
 
@@ -174,11 +193,11 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        """The config in the JSON layout that ``from_dict`` reads."""
+        return _to_json(self)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=list)
+        blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -346,9 +365,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
         for ts in sample_times:
             state = nb.evolve_nbody(state, vsamp, ts - prev_t, config.nbody_dt)
             prev_t = ts
-            gamma = nb.reduce_marginal(state, 1) if n > 1 else nb.MarginalDensity(
-                grid, 1, np.outer(state.psi, state.psi.conj()), state.t
-            )
+            gamma = nb.reduce_marginal(state, 1)
             phi_t = traj.state_at(ts)
             proj = nb.projection_marginal(phi_t, grid, ts)
             corr = bg.correction_kernel(pair_snaps[ts], phi0, phi_t, n)
@@ -401,7 +418,7 @@ def library_versions() -> dict:
     }
 
 
-def save_manifest(run: ConvergenceRun, path, extra: dict | None = None):
+def save_manifest(run: ConvergenceRun, path):
     manifest = {
         "config": run.config.to_dict(),
         "config_hash": run.config.config_hash(),
@@ -410,10 +427,8 @@ def save_manifest(run: ConvergenceRun, path, extra: dict | None = None):
         "diagnostics": run.diagnostics,
         "rate_fits": run.fits,
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=list)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -496,7 +511,7 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
     lead_gaps, masses, scaled, margins = [], [], [], []
     for n in config.combinatorics_counts:
         table = comb_mod.sector_overlaps(n)
-        ws = comb_mod.weighted_sector_sum(n, table)
+        ws = comb_mod.weighted_sector_sum(table)
         first = table.values[0]
         rows.append(f"{n},{float(first)!r},{table.sum_sq!r},{ws.value!r},{ws.scaled!r}")
         lead_gaps.append(abs(first - np.exp(-comb_mod.log_coherent_norm(n))) / first)
@@ -505,7 +520,7 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
     for n in config.krasikov_grid:
         table = comb_mod.sector_overlaps(n)
         for m in range(1, n):
-            check = comb_mod.krasikov_check(n, m, table)
+            check = comb_mod.krasikov_check(table, m)
             margins.append(check.log_value - check.log_bound)
     # np.max, unlike max, carries a NaN through to a failed item
     margin = np.max(margins, initial=-np.inf)
@@ -616,10 +631,20 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     coupling value (strongest cubic and quartic parts) and the worst kernel
     column.  Each item carries a base/swept scalar pair; disagreement beyond
     the cutoff_agreement tolerance marks the item inconclusive rather than
-    failed.
+    failed.  A sweep step below one or coupling values with no neighbouring
+    pair (a, 2a) would leave items vacuous, so both are refused up front.
     """
     tol = config.tolerances
     fsec = config.fock
+    if fsec.cutoff_step < 1:
+        raise ConfigError(f"fock.cutoff_step must be at least 1, got {fsec.cutoff_step}")
+    counts = sorted(fsec.coupling_values)
+    pairs = [(a, b) for a, b in zip(counts, counts[1:]) if b == 2 * a]
+    if not pairs:
+        raise ConfigError(
+            f"fock.coupling_values {list(fsec.coupling_values)} need two neighbouring "
+            "values a and 2a for a residual ratio"
+        )
     lo = _lattice_observables(config, fsec.cutoff)
     if not quiet:
         print("[fock-check] base cutoff done", file=sys.stderr)
@@ -666,11 +691,8 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     add("moment_stability", ratio, 3.0, (lo["moments"][n_probe], hi["moments"][n_probe]))
 
     # residual aggregates halve when N doubles
-    counts = sorted(fsec.coupling_values)
     res_pair = (lo["residual"][n_probe][1], hi["residual"][n_probe][1])
-    for a, b in zip(counts, counts[1:]):
-        if b != 2 * a:
-            continue
+    for a, b in pairs:
         r_lo = lo["residual"][a][1] / lo["residual"][b][1]
         add(
             f"residual_ratio_{a}_to_{b}",

@@ -21,15 +21,12 @@ from .grid import GridSpec, edge_mass, kinetic_phase, l2_norm, periodic_convolve
 class HartreeTrajectory:
     """Stored samples of a Hartree evolution, with linear-in-time access.
 
-    ``states[i]`` holds the wavefunction at ``times[i]``; times are uniform,
-    one per step of ``dt``, from 0 to the final time.
+    ``states[i]`` holds the wavefunction at ``times[i]``; times are uniform
+    from 0 to the final time, at least two of them.
     """
 
-    grid: GridSpec
-    potential_samples: np.ndarray
-    dt: float
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), grid.points)
+    states: np.ndarray  # shape (len(times), points)
 
     @property
     def final(self) -> np.ndarray:
@@ -40,10 +37,8 @@ class HartreeTrajectory:
         return float(self.times[-1])
 
     def state_at(self, t: float) -> np.ndarray:
-        """Exact stored sample at time t (raises if t was not sampled)."""
-        i = int(round(t / (self.times[1] - self.times[0]))) if len(self.times) > 1 else 0
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9:
-            raise KeyError(f"time {t} was not sampled")
+        """Stored sample at time t; a time that was not sampled is a ValueError."""
+        _, (i,) = step_schedule(self.horizon, self.times[1] - self.times[0], (t,))
         return self.states[i]
 
     def interpolate(self, t: float) -> np.ndarray:
@@ -54,12 +49,9 @@ class HartreeTrajectory:
         """
         if t < -1e-9 or t > self.horizon + 1e-9:
             raise ValueError(f"time {t} outside stored range [0, {self.horizon}]")
-        spacing = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        s = min(max(t / spacing, 0.0), len(self.times) - 1.0)
-        i = min(int(s), len(self.times) - 2) if len(self.times) > 1 else 0
+        s = min(max(t / (self.times[1] - self.times[0]), 0.0), len(self.times) - 1.0)
+        i = min(int(s), len(self.times) - 2)
         w = s - i
-        if len(self.times) == 1:
-            return self.states[0].copy()
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
@@ -85,8 +77,7 @@ def evolve_hartree(
         phi = sfft.ifft(half * sfft.fft(phi))
         states.append(phi.copy())
 
-    times = np.arange(len(states)) * dt
-    return HartreeTrajectory(grid, potential_samples, dt, times, np.array(states))
+    return HartreeTrajectory(np.arange(len(states)) * dt, np.array(states))
 
 
 def effective_potential(phi, potential_samples, grid: GridSpec) -> np.ndarray:
@@ -108,10 +99,10 @@ def mass(phi, grid: GridSpec) -> float:
     return l2_norm(phi, grid) ** 2
 
 
-def boundary_mass(phi, grid: GridSpec, fraction: float = 0.125) -> float:
-    """Probability mass within ``fraction`` of the box at each edge.
+def boundary_mass(phi, grid: GridSpec) -> float:
+    """Probability mass within an eighth of the box at each edge.
 
     The default experiment centers the packet at L/2, so mass near x = 0 or
     x = L signals wrap-around artifacts.
     """
-    return edge_mass(np.abs(np.asarray(phi)) ** 2, grid, fraction)
+    return edge_mass(np.abs(np.asarray(phi)) ** 2, grid)

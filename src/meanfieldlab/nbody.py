@@ -131,12 +131,13 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
     """Partial trace over particles k+1..N of the pure-state projection.
 
     Returns the kernel gamma(x_1..x_k ; y_1..y_k) as a matrix indexed by the
-    flattened first/second variable groups.  Supported for k in {1, 2}.
+    flattened first/second variable groups.  Supported for k in {1, 2}; at
+    k = N it is the pure-state projection itself.
     """
     if k not in (1, 2):
         raise ValueError(f"marginal order k={k} not supported (use 1 or 2)")
-    if k >= state.n:
-        raise ValueError(f"need k < N, got k={k} with N={state.n}")
+    if k > state.n:
+        raise ValueError(f"need k <= N, got k={k} with N={state.n}")
     m = state.grid.points
     a = state.psi.reshape(m**k, m ** (state.n - k))
     gamma = (a @ a.conj().T) * state.grid.dx ** (state.n - k)
@@ -175,11 +176,11 @@ def symmetry_defect(state: NBodyState) -> float:
     return float(np.linalg.norm(diff.ravel()) * state.grid.dx ** (state.n / 2.0))
 
 
-def marginal_boundary_mass(md: MarginalDensity, fraction: float = 0.125) -> float:
+def marginal_boundary_mass(md: MarginalDensity) -> float:
     """Mass of the position density near the box edges (k=1 marginals)."""
     if md.k != 1:
         raise ValueError("boundary mass is defined for one-body marginals")
-    return edge_mass(np.diag(md.matrix).real, md.grid, fraction)
+    return edge_mass(np.diag(md.matrix).real, md.grid)
 
 
 def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: int = 1) -> float:
@@ -209,9 +210,9 @@ def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: 
     grid, n = now.grid, now.n
     m = grid.points
 
-    g_before = _one_body_matrix(before)
-    g_after = _one_body_matrix(after)
-    gamma = _one_body_matrix(now)
+    g_before = reduce_marginal(before, 1).matrix
+    g_after = reduce_marginal(after, 1).matrix
+    gamma = reduce_marginal(now, 1).matrix
     dgdt = (g_after - g_before) / (2.0 * spacing)
 
     tmat = kinetic_matrix(grid)
@@ -225,9 +226,3 @@ def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: 
 
     resid = 1j * dgdt - rhs
     return float(np.linalg.norm(resid) * grid.dx)
-
-
-def _one_body_matrix(state: NBodyState) -> np.ndarray:
-    if state.n == 1:
-        return np.outer(state.psi, state.psi.conj())
-    return reduce_marginal(state, 1).matrix

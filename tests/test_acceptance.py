@@ -228,10 +228,10 @@ def test_sector_overlap_table_honors_its_bounds(config):
         table = cb.sector_overlaps(n)
         first_ok &= abs(table.values[0] - np.exp(-cb.log_coherent_norm(n))) <= 1e-12 * abs(table.values[0])
         mass_ok &= table.sum_sq <= 1.0
-        scaled.append(cb.weighted_sector_sum(n, table).scaled)
+        scaled.append(cb.weighted_sector_sum(table).scaled)
     spread = max(scaled) / min(scaled)
     kras_ok = all(
-        cb.krasikov_check(n, m, cb.sector_overlaps(n)).ok
+        cb.krasikov_check(cb.sector_overlaps(n), m).ok
         for n in config.krasikov_grid
         for m in range(1, n)
     )

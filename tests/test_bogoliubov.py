@@ -20,10 +20,10 @@ from meanfieldlab.bogoliubov import (
     symplectic_defect,
 )
 from meanfieldlab.grid import (
+    GridSpec,
     PotentialSpec,
     gaussian_packet,
     kinetic_matrix,
-    make_grid,
     sample_potential,
 )
 from meanfieldlab.hartree import HartreeTrajectory, evolve_hartree
@@ -31,17 +31,17 @@ from meanfieldlab.hartree import HartreeTrajectory, evolve_hartree
 
 @pytest.fixture()
 def setup():
-    g = make_grid(16, 8.0)
+    g = GridSpec(16, 8.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
     phi = gaussian_packet(g, 3.5, 0.9)
     return g, vs, phi
 
 
-def frozen_trajectory(grid, vs, phi, horizon, dt):
+def frozen_trajectory(phi, horizon, dt):
     """Trajectory whose stored state never changes (condensate held fixed)."""
     times = np.arange(0.0, horizon + 0.5 * dt, dt)
     states = np.tile(phi, (len(times), 1))
-    return HartreeTrajectory(grid, vs, dt, times, states)
+    return HartreeTrajectory(times, states)
 
 
 def doubled_generator(grid, vs, phi):
@@ -96,7 +96,7 @@ def test_depletion_is_weighted_v_mass(setup):
 def test_zero_potential_reduces_to_free_kinetics(setup):
     g, _, phi = setup
     vs = np.zeros(16)
-    traj = frozen_trajectory(g, vs, phi, 0.5, 1e-2)
+    traj = frozen_trajectory(phi, 0.5, 1e-2)
     pair, _ = evolve_pair(g, vs, traj, 0.5, 1e-2)
     want = expm(-1j * kinetic_matrix(g) * 0.5) / g.dx
     assert np.linalg.norm(pair.u - want) * g.dx < 1e-12
@@ -108,7 +108,7 @@ def test_zero_potential_reduces_to_free_kinetics(setup):
 def test_frozen_condensate_matches_dense_exponential(setup):
     g, vs, phi = setup
     dt = 1e-3
-    traj = frozen_trajectory(g, vs, phi, 0.25, dt)
+    traj = frozen_trajectory(phi, 0.25, dt)
     gen = doubled_generator(g, vs, phi)
     x0 = np.zeros((32, 16), dtype=complex)
     x0[:16] = np.eye(16) / g.dx

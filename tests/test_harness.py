@@ -73,10 +73,13 @@ def test_nested_overrides_land_in_the_right_fields(tiny_config):
     assert length == 10.0 and type(length) is float
 
 
-def test_readme_config_block_is_the_default():
+def _readme_config_block() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    assert hn.ExperimentConfig.from_dict(json.loads(block)) == hn.ExperimentConfig()
+    return readme.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_is_the_default():
+    assert hn.ExperimentConfig.from_dict(json.loads(_readme_config_block())) == hn.ExperimentConfig()
 
 
 def test_default_lattice_section_is_self_consistent():
@@ -183,8 +186,51 @@ def test_from_json_reads_a_file(tmp_path, tiny_config):
 
 
 def test_to_dict_survives_json(tiny_config):
-    blob = json.dumps(tiny_config.to_dict(), sort_keys=True, default=list)
-    assert json.loads(blob)["grid_points"] == 20
+    blob = json.dumps(tiny_config.to_dict(), sort_keys=True)
+    assert json.loads(blob)["grid"]["points"] == 20
+    assert hn.ExperimentConfig().to_dict() == json.loads(_readme_config_block())
+
+
+def _json_values(default):
+    """Strategy for JSON values laid out like ``default``, a value of ``to_dict()``."""
+    if isinstance(default, dict):
+        return st.fixed_dictionaries({}, optional={k: _json_values(v) for k, v in default.items()})
+    if isinstance(default, list):
+        return st.lists(_json_values(default[0]), max_size=4)
+    return {int: st.integers(-(2**40), 2**40), float: finite, str: st.text(max_size=6)}[type(default)]
+
+
+positive = st.floats(1e-3, 1e3)
+config_dicts = st.fixed_dictionaries(
+    {},
+    optional={
+        **{
+            key: _json_values(value)
+            for key, value in hn.ExperimentConfig().to_dict().items()
+            if key != "potential"
+        },
+        # PotentialSpec validates itself, so only valid potentials are drawn
+        "potential": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["zero", "gaussian", "cosine", "soft_coulomb"])},
+            optional={
+                "amplitude": finite,
+                "width": positive,
+                "harmonic": st.integers(1, 9),
+                "softening": positive,
+            },
+        ),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=config_dicts)
+def test_to_dict_round_trips_through_the_loader(raw):
+    config = hn.ExperimentConfig.from_dict(raw)
+    assert hn.ExperimentConfig.from_dict(config.to_dict()) == config
+    again = hn.ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert again == config
+    assert again.config_hash() == config.config_hash()
 
 
 # ---------------------------------------------------------------- records and fits
@@ -288,14 +334,14 @@ def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_confi
 def test_manifest_is_deterministic(tmp_path, tiny_run, tiny_config):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     hn.save_manifest(tiny_run, a)
-    hn.save_manifest(tiny_run, b, extra={"note": "x"})
+    hn.save_manifest(tiny_run, b)
     blob = json.loads(a.read_text())
     assert blob["config_hash"] == tiny_config.config_hash()
     assert blob["n_records"] == 4
     assert "versions" in blob and "rate_fits" in blob
-    assert json.loads(b.read_text())["note"] == "x"
-    hn.save_manifest(tiny_run, b)
     assert a.read_bytes() == b.read_bytes()
+    # the config block is a valid config file for a rerun
+    assert hn.ExperimentConfig.from_dict(blob["config"]) == tiny_config
 
 
 def test_rerun_writes_bitwise_identical_records(tmp_path, tiny_config, tiny_run):
@@ -392,14 +438,19 @@ def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
     assert code == 2
 
 
-def test_cli_fock_check_rerun_is_bitwise_identical(tmp_path, cfg_file):
-    """Block back-propagation keeps expm_multiply on its deterministic branch."""
-    blobs = []
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_cli_rerun_is_bitwise_identical(tmp_path, cfg_file, command):
+    """Every output file of a rerun has the same bytes.
+
+    For fock-check this also shows that block back-propagation keeps
+    expm_multiply on its deterministic branch.
+    """
+    outputs = []
     for run in ("first", "second"):
         out = tmp_path / run
-        cli.main(["fock-check", "--config", str(cfg_file), "--out", str(out), "--quiet"])
-        blobs.append((out / "fock_check.json").read_bytes())
-    assert blobs[0] == blobs[1]
+        cli.main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"])
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_missing_config_reports_error(tmp_path, capsys):
@@ -430,3 +481,25 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "fock, fragment",
+    [
+        ({"cutoff_step": 0}, "fock.cutoff_step"),  # would compare a run with itself
+        ({"coupling_values": [8, 24]}, "fock.coupling_values"),  # no residual ratio item
+        ({"coupling_values": [8]}, "fock.coupling_values"),
+        ({"coupling_values": [8, 12, 16]}, "fock.coupling_values"),  # 8 and 16 are not neighbours
+    ],
+)
+def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragment):
+    raw = tiny_dict()
+    raw["fock"].update(fock)
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = cli.main(["fock-check", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not (out / "fock_check.json").exists()

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from meanfieldlab.grid import (
+    GridSpec,
     PotentialSpec,
     free_gaussian_exact,
     gaussian_packet,
     l2_norm,
-    make_grid,
     normalize,
     sample_potential,
 )
@@ -24,7 +24,7 @@ from meanfieldlab.hartree import (
 
 @pytest.fixture()
 def setup():
-    g = make_grid(16, 16.0)
+    g = GridSpec(16, 16.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
     phi0 = gaussian_packet(g, 8.0, 1.0)
     return g, vs, phi0
@@ -35,7 +35,7 @@ def setup():
 
 
 def test_zero_potential_matches_free_gaussian():
-    g = make_grid(64, 16.0)
+    g = GridSpec(64, 16.0)
     raw = free_gaussian_exact(g.x, 0.0, 8.0, 1.0, 0.5, g.length)
     scale = l2_norm(raw, g)
     traj = evolve_hartree(raw / scale, np.zeros(64), g, 1.0, 1e-3)
@@ -115,8 +115,9 @@ def test_trajectory_sampling_and_interpolation(setup):
     assert traj.horizon == pytest.approx(0.5)
     assert np.array_equal(traj.state_at(0.0), traj.states[0])
     assert np.array_equal(traj.state_at(0.5), traj.final)
-    with pytest.raises(KeyError):
-        traj.state_at(0.50037)
+    for t in (0.50037, 0.501, -1e-3):  # between samples, past the end, before the start
+        with pytest.raises(ValueError, match="does not land"):
+            traj.state_at(t)
     # interpolation halfway between stored samples is the average
     t_mid = 0.2505
     want = 0.5 * (traj.state_at(0.250) + traj.state_at(0.251))
@@ -130,8 +131,8 @@ def test_interpolation_error_is_second_order(setup):
     dt = 1e-3
     fine = evolve_hartree(phi0, vs, g, 0.5, dt)
     # every 5th and every 25th sample of the same run
-    mid = HartreeTrajectory(g, vs, dt, fine.times[::5], fine.states[::5])
-    wide = HartreeTrajectory(g, vs, dt, fine.times[::25], fine.states[::25])
+    mid = HartreeTrajectory(fine.times[::5], fine.states[::5])
+    wide = HartreeTrajectory(fine.times[::25], fine.states[::25])
     # probe instants sitting mid-gap for both coarse sample spacings; the
     # full trajectory's own interpolation error is 625x smaller, so it
     # serves as the reference
@@ -155,7 +156,7 @@ def test_horizon_and_shape_validation(setup):
 
 
 def test_boundary_mass_detects_wraparound():
-    g = make_grid(32, 16.0)
+    g = GridSpec(32, 16.0)
     centered = gaussian_packet(g, 8.0, 1.0)
     at_edge = gaussian_packet(g, 0.5, 1.0)
     assert boundary_mass(centered, g) < 1e-8
@@ -163,7 +164,7 @@ def test_boundary_mass_detects_wraparound():
 
 
 def test_boundary_mass_of_uniform_state_matches_fraction():
-    g = make_grid(32, 16.0)
+    g = GridSpec(32, 16.0)
     flat = normalize(np.ones(32), g)
     # two edges of 4 points each out of 32
     assert boundary_mass(flat, g) == pytest.approx(8.0 / 32.0, rel=1e-12)

@@ -13,10 +13,10 @@ import pytest
 from scipy.linalg import expm
 
 from meanfieldlab.grid import (
+    GridSpec,
     PotentialSpec,
     gaussian_packet,
     kinetic_matrix,
-    make_grid,
     normalize,
     sample_potential,
 )
@@ -39,7 +39,7 @@ from meanfieldlab.nbody import (
 
 @pytest.fixture()
 def small():
-    g = make_grid(8, 8.0)
+    g = GridSpec(8, 8.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
     phi = gaussian_packet(g, 4.0, 1.0)
     return g, vs, phi
@@ -139,7 +139,12 @@ def test_marginal_validation(small):
     with pytest.raises(ValueError):
         reduce_marginal(st, 3)
     with pytest.raises(ValueError):
-        reduce_marginal(st, 2)  # k must stay below N
+        reduce_marginal(product_state(phi, 1, g), 2)  # k must not exceed N
+    # at k = N the marginal is the pure-state projection itself
+    one = reduce_marginal(product_state(phi, 1, g), 1)
+    assert np.allclose(one.matrix, projection_marginal(phi, g).matrix, atol=1e-15)
+    pair = reduce_marginal(st, 2).matrix
+    assert np.allclose(pair, np.outer(st.psi, st.psi.conj()), atol=1e-15)
     with pytest.raises(ValueError):
         marginal_boundary_mass(reduce_marginal(product_state(phi, 3, g), 2))
 
@@ -172,7 +177,7 @@ def test_trace_distance_against_jacobi_oracle(small):
 
 def test_distance_grid_compatibility(small):
     g, _, phi = small
-    other = make_grid(8, 4.0)
+    other = GridSpec(8, 4.0)
     with pytest.raises(ValueError):
         trace_distance(
             projection_marginal(phi, g),
@@ -185,7 +190,7 @@ def test_distance_grid_compatibility(small):
 
 
 def test_interaction_tensor_matches_pair_loop():
-    g = make_grid(4, 4.0)
+    g = GridSpec(4, 4.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
     n = 3
     w = interaction_tensor(g, vs, n)
