@@ -439,7 +439,6 @@ def annihilator_residual(
     n_field: float,
     forward_full: FockVector,
     quad_parts: tuple,
-    weights=(0, 1, 2),
 ) -> ResidualField:
     """Difference between full and quadratic Heisenberg-evolved annihilators.
 
@@ -449,7 +448,7 @@ def annihilator_residual(
 
     realized by evolving the vacuum forward with each generator, applying
     a_y, and evolving backward again.  Aggregates are
-    sum_y dx * || (N+1)^{j/2} r_y ||^2 for each requested weight j; their
+    sum_y dx * || (N+1)^{j/2} r_y ||^2 for j = 0, 1, 2; their
     1/N decay is the quantitative content of the mean-field error bound.
 
     ``forward_full`` is the vacuum evolved to time t by the full generator.
@@ -466,7 +465,9 @@ def annihilator_residual(
     residuals = [
         FockVector(space, bf.coeffs - bq.coeffs) for bf, bq in zip(backs_full, backs_quad)
     ]
-    aggregates = {j: sum(dx * shifted_number_norm(r, j) ** 2 for r in residuals) for j in weights}
+    aggregates = {
+        j: sum(dx * shifted_number_norm(r, j) ** 2 for r in residuals) for j in (0, 1, 2)
+    }
     return ResidualField(aggregates, top)
 
 

@@ -79,12 +79,15 @@ def kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     return np.exp(-1j * grid.wavenumbers**2 * dt)
 
 
+def multiplier_matrix(grid: GridSpec, multiplier: np.ndarray) -> np.ndarray:
+    """Dense grid-space matrix of a Fourier multiplier (complex, M x M)."""
+    f = sfft.fft(np.eye(grid.points), axis=0)
+    return sfft.ifft(multiplier[:, None] * f, axis=0)
+
+
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     """Dense grid-space matrix of the spectral operator k^2 (real symmetric)."""
-    m = grid.points
-    f = sfft.fft(np.eye(m), axis=0)
-    mat = sfft.ifft(grid.wavenumbers[:, None] ** 2 * f, axis=0)
-    return np.ascontiguousarray(mat.real)
+    return np.ascontiguousarray(multiplier_matrix(grid, grid.wavenumbers**2).real)
 
 
 def edge_mass(density, grid: GridSpec) -> float:

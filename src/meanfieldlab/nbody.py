@@ -3,10 +3,13 @@
 The Hamiltonian is the sum of one-body spectral kinetic terms and the
 mean-field-scaled pair interaction (1/N) sum_{i<j} V(x_i - x_j).  States are
 dense complex tensors of shape (M,)*N, so memory is the binding constraint;
-``product_state`` enforces an amplitude budget before allocating.
+``product_state`` refuses an (M, N) pair whose sweep working set exceeds a
+byte budget before allocating.
 
 Propagation is Strang splitting with the kinetic half steps fused across
-consecutive steps, which costs one N-dimensional FFT round trip per step.
+consecutive steps.  The kinetic factor of one step is an M x M position-space
+propagator applied on each axis in turn, N matrix products per step, and the
+potential factor is a precomputed phase applied in place.
 """
 
 from __future__ import annotations
@@ -16,10 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import GridSpec, edge_mass, kinetic_matrix, potential_matrix, step_schedule
+from .grid import (
+    GridSpec,
+    edge_mass,
+    kinetic_matrix,
+    kinetic_phase,
+    multiplier_matrix,
+    potential_matrix,
+    step_schedule,
+)
 
-# Default cap on the number of complex amplitudes of one state (4 GiB of complex128).
-DEFAULT_AMPLITUDE_BUDGET = 2**28
+# Default cap on the working set of one sweep, in bytes.
+DEFAULT_BUDGET = 4 * 2**30
 
 
 @dataclass
@@ -52,15 +63,31 @@ class MarginalDensity:
         return float(np.trace(self.matrix).real * self.grid.dx**self.k)
 
 
+def working_set_bytes(points: int, n: int) -> int:
+    """Bytes of the state-size arrays a sweep over (points,)*n holds at once.
+
+    At its peak evolve_nbody holds four complex arrays: the state it was
+    given, the potential phase and its two buffers.  nbody_energy,
+    reduce_marginal and symmetry_defect hold fewer.
+    """
+    return 4 * 16 * points**n
+
+
 def product_state(
-    phi, n: int, grid: GridSpec, t: float = 0.0, budget: int = DEFAULT_AMPLITUDE_BUDGET
+    phi, n: int, grid: GridSpec, t: float = 0.0, budget: int = DEFAULT_BUDGET
 ) -> NBodyState:
-    """Tensor power phi^(x) n, the factorized N-body initial state."""
+    """Tensor power phi^(x) n, the factorized N-body initial state.
+
+    Refused with ``MemoryError``, before anything is allocated, when the
+    working set of a sweep over this state exceeds ``budget`` bytes.
+    """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
-    if grid.points**n > budget:
+    need = working_set_bytes(grid.points, n)
+    if need > budget:
         raise MemoryError(
-            f"state of {grid.points}^{n} amplitudes exceeds the budget of {budget}"
+            f"a sweep over {grid.points}^{n} amplitudes needs {need} bytes, "
+            f"which exceeds the budget of {budget} bytes"
         )
     phi = np.asarray(phi, dtype=complex)
     psi = phi
@@ -80,7 +107,8 @@ def interaction_tensor(grid: GridSpec, potential_samples: np.ndarray, n: int) ->
             shape[i] = m
             shape[j] = m
             w += vmat.reshape(shape)
-    return w / n
+    w /= n
+    return w
 
 
 def evolve_nbody(
@@ -88,26 +116,34 @@ def evolve_nbody(
 ) -> NBodyState:
     """Propagate the state over ``span``, a whole number of steps of dt."""
     n_steps, _ = step_schedule(span, dt)
-    grid, n = state.grid, state.n
+    grid, n, m = state.grid, state.n, state.grid.points
 
-    k2 = grid.wavenumbers**2
-    ksum = np.zeros((grid.points,) * n)
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = grid.points
-        ksum += k2.reshape(shape)
-    half_phase = np.exp(-0.5j * dt * ksum)
-    full_phase = half_phase * half_phase
-    del ksum
-    pot_phase = np.exp(-1j * dt * interaction_tensor(grid, potential_samples, n))
+    angle = interaction_tensor(grid, potential_samples, n)
+    angle *= -dt
+    pot_phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=pot_phase.real)
+    np.sin(angle, out=pot_phase.imag)
+    del angle
+    # Transposed, so that each product below applies the propagator itself.
+    half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T
+    full = multiplier_matrix(grid, kinetic_phase(grid, dt)).T
+    buffers = (np.empty(state.psi.shape, complex), np.empty(state.psi.shape, complex))
+
+    def kinetic(psi, prop):
+        # Each product contracts the leading axis and moves it last, so n
+        # products act on every axis and restore the axis order.
+        for _ in range(n):
+            out = buffers[1] if psi is buffers[0] else buffers[0]
+            np.matmul(psi.reshape(m, -1).T, prop, out=out.reshape(-1, m))
+            psi = out
+        return psi
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
-    psi = sfft.ifftn(half_phase * sfft.fftn(state.psi.copy(), overwrite_x=True), overwrite_x=True)
+    psi = kinetic(state.psi, half)
     for step in range(n_steps):
         psi *= pot_phase
-        phase = full_phase if step < n_steps - 1 else half_phase
-        psi = sfft.ifftn(phase * sfft.fftn(psi, overwrite_x=True), overwrite_x=True)
+        psi = kinetic(psi, full if step < n_steps - 1 else half)
     return NBodyState(grid, n, psi, state.t + n_steps * dt)
 
 
@@ -183,7 +219,7 @@ def marginal_boundary_mass(md: MarginalDensity) -> float:
     return edge_mass(np.diag(md.matrix).real, md.grid)
 
 
-def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: int = 1) -> float:
+def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray) -> float:
     """Defect of the first hierarchy equation on three consecutive snapshots.
 
     Uses a central difference in time for d/dt gamma^(1) at the middle
@@ -193,10 +229,8 @@ def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray, k: 
 
     returning the dx-weighted Hilbert-Schmidt norm of the mismatch.  The
     defect is O(spacing^2) from the finite difference when the snapshots are
-    exact; only k = 1 is implemented (higher orders need gamma^(3)).
+    exact.
     """
-    if k != 1:
-        raise ValueError("hierarchy residual implemented for k=1 only")
     if len(samples) < 3:
         raise ValueError("need at least three snapshots")
     mid = len(samples) // 2

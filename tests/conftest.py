@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-a few minutes and is shared between the acceptance tests; everything else
+about two minutes and is shared between the acceptance tests; everything else
 builds small throwaway objects per test.
 """
 

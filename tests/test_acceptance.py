@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines;
 the slow pieces (the exact N-body sweep and the lattice flows) are module
-or session fixtures, so the whole file costs about 480 s on a 2-vCPU x86-64
-host, 430 s of it in the N-body sweep and about 40 s in the lattice flows,
+or session fixtures, so the whole file costs about 170 s on a 2-vCPU x86-64
+host, 130 s of it in the N-body sweep and about 35 s in the lattice flows,
 with each timed computation also asserting its own wall-clock budget.
 """
 

@@ -467,16 +467,23 @@ def test_cli_bad_config_key_reports_error(tmp_path, capsys):
     assert "pointz" in capsys.readouterr().err
 
 
+BIG = {"grid": {"points": 17}, "particle_counts": [7]}
+
+
 @pytest.mark.parametrize(
-    "command, fragment",
+    "command, fragment, raw",
     [
-        ("nbody", "exceeds the budget"),  # 17^7 > 2^28: refused before allocating
-        ("rate", "two particle counts"),
+        # refused before allocating: a sweep at 17^7 or 16^7 needs four 4 GiB arrays
+        pytest.param("nbody", "exceeds the budget", BIG, id="nbody-exceeds the budget"),
+        pytest.param("rate", "two particle counts", BIG, id="rate-two particle counts"),
+        pytest.param(
+            "nbody", "exceeds the budget", {"particle_counts": [7]}, id="nbody-default grid at N=7"
+        ),
     ],
 )
-def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment):
+def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"grid": {"points": 17}, "particle_counts": [7]}))
+    path.write_text(json.dumps(raw))
     code = cli.main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"])
     assert code == 1
     err = capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Exact N-body propagation and marginals against dense-matrix oracles.
 
-The oracles: a dense two-particle Hamiltonian exponentiated directly, an
-explicit pair-sum loop for the interaction tensor, and a hand-rolled cyclic
-Jacobi eigensolver (checked against its own invariants) for the trace
-distance.  None of them share code with the implementations under test.
+The oracles: dense two- and three-particle Hamiltonians exponentiated
+directly, an explicit pair-sum loop for the interaction tensor, and a
+hand-rolled cyclic Jacobi eigensolver (checked against its own invariants)
+for the trace distance.  None of them share code with the implementations under test.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from meanfieldlab.nbody import (
     reduce_marginal,
     symmetry_defect,
     trace_distance,
+    working_set_bytes,
 )
 
 
@@ -110,6 +113,40 @@ def test_product_state_properties(small):
         product_state(phi, 0, g)
     with pytest.raises(MemoryError):
         product_state(phi, 3, g, budget=100)
+
+
+def test_product_state_refuses_by_working_set_before_allocating():
+    # 16^7 = 2^28 amplitudes: one state is 4 GiB, a sweep needs four of them
+    g = GridSpec(16, 16.0)
+    phi = gaussian_packet(g, 8.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="exceeds the budget"):
+            product_state(phi, 7, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert working_set_bytes(16, 6) <= 2**32 < working_set_bytes(16, 7)
+
+
+def test_sweep_peak_stays_inside_the_admitted_working_set():
+    g = GridSpec(16, 16.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    phi = gaussian_packet(g, 8.0, 1.0, 0.5)
+    n = 4
+    evolve_nbody(product_state(phi, 2, g), vs, 4e-3, 4e-3)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        st = product_state(phi, n, g)
+        state_bytes = st.psi.nbytes
+        st = evolve_nbody(st, vs, 0.02, 4e-3)
+        nbody_energy(st, vs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # allowance for one-body scratch (propagators, kinetic sums), far below a state
+    assert peak <= working_set_bytes(g.points, n) + state_bytes // 16
 
 
 def test_marginal_of_product_state_is_projection(small):
@@ -208,20 +245,25 @@ def test_interaction_tensor_matches_pair_loop():
 
 
 # ---------------------------------------------------------------------------
-# propagation against the dense two-body oracle
+# propagation against dense few-body oracles
 
 
-def dense_two_body_hamiltonian(g, vs):
+def dense_hamiltonian(g, vs, n):
+    """Sum of the kinetic matrix on each factor plus the diagonal pair term."""
     t = kinetic_matrix(g)
     eye = np.eye(g.points)
-    w = interaction_tensor(g, vs, 2)
-    return np.kron(t, eye) + np.kron(eye, t) + np.diag(w.ravel())
+    h = np.diag(interaction_tensor(g, vs, n).ravel())
+    for axis in range(n):
+        factors = [eye] * n
+        factors[axis] = t
+        h += functools.reduce(np.kron, factors)
+    return h
 
 
 def test_two_body_evolution_matches_dense_exponential(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    h = dense_two_body_hamiltonian(g, vs)
+    h = dense_hamiltonian(g, vs, 2)
     want = expm(-1j * h * 0.25) @ st.psi.ravel()
     got = evolve_nbody(st, vs, 0.25, 1e-3)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx
@@ -232,10 +274,28 @@ def test_two_body_evolution_matches_dense_exponential(small):
     assert 3.0 <= err / err2 <= 5.0
 
 
+def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
+    # three different packets, so an axis left permuted cannot go unnoticed
+    g = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    packets = [
+        gaussian_packet(g, 1.5, 0.8),
+        gaussian_packet(g, 3.0, 1.0, 2.0),
+        gaussian_packet(g, 4.5, 0.6, -1.0),
+    ]
+    psi = np.einsum("i,j,k->ijk", *packets)
+    st = NBodyState(g, 3, psi, 0.0)
+    assert symmetry_defect(st) > 0.1
+    want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
+    got = evolve_nbody(st, vs, 0.25, 1e-3)
+    err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
+    assert err < 1e-6
+
+
 def test_energy_matches_dense_quadratic_form(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    h = dense_two_body_hamiltonian(g, vs)
+    h = dense_hamiltonian(g, vs, 2)
     want = float(np.vdot(st.psi.ravel(), h @ st.psi.ravel()).real * g.dx**2)
     assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-11)
 
@@ -293,5 +353,3 @@ def test_bbgky_residual_validation(small):
         samples.append(evolve_nbody(samples[-1], vs, 0.1, 1e-3))
     with pytest.raises(ValueError):
         bbgky_residual(samples[:2], vs)
-    with pytest.raises(ValueError):
-        bbgky_residual(samples, vs, k=2)
