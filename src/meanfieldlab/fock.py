@@ -16,8 +16,9 @@ The fluctuation generator around a Hartree state phi splits into
 
 and the cubic and quartic parts annihilate the vacuum.  Generators are
 assembled per time step from precomputed sparse skeletons with
-state-dependent coefficients; the step itself is the exponential action
-computed by scipy's expm_multiply on the midpoint generator.
+state-dependent coefficients; the step itself is the exponential action of
+the midpoint generator, a Chebyshev expansion whose truncation error is
+bounded before the first matvec (``expm_multiply``).
 """
 
 from __future__ import annotations
@@ -28,11 +29,73 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from .bogoliubov import coupling_kernels
 from .grid import GridSpec, kinetic_matrix, potential_matrix, step_schedule
 from .hartree import HartreeTrajectory
+
+# Chebyshev truncation bound of one exponential step, relative to ||x||.
+STEP_TAIL_BOUND = 2.0**-53
+
+
+def _chebyshev_weights(rho: float) -> np.ndarray:
+    """Weights (2 - delta_k0) (-i)^k J_k(rho) of exp(-i rho y) = sum_k w_k T_k(y).
+
+    Truncated at the smallest count m with 2 sum_{k>=m} |J_k(rho)| <=
+    STEP_TAIL_BOUND; since |T_k| <= 1 on [-1, 1], that sum bounds the
+    truncation error.  Orders past 2|rho| + 60 are below 1e-50 for every
+    rho and are not summed.
+    """
+    orders = np.arange(2 * int(np.ceil(abs(rho))) + 60)
+    bessel = jv(orders, rho)
+    tails = 2.0 * np.cumsum(np.abs(bessel)[::-1])[::-1]
+    count = int(np.argmax(tails <= STEP_TAIL_BOUND))
+    weights = 2.0 * np.array([1, -1j, -1, 1j])[orders[:count] % 4] * bessel[:count]
+    weights[0] /= 2.0
+    return weights
+
+
+def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i tau h) x for a Hermitian CSR matrix h; x is one vector or a (dim, k) block.
+
+    Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)) on the Gershgorin interval [a, b] of h: with c = (a + b) / 2 and
+    r = (b - a) / 2,
+
+        exp(-i tau h) = exp(-i tau c) sum_k w_k(tau r) T_k((h - c) / r),
+
+    summed by the three-term recurrence over the whole block.  The degree
+    follows from tau r alone (``_chebyshev_weights``), so the truncation
+    error is at most STEP_TAIL_BOUND ||x|| before rounding, every column
+    takes the same path, and the result is deterministic.
+    """
+    dim = h.shape[0]
+    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
+    on_diag = rows == h.indices
+    diag = np.bincount(rows[on_diag], weights=h.data.real[on_diag], minlength=dim)
+    radii = np.bincount(rows, weights=np.abs(h.data), minlength=dim) - np.abs(diag)
+    lo, hi = np.min(diag - radii), np.max(diag + radii)
+    centre, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phase = np.exp(-1j * tau * centre)
+    if half_width == 0.0:
+        return phase * x
+
+    weights = _chebyshev_weights(tau * half_width)
+    # the recurrence applies 2 (h - c) / r: a scaled copy of h, minus a shift
+    twice = sparse.csr_matrix((h.data * (2.0 / half_width), h.indices, h.indptr), shape=h.shape)
+    shift = 2.0 * centre / half_width
+    prev, cur = x, 0.5 * (twice @ x - shift * x)
+    total = weights[0] * x
+    for w in weights[1:-1]:
+        total += w * cur
+        nxt = twice @ cur
+        nxt -= shift * cur
+        nxt -= prev
+        prev, cur = cur, nxt
+    if len(weights) > 1:
+        total += weights[-1] * cur
+    return phase * total
 
 
 def _compositions(total: int, parts: int):
@@ -172,8 +235,8 @@ def weyl_apply(space: LatticeFockSpace, f, vec: FockVector) -> tuple[FockVector,
     Leakage is the mass in the top two sectors of the result; trust the
     output only when it is small against the working tolerance.
     """
-    gen = ladder(space, f, create=True) - ladder(space, f, create=False)
-    out = FockVector(space, expm_multiply(gen, vec.coeffs))
+    gen = 1j * (ladder(space, f, create=True) - ladder(space, f, create=False))
+    out = FockVector(space, expm_multiply(gen, vec.coeffs, 1.0))
     return out, top_sector_mass(out)
 
 
@@ -186,34 +249,6 @@ def product_state_fock(space: LatticeFockSpace, phi, n: int) -> FockVector:
     for k in range(n):
         c = creator @ c / np.sqrt(k + 1.0)
     return FockVector(space, c)
-
-
-def reconstruct_product_state(
-    space: LatticeFockSpace, phi, n: int, quad_points: int | None = None
-) -> FockVector:
-    """Rebuild the n-fold product state as a phase average of coherent states.
-
-    Averages exp(i theta n) W(exp(-i theta) sqrt(n) phi) vacuum over the
-    uniform grid of ``quad_points`` angles and rescales by the coherent
-    normalization constant.  The trapezoid sum is exact (up to truncation of
-    the displaced state itself) once quad_points >= 2 * cutoff + 1.
-    """
-    if quad_points is None:
-        quad_points = 2 * space.cutoff + 1
-    if quad_points < 2 * space.cutoff + 1:
-        raise ValueError(f"need at least {2 * space.cutoff + 1} quadrature points, got {quad_points}")
-    if not 1 <= n <= space.cutoff:
-        raise ValueError(f"need 1 <= n <= cutoff, got n={n}, cutoff={space.cutoff}")
-    phi = np.asarray(phi, dtype=complex)
-    from .combinatorics import log_coherent_norm
-
-    acc = np.zeros(space.dimension, dtype=complex)
-    for q in range(quad_points):
-        theta = 2.0 * np.pi * q / quad_points
-        disp, _ = weyl_apply(space, np.exp(-1j * theta) * np.sqrt(n) * phi, vacuum(space))
-        acc += np.exp(1j * theta * n) * disp.coeffs
-    acc *= np.exp(log_coherent_norm(n)) / quad_points
-    return FockVector(space, acc)
 
 
 def one_particle_values(vec: FockVector) -> np.ndarray:
@@ -384,7 +419,7 @@ def evolve_fock(
     for step in range(n_steps):
         mid = t0 + sign * (step + 0.5) * dt
         h = gens.matrix(trajectory.interpolate(mid), which, n_field)
-        coeffs = expm_multiply((-1j * sign * dt) * h, coeffs)
+        coeffs = expm_multiply(h, coeffs, sign * dt)
         vec = FockVector(space, coeffs)
         top = max(top, top_sector_mass(vec))
         if step + 1 in want:
@@ -412,12 +447,6 @@ def site_backs(
     Returns one backward state per requested site (all sites by default) and
     the worst truncation mass seen along the way.  The copies travel as one
     (dimension, sites) block, so each step assembles its generator once.
-
-    expm_multiply stays on its deterministic branch only while
-    ||dt (H - mu)||_1 <= 63.36 / k, with mu = trace(H) / dimension and k the
-    number of sites in the block; beyond that it estimates norms of powers
-    with the randomised onenormest, and reruns are no longer bitwise
-    identical.
     """
     space = gens.space
     dx = space.grid.dx
@@ -470,33 +499,3 @@ def annihilator_residual(
     }
     return ResidualField(aggregates, top)
 
-
-def generator_bound_probe(
-    gens: GeneratorSet, phi, n_values, trials: int = 6, seed: int = 0
-) -> dict[str, dict[int, float]]:
-    """Measured norm ratios of the scaled generator parts on random states.
-
-    For each n the cubic part is compared against ||(N+1)^{3/2} psi|| after
-    multiplying back its sqrt(n) scale, and the quartic part against
-    ||(N+1)^2 psi|| times n.  The rescaled ratios are n-independent by
-    construction; the probe records their observed size (a diagnostic for
-    the operator bounds, not a proof).
-    """
-    rng = np.random.default_rng(seed)
-    space = gens.space
-    out: dict[str, dict[int, float]] = {"cubic": {}, "quartic": {}}
-    states = []
-    for _ in range(trials):
-        c = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
-        states.append(c / np.linalg.norm(c))
-    for n in n_values:
-        h3 = gens.matrix(phi, "cubic", n)
-        h4 = gens.matrix(phi, "quartic", n)
-        r3 = r4 = 0.0
-        for c in states:
-            vec = FockVector(space, c)
-            r3 = max(r3, np.sqrt(n) * np.linalg.norm(h3 @ c) / shifted_number_norm(vec, 3))
-            r4 = max(r4, n * np.linalg.norm(h4 @ c) / shifted_number_norm(vec, 4))
-        out["cubic"][n] = float(r3)
-        out["quartic"][n] = float(r4)
-    return out

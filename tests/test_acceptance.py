@@ -230,11 +230,8 @@ def test_sector_overlap_table_honors_its_bounds(config):
         mass_ok &= table.sum_sq <= 1.0
         scaled.append(cb.weighted_sector_sum(table).scaled)
     spread = max(scaled) / min(scaled)
-    kras_ok = all(
-        cb.krasikov_check(cb.sector_overlaps(n), m).ok
-        for n in config.krasikov_grid
-        for m in range(1, n)
-    )
+    kras_tables = {n: cb.sector_overlaps(n) for n in config.krasikov_grid}
+    kras_ok = all(cb.krasikov_check(kras_tables[n], m).ok for n in kras_tables for m in range(1, n))
 
     # independent realization of the same numbers on a one-site lattice:
     # shift the (count-1)-fold condensate and read off the sector amplitudes

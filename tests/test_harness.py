@@ -440,11 +440,7 @@ def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_cli_rerun_is_bitwise_identical(tmp_path, cfg_file, command):
-    """Every output file of a rerun has the same bytes.
-
-    For fock-check this also shows that block back-propagation keeps
-    expm_multiply on its deterministic branch.
-    """
+    """Every output file of a rerun has the same bytes."""
     outputs = []
     for run in ("first", "second"):
         out = tmp_path / run
