@@ -1,10 +1,14 @@
 """Split-step solver for the Hartree equation on the periodic grid.
 
 The equation is i d_t phi = -phi_xx + (V * |phi|^2) phi with a circular
-convolution.  One Strang step is a half kinetic phase in Fourier space, a
-full nonlinear phase (exact, since the density is invariant under it), and
-another half kinetic phase, giving second-order accuracy and exact mass
-conservation up to roundoff.
+convolution.  One Strang step is a half kinetic step, a full nonlinear phase
+(exact, since the density is invariant under it), and another half kinetic
+step, giving second-order accuracy and exact mass conservation up to
+roundoff.  Both factors act in grid space with matrices built once per run:
+the kinetic half step is the M x M position-space matrix of the Fourier
+multiplier exp(-i k^2 dt/2), and the mean-field potential is the circulant
+matrix dx V(x_i - x_j) applied to the density, so a step makes three small
+matrix-vector products and no FFT.
 """
 
 from __future__ import annotations
@@ -14,7 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import GridSpec, edge_mass, kinetic_phase, l2_norm, periodic_convolve, step_schedule
+from .grid import (
+    GridSpec,
+    edge_mass,
+    kinetic_phase,
+    l2_norm,
+    multiplier_matrix,
+    periodic_convolve,
+    potential_matrix,
+    step_schedule,
+)
 
 
 @dataclass
@@ -41,17 +54,21 @@ class HartreeTrajectory:
         _, (i,) = step_schedule(self.horizon, self.times[1] - self.times[0], (t,))
         return self.states[i]
 
-    def interpolate(self, t: float) -> np.ndarray:
+    def interpolate(self, t) -> np.ndarray:
         """Linear interpolation between neighbouring samples.
 
-        Second-order accurate in the sample spacing, which matches the
-        accuracy of the steppers that consume midpoint states.
+        ``t`` is a time or an array of times; the result has shape
+        ``t.shape + (points,)``, and each entry equals the call at that time
+        alone.  Second-order accurate in the sample spacing, which matches
+        the accuracy of the steppers that consume midpoint states.
         """
-        if t < -1e-9 or t > self.horizon + 1e-9:
-            raise ValueError(f"time {t} outside stored range [0, {self.horizon}]")
-        s = min(max(t / (self.times[1] - self.times[0]), 0.0), len(self.times) - 1.0)
-        i = min(int(s), len(self.times) - 2)
-        w = s - i
+        t = np.asarray(t, dtype=float)
+        outside = (t < -1e-9) | (t > self.horizon + 1e-9)
+        if np.any(outside):
+            raise ValueError(f"time {t[outside].flat[0]} outside stored range [0, {self.horizon}]")
+        s = np.clip(t / (self.times[1] - self.times[0]), 0.0, len(self.times) - 1.0)
+        i = np.minimum(s.astype(int), len(self.times) - 2)
+        w = (s - i)[..., None]
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
@@ -63,21 +80,21 @@ def evolve_hartree(
     dt: float,
 ) -> HartreeTrajectory:
     """Propagate phi0 to t_final, storing the state after every step."""
-    phi = np.asarray(phi0, dtype=complex).copy()
+    phi = np.asarray(phi0, dtype=complex)
     if phi.shape != (grid.points,):
         raise ValueError(f"initial state has shape {phi.shape}, expected ({grid.points},)")
     n_steps, _ = step_schedule(t_final, dt)
 
-    half = kinetic_phase(grid, 0.5 * dt)
-    states = [phi.copy()]
-    for _ in range(n_steps):
-        phi = sfft.ifft(half * sfft.fft(phi))
-        u_eff = periodic_convolve(potential_samples, np.abs(phi) ** 2, grid)
-        phi *= np.exp(-1j * dt * u_eff)
-        phi = sfft.ifft(half * sfft.fft(phi))
-        states.append(phi.copy())
+    half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt))
+    convolve = grid.dx * potential_matrix(np.asarray(potential_samples, dtype=float), grid)
+    states = np.empty((n_steps + 1, grid.points), dtype=complex)
+    states[0] = phi
+    for step in range(1, n_steps + 1):
+        phi = half @ phi
+        phi *= np.exp(-1j * dt * (convolve @ np.abs(phi) ** 2))
+        phi = states[step] = half @ phi
 
-    return HartreeTrajectory(np.arange(len(states)) * dt, np.array(states))
+    return HartreeTrajectory(np.arange(n_steps + 1) * dt, states)
 
 
 def effective_potential(phi, potential_samples, grid: GridSpec) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-about two minutes and is shared between the acceptance tests; everything else
-builds small throwaway objects per test.
+about two and a half minutes (four with one BLAS thread) and is shared
+between the acceptance tests; everything else builds small throwaway
+objects per test.
 """
 
 import time

@@ -2,9 +2,10 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines;
 the slow pieces (the exact N-body sweep and the lattice flows) are module
-or session fixtures, so the whole file costs about 170 s on a 2-vCPU x86-64
-host, 130 s of it in the N-body sweep and about 35 s in the lattice flows,
-with each timed computation also asserting its own wall-clock budget.
+or session fixtures, so the whole file costs about 185 s on an idle 2-vCPU
+x86-64 host with two BLAS threads, 152 s of it in the N-body sweep and about
+30 s in the lattice flows, with each timed computation also asserting its
+own wall-clock budget.
 """
 
 import json

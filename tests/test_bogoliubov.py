@@ -6,10 +6,13 @@ block matrix is an exact reference.  The blocks are assembled here from
 scratch out of the grid primitives, independent of the stepper.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from meanfieldlab import bogoliubov
 from meanfieldlab.bogoliubov import (
     BogoliubovPair,
     correction_kernel,
@@ -79,6 +82,16 @@ def test_coupling_kernels_match_direct_loops(setup):
             v_ij = vs[(i - j) % 16]
             assert kern.k1[i, j] == pytest.approx(v_ij * phi[i] * np.conj(phi[j]), rel=1e-13)
             assert kern.k2[i, j] == pytest.approx(v_ij * phi[i] * phi[j], rel=1e-13)
+
+
+def test_stacked_coupling_kernels_equal_per_orbital_calls(setup):
+    g, vs, _ = setup
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+    kern = coupling_kernels(stack, vs, g)
+    for index in np.ndindex(2, 3):
+        for got, want in zip(kern, coupling_kernels(stack[index], vs, g)):
+            assert np.array_equal(got[index], want)
 
 
 def test_depletion_is_weighted_v_mass(setup):
@@ -166,6 +179,33 @@ def test_snapshots_and_validation(setup):
         evolve_pair(g, vs, traj, 0.5, 2e-3)  # beyond the stored horizon
     with pytest.raises(ValueError):
         evolve_pair(g, vs, traj, 0.4, 2e-3, snapshot_times=(0.2001,))
+
+
+def test_pair_flow_does_not_depend_on_kernel_batch_size(setup, monkeypatch):
+    g, vs, phi = setup
+    traj = evolve_hartree(phi, vs, g, 0.4, 4e-3)
+    runs = []
+    for batch in (bogoliubov.PAIR_CHUNK_STEPS, 1, 7):
+        monkeypatch.setattr(bogoliubov, "PAIR_CHUNK_STEPS", batch)
+        runs.append(evolve_pair(g, vs, traj, 0.4, 4e-3, snapshot_times=(0.1, 0.2)))
+    (pair, snaps), others = runs[0], runs[1:]
+    for other, other_snaps in others:
+        for want, got in [(pair, other)] + [(snaps[t], other_snaps[t]) for t in snaps]:
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def test_pair_flow_memory_stays_bounded(setup):
+    """A 1000-step flow at M = 16 peaks below 2 MiB; one kernel batch for
+    the whole run would hold about 18 MB."""
+    g, vs, phi = setup
+    traj = evolve_hartree(phi, vs, g, 1.0, 1e-3)
+    tracemalloc.start()
+    try:
+        evolve_pair(g, vs, traj, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024**2
 
 
 # ---------------------------------------------------------------------------

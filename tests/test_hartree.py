@@ -126,6 +126,26 @@ def test_trajectory_sampling_and_interpolation(setup):
         traj.interpolate(0.6)
 
 
+def test_interpolate_on_an_array_equals_the_calls_at_each_time(setup):
+    g, vs, phi0 = setup
+    traj = evolve_hartree(phi0, vs, g, 0.5, 1e-3)
+
+    def one_time(t):  # the scalar rule, in Python floats
+        s = min(max(t / (traj.times[1] - traj.times[0]), 0.0), len(traj.times) - 1.0)
+        i = min(int(s), len(traj.times) - 2)
+        return (1.0 - (s - i)) * traj.states[i] + (s - i) * traj.states[i + 1]
+
+    times = np.array([[0.0, 0.2505, 0.1234567], [0.499, 0.4995, 0.5]])
+    got = traj.interpolate(times)
+    assert got.shape == (2, 3, g.points)
+    for index in np.ndindex(times.shape):
+        t = float(times[index])
+        assert np.array_equal(got[index], traj.interpolate(t))
+        assert np.array_equal(got[index], one_time(t))
+    with pytest.raises(ValueError, match="0.6"):
+        traj.interpolate(np.array([0.1, 0.6]))
+
+
 def test_interpolation_error_is_second_order(setup):
     g, vs, phi0 = setup
     dt = 1e-3
