@@ -5,7 +5,7 @@ conventions: field operators at a site are a_x = b_x / sqrt(dx) with
 dimensionless mode operators [b_i, b_j*] = delta_ij, smeared creators are
 a*(f) = sum_i sqrt(dx) f_i b_i*, and the one-body kinetic matrix is the same
 spectral k^2 operator the kernel solvers use.  States live in the graded
-occupation basis with total occupation <= cutoff.
+occupation basis of ``LatticeFockSpace``, keyed and ordered by one integer per state.
 
 The fluctuation generator around a Hartree state phi splits into
 
@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.special import jv
 
 from .bogoliubov import coupling_kernels
-from .grid import GridSpec, kinetic_matrix, potential_matrix, step_schedule
+from .grid import WORKING_SET_BUDGET, GridSpec, kinetic_matrix, potential_matrix, step_schedule
 from .hartree import HartreeTrajectory
 
 # Chebyshev truncation bound of one exponential step, relative to ||x||.
@@ -98,52 +98,71 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float) -> np.ndarray
     return phase * total
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def admit_lattice(sites: int, cutoff: int) -> int:
+    """Dimension C(cutoff + sites, sites) of a lattice, refused before any allocation.
+
+    Each of the 5 sites^2 + 1 generator skeletons maps a basis column to at most
+    one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
+    (tracemalloc: 111 B at one site, 56-65 B at four).  Above WORKING_SET_BUDGET
+    that is a ``MemoryError``; keys that would overflow int64 are a ``ValueError``.
+    """
+    dim = comb(cutoff + sites, sites)
+    need = 112 * (5 * sites**2 + 1) * dim
+    if need > WORKING_SET_BUDGET:
+        raise MemoryError(
+            f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generators "
+            f"need {need} bytes, which exceeds the budget of {WORKING_SET_BUDGET} bytes"
+        )
+    if (cutoff + 1) ** (sites + 1) > 2**63:
+        raise ValueError(f"basis keys of {sites} sites at cutoff {cutoff} overflow int64")
+    return dim
 
 
 class LatticeFockSpace:
-    """Graded occupation basis over ``grid.points`` modes, total <= cutoff."""
+    """Graded occupation basis over ``grid.points`` modes, total <= cutoff.
+
+    Occupation vector n has the key (sum(n), n_0, ..., n_{m-1}) read as digits in
+    base cutoff + 1: ascending keys are sectors of growing total, each lexicographic
+    in n.  The key is linear, n @ weights, and a basis position is one binary search.
+    """
 
     def __init__(self, grid: GridSpec, cutoff: int):
         if cutoff < 1:
             raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+        m = grid.points
+        self.dimension = dim = admit_lattice(m, cutoff)
         self.grid = grid
         self.cutoff = cutoff
-        m = grid.points
 
-        occ = []
-        offsets = [0]
-        for total in range(cutoff + 1):
-            occ.extend(_compositions(total, m))
-            offsets.append(len(occ))
-        self.occupations = np.array(occ, dtype=np.int64)
-        self.sector_offsets = np.array(offsets, dtype=np.int64)
-        self.dimension = len(occ)
-        assert self.dimension == comb(cutoff + m, m)
-        self.index = {tuple(row): i for i, row in enumerate(occ)}
+        # stars and bars in key order: per total, n_0 .. n_{m-2} split it and n_{m-1} takes the rest
+        left = np.arange(cutoff + 1, dtype=np.int64)
+        occ = np.empty((cutoff + 1, 0), dtype=np.int64)
+        for _ in range(m - 1):
+            counts = left + 1
+            first = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            occ = np.column_stack([np.repeat(occ, counts, axis=0), first])
+            left = np.repeat(left, counts) - first
+        self.occupations = np.column_stack([occ, left])
         self.totals = self.occupations.sum(axis=1)
+        self.sector_offsets = np.searchsorted(self.totals, np.arange(cutoff + 2))
+        self._weights = (cutoff + 1) ** m + (cutoff + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self._keys = self.occupations @ self._weights
 
-        # per-mode annihilators b_i in the graded basis
+        # b_i |n> = sqrt(n_i) |n - e_i>, and n - e_i has the key of n minus weight i
         self.annihilators = []
         for i in range(m):
-            rows, cols, data = [], [], []
-            for s, row in enumerate(occ):
-                ni = row[i]
-                if ni:
-                    target = list(row)
-                    target[i] = ni - 1
-                    rows.append(self.index[tuple(target)])
-                    cols.append(s)
-                    data.append(np.sqrt(ni))
-            self.annihilators.append(
-                sparse.csr_matrix((data, (rows, cols)), shape=(self.dimension, self.dimension))
-            )
+            (cols,) = np.nonzero(self.occupations[:, i])
+            rows = np.searchsorted(self._keys, self._keys[cols] - self._weights[i])
+            data = np.sqrt(self.occupations[cols, i])
+            self.annihilators.append(sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim)))
+
+    def locate(self, occ) -> np.ndarray:
+        """Basis indices of occupation vectors (..., m); ``ValueError`` outside the basis."""
+        occ = np.asarray(occ)
+        well_formed = occ.shape[-1:] == (self.grid.points,) and occ.dtype.kind in "iu"
+        if not (well_formed and np.all(occ >= 0) and np.all(occ.sum(axis=-1) <= self.cutoff)):
+            raise ValueError(f"occupations {occ.dtype}{list(occ.shape)} lie outside the basis")
+        return np.searchsorted(self._keys, occ @ self._weights)
 
     def sector_slice(self, total: int) -> slice:
         if not 0 <= total <= self.cutoff:
@@ -252,18 +271,9 @@ def product_state_fock(space: LatticeFockSpace, phi, n: int) -> FockVector:
 
 
 def one_particle_values(vec: FockVector) -> np.ndarray:
-    """Wavefunction samples of the one-particle sector: psi(x_i) = c_i/sqrt(dx).
-
-    The basis enumeration inside a sector is lexicographic over occupation
-    vectors, not mode order, so the singly occupied states are routed through
-    their occupation rows before scaling.
-    """
+    """Wavefunction samples of the one-particle sector: psi(x_i) = c_i/sqrt(dx)."""
     space = vec.space
-    sl = space.sector_slice(1)
-    modes = np.argmax(space.occupations[sl], axis=1)
-    values = np.empty(space.grid.points, dtype=complex)
-    values[modes] = vec.coeffs[sl]
-    return values / np.sqrt(space.grid.dx)
+    return vec.coeffs[space.locate(np.eye(space.grid.points, dtype=int))] / np.sqrt(space.grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +289,7 @@ class GeneratorSet:
     state-dependent coefficients on a shared sparsity pattern.  The
     coefficient bank is sparse (row alpha holds skeleton alpha on the
     pattern), so per-step assembly costs one sparse matvec over the stored
-    skeleton entries.
+    skeleton entries; the one-body weights carry the kinetic term.
     """
 
     def __init__(self, space: LatticeFockSpace, potential_samples: np.ndarray):
@@ -291,17 +301,9 @@ class GeneratorSet:
         b = space.annihilators
         bdag = [op.T.tocsr() for op in b]
 
-        skeletons: list[sparse.csr_matrix] = []
-        # term 0: spectral kinetic operator sum_ij T_ij b_i* b_j
-        tmat = kinetic_matrix(self.grid)
-        kin = sum(tmat[i, j] * (bdag[i] @ b[j]) for i in range(m) for j in range(m))
-        skeletons.append(kin.tocsr())
-        self._one_body = []
-        for i in range(m):
-            for j in range(m):
-                sk = (bdag[i] @ b[j]).tocsr()
-                self._one_body.append(len(skeletons))
-                skeletons.append(sk)
+        self.tmat = kinetic_matrix(self.grid)
+        skeletons = [(bdag[i] @ b[j]).tocsr() for i in range(m) for j in range(m)]
+        self._one_body = slice(0, m * m)
         self._pair_raise = []
         self._pair_lower = []
         for i in range(m):
@@ -358,8 +360,7 @@ class GeneratorSet:
         quad = which in ("full", "quadratic")
         if quad:
             kern = coupling_kernels(phi, self.potential_samples, self.grid)
-            c[0] = 1.0
-            w = dx * kern.k1 + np.diag(kern.u_eff)
+            w = self.tmat + dx * kern.k1 + np.diag(kern.u_eff)
             c[self._one_body] = w.reshape(-1)
             c[self._pair_raise] = 0.5 * dx * kern.k2.reshape(-1)
             c[self._pair_lower] = 0.5 * dx * kern.k2.conj().reshape(-1)

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+# Bytes a run's largest arrays may hold: an N-body sweep or a Fock generator bank.
+WORKING_SET_BUDGET = 4 * 2**30
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -631,8 +631,8 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     coupling value (strongest cubic and quartic parts) and the worst kernel
     column.  Each item carries a base/swept scalar pair; disagreement beyond
     the cutoff_agreement tolerance marks the item inconclusive rather than
-    failed.  A sweep step below one or coupling values with no neighbouring
-    pair (a, 2a) would leave items vacuous, so both are refused up front.
+    failed.  Vacuous settings (a sweep step below one, no coupling pair (a, 2a))
+    and a swept lattice refused by ``fock.admit_lattice`` are refused up front.
     """
     tol = config.tolerances
     fsec = config.fock
@@ -645,6 +645,7 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
             f"fock.coupling_values {list(fsec.coupling_values)} need two neighbouring "
             "values a and 2a for a residual ratio"
         )
+    fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
     lo = _lattice_observables(config, fsec.cutoff)
     if not quiet:
         print("[fock-check] base cutoff done", file=sys.stderr)

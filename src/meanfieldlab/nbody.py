@@ -20,6 +20,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .grid import (
+    WORKING_SET_BUDGET,
     GridSpec,
     edge_mass,
     kinetic_matrix,
@@ -28,10 +29,6 @@ from .grid import (
     potential_matrix,
     step_schedule,
 )
-
-# Default cap on the working set of one sweep, in bytes.
-DEFAULT_BUDGET = 4 * 2**30
-
 
 @dataclass
 class NBodyState:
@@ -73,21 +70,19 @@ def working_set_bytes(points: int, n: int) -> int:
     return 4 * 16 * points**n
 
 
-def product_state(
-    phi, n: int, grid: GridSpec, t: float = 0.0, budget: int = DEFAULT_BUDGET
-) -> NBodyState:
+def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
     """Tensor power phi^(x) n, the factorized N-body initial state.
 
     Refused with ``MemoryError``, before anything is allocated, when the
-    working set of a sweep over this state exceeds ``budget`` bytes.
+    working set of a sweep over this state exceeds WORKING_SET_BUDGET.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
     need = working_set_bytes(grid.points, n)
-    if need > budget:
+    if need > WORKING_SET_BUDGET:
         raise MemoryError(
             f"a sweep over {grid.points}^{n} amplitudes needs {need} bytes, "
-            f"which exceeds the budget of {budget} bytes"
+            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
         )
     phi = np.asarray(phi, dtype=complex)
     psi = phi

@@ -240,7 +240,7 @@ def test_sector_overlap_table_honors_its_bounds(config):
     space = fk.LatticeFockSpace(GridSpec(1, 1.0), cutoff=48)
     one = np.array([1.0 + 0.0j])
     shifted, _ = fk.weyl_apply(space, -np.sqrt(n_cross) * one, fk.product_state_fock(space, one, n_cross - 1))
-    got = np.array([shifted.coeffs[space.index[(m,)]].real for m in range(n_cross)])
+    got = shifted.coeffs[space.locate(np.arange(n_cross)[:, None])].real
     cross_err = float(np.max(np.abs(got - np.asarray(cb.sector_overlaps(n_cross).values[:n_cross]))))
 
     ok = first_ok and mass_ok and spread <= 10.0 and kras_ok and cross_err <= 1e-8

@@ -1,15 +1,19 @@
 """Truncated Fock engine against closed forms and dense operator oracles.
 
 The oracles: hand-applied ladder arithmetic on explicit occupation states,
+a dict from occupation vectors to basis positions built in the test,
 the Poisson closed form for displaced vacua, the dense matrix exponential,
 and a from-scratch second-quantized dense assembly of the fluctuation
 generator.
 """
 
+import tracemalloc
 from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -43,7 +47,7 @@ def test_dimensions():
 def test_index_occupation_roundtrip():
     space = fk.LatticeFockSpace(GridSpec(3, 3.0), 4)
     for i, row in enumerate(space.occupations):
-        assert space.index[tuple(row)] == i
+        assert space.locate(row) == i
     # graded: totals never decrease along the enumeration
     assert np.all(np.diff(space.totals) >= 0)
     for total in range(5):
@@ -66,15 +70,67 @@ def test_annihilator_action_by_hand():
     space = fk.LatticeFockSpace(GridSpec(2, 2.0), 4)
     # b_0 on |n0=3, n1=1> gives sqrt(3) |n0=2, n1=1>
     c = np.zeros(space.dimension, dtype=complex)
-    c[space.index[(3, 1)]] = 1.0
+    c[space.locate((3, 1))] = 1.0
     out = space.annihilators[0] @ c
     want = np.zeros(space.dimension, dtype=complex)
-    want[space.index[(2, 1)]] = sqrt(3.0)
+    want[space.locate((2, 1))] = sqrt(3.0)
     assert np.allclose(out, want, atol=1e-15)
     # b_1 kills states with the mode empty
     c2 = np.zeros(space.dimension, dtype=complex)
-    c2[space.index[(2, 0)]] = 1.0
+    c2[space.locate((2, 0))] = 1.0
     assert np.all(space.annihilators[1] @ c2 == 0)
+
+
+@pytest.mark.parametrize("sites, cutoff", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_annihilators_against_occupation_dict(sites, cutoff):
+    """b_i |n> = sqrt(n_i) |n - e_i>, with every target found through a plain dict."""
+    space = fk.LatticeFockSpace(GridSpec(sites, float(sites)), cutoff)
+    position = {tuple(row): s for s, row in enumerate(space.occupations.tolist())}
+    assert len(position) == space.dimension == comb(cutoff + sites, sites)
+    for i, b in enumerate(space.annihilators):
+        want = np.zeros((space.dimension, space.dimension))
+        for n, s in position.items():
+            if n[i]:
+                lowered = n[:i] + (n[i] - 1,) + n[i + 1 :]
+                want[position[lowered], s] = sqrt(n[i])
+        assert np.array_equal(b.toarray(), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6))
+def test_locate_inverts_the_enumeration(sites, cutoff):
+    space = fk.LatticeFockSpace(GridSpec(sites, 1.0), cutoff)
+    assert np.array_equal(space.locate(space.occupations), np.arange(space.dimension))
+    assert np.array_equal(space.locate(space.occupations[::-1]), np.arange(space.dimension)[::-1])
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(-1, 2, 0), (2, 2, 1), (1, 1), (1, 0, 0, 0), (1.0, 0.0, 0.0), [[0, 0, 0], [0, 5, 0]]],
+    ids=["negative", "above cutoff", "too short", "too long", "not integer", "one bad row"],
+)
+def test_locate_refuses_vectors_outside_the_basis(occ):
+    space = fk.LatticeFockSpace(GridSpec(3, 3.0), 4)
+    with pytest.raises(ValueError):
+        space.locate(np.array(occ))
+
+
+def test_oversized_lattice_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        # C(29, 16) = 67,863,915 basis states
+        with pytest.raises(MemoryError, match="exceeds the budget"):
+            fk.LatticeFockSpace(GridSpec(16, 16.0), 13)
+        # keys below 2^64 do not fit in int64, even though the bank would be small
+        with pytest.raises(ValueError, match="overflow int64"):
+            fk.LatticeFockSpace(GridSpec(63, 63.0), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # keys below 2^63 fit: the largest binary lattice is still located exactly
+    space = fk.LatticeFockSpace(GridSpec(62, 62.0), 1)
+    assert np.array_equal(space.locate(space.occupations), np.arange(63))
 
 
 def test_commutator_on_safe_subspace():
@@ -105,8 +161,8 @@ def test_ladder_validation():
 def test_sector_diagnostics_on_hand_vector():
     space = fk.LatticeFockSpace(GridSpec(2, 2.0), 3)
     c = np.zeros(space.dimension, dtype=complex)
-    c[space.index[(0, 0)]] = 0.6
-    c[space.index[(1, 0)]] = 0.8j
+    c[space.locate((0, 0))] = 0.6
+    c[space.locate((1, 0))] = 0.8j
     vec = fk.FockVector(space, c)
     masses = fk.sector_masses(vec)
     assert masses[0] == pytest.approx(0.36)
@@ -116,7 +172,7 @@ def test_sector_diagnostics_on_hand_vector():
     assert fk.shifted_number_norm(vec, 2) == pytest.approx(sqrt(0.36 + 4 * 0.64))
     assert fk.odd_sector_mass(vec) == pytest.approx(0.64)
     assert fk.top_sector_mass(vec) == 0.0
-    c[space.index[(1, 1)]] = 0.5
+    c[space.locate((1, 1))] = 0.5
     assert fk.top_sector_mass(fk.FockVector(space, c)) == pytest.approx(0.25)
 
 

@@ -1,6 +1,7 @@
 """Configuration, record handling, rate fits, the pipeline driver, and the CLI."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -484,6 +485,31 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "fock",
+    [
+        pytest.param({"sites": 16}, id="C(29,16) basis states"),
+        # the base lattice fits; the swept one is refused before the base battery runs
+        pytest.param({"cutoff": 50, "cutoff_step": 6}, id="swept cutoff"),
+    ],
+)
+def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path, capsys, fock):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"fock": fock}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["fock-check", "--config", str(path), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the budget" in err
+    assert not (out / "fock_check.json").exists()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

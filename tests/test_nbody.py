@@ -111,8 +111,6 @@ def test_product_state_properties(small):
     assert np.allclose(st.psi, want, atol=1e-14)
     with pytest.raises(ValueError):
         product_state(phi, 0, g)
-    with pytest.raises(MemoryError):
-        product_state(phi, 3, g, budget=100)
 
 
 def test_product_state_refuses_by_working_set_before_allocating():
