@@ -70,11 +70,9 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float) -> np.ndarray
     error is at most STEP_TAIL_BOUND ||x|| before rounding, every column
     takes the same path, and the result is deterministic.
     """
-    dim = h.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-    on_diag = rows == h.indices
-    diag = np.bincount(rows[on_diag], weights=h.data.real[on_diag], minlength=dim)
-    radii = np.bincount(rows, weights=np.abs(h.data), minlength=dim) - np.abs(diag)
+    diag = h.diagonal().real
+    row_sums = sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape) @ np.ones(h.shape[1])
+    radii = row_sums - np.abs(diag)
     lo, hi = np.min(diag - radii), np.max(diag + radii)
     centre, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phase = np.exp(-1j * tau * centre)

@@ -1,12 +1,14 @@
 """Exact N-body propagation and marginals against dense-matrix oracles.
 
 The oracles: dense two- and three-particle Hamiltonians exponentiated
-directly, an explicit pair-sum loop for the interaction tensor, and a
-hand-rolled cyclic Jacobi eigensolver (checked against its own invariants)
+directly, an explicit pair-sum loop for the interaction tensor, the
+one-body closed form of a product state's energy in extended precision, and
+a hand-rolled cyclic Jacobi eigensolver (checked against its own invariants)
 for the trace distance.  None of them share code with the implementations under test.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -20,6 +22,7 @@ from meanfieldlab.grid import (
     gaussian_packet,
     kinetic_matrix,
     normalize,
+    potential_matrix,
     sample_potential,
 )
 from meanfieldlab.nbody import (
@@ -31,6 +34,7 @@ from meanfieldlab.nbody import (
     interaction_tensor,
     marginal_boundary_mass,
     nbody_energy,
+    potential_phase,
     product_state,
     projection_marginal,
     reduce_marginal,
@@ -242,6 +246,18 @@ def test_interaction_tensor_matches_pair_loop():
                 assert w[i, j, k] == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_phase_product_matches_the_interaction_tensor(n):
+    g = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    dt = 4e-3
+    angle = -dt * interaction_tensor(g, vs, n)
+    phase = potential_phase(g, vs, n, dt)
+    assert phase.shape == (6,) * n
+    assert np.max(np.abs(phase - (np.cos(angle) + 1j * np.sin(angle)))) <= 1e-14
+    assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # propagation against dense few-body oracles
 
@@ -296,6 +312,42 @@ def test_energy_matches_dense_quadratic_form(small):
     h = dense_hamiltonian(g, vs, 2)
     want = float(np.vdot(st.psi.ravel(), h @ st.psi.ravel()).real * g.dx**2)
     assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-11)
+
+
+def test_energy_of_product_state_matches_one_body_closed_form():
+    # E = N <phi, T phi> + ((N-1)/2) <|phi|^2, V |phi|^2>, summed in long double
+    g = GridSpec(16, 16.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    phi = gaussian_packet(g, 8.0, 1.0, 0.5)
+    n = 5
+    ld = np.longdouble
+    spectrum = np.fft.fft(phi)
+    k2 = g.wavenumbers.astype(ld) ** 2
+    one_body = np.sum(k2 * np.abs(spectrum).astype(ld) ** 2) * ld(g.dx) / g.points
+    density = np.abs(phi).astype(ld) ** 2
+    pair = density @ potential_matrix(vs, g).astype(ld) @ density * ld(g.dx) ** 2
+    want = n * one_body + ld(n - 1) / 2 * pair
+    got = nbody_energy(product_state(phi, n, g), vs)
+    assert abs(float((ld(got) - want) / want)) <= 2e-14
+
+
+def test_energy_of_symmetrized_state_matches_dense_quadratic_form():
+    # a sum over all orderings of three different packets: symmetric, not a product
+    g = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    packets = [
+        gaussian_packet(g, 1.5, 0.8),
+        gaussian_packet(g, 3.0, 1.0, 2.0),
+        gaussian_packet(g, 4.5, 0.6, -1.0),
+    ]
+    psi = sum(np.einsum("i,j,k->ijk", *(packets[i] for i in order)) for order in itertools.permutations(range(3)))
+    psi /= np.linalg.norm(psi) * g.dx**1.5
+    st = NBodyState(g, 3, psi, 0.0)
+    assert symmetry_defect(st) < 1e-15
+    assert np.linalg.matrix_rank(psi.reshape(6, 36)) > 1
+    h = dense_hamiltonian(g, vs, 3)
+    want = float(np.vdot(psi.ravel(), h @ psi.ravel()).real * g.dx**3)
+    assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-12)
 
 
 def test_conservation_and_symmetry(small):

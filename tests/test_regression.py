@@ -1,4 +1,4 @@
-"""Recorded values of the one-body flows at the default config.
+"""Recorded values of the one-body flows and of the small N-body sweep.
 
 The Hartree orbital and the Bogoliubov pair feed every record the lab
 writes, and no oracle pins them to round-off.  These values were recorded
@@ -6,12 +6,21 @@ with the FFT-based split steps that preceded the grid-space matrix steps;
 each tolerance is ten times the round-off change that switch made (the
 pair runs with snapshots at 0.25, 0.5 and 1.0, as in the ``pair_run``
 fixture, because a snapshot splits a kinetic step in two).
+
+The N-body records at the default config with N = 2..4 (the benchmark's
+rate-small workload at seed 0) were recorded with the potential phase taken
+as cos/sin of the dense interaction tensor, before it became a product of
+pair phases; each relative tolerance is ten times the round-off change that
+switch made.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from meanfieldlab import bogoliubov as bg
 from meanfieldlab import hartree as ha
+from meanfieldlab.harness import run_convergence
 
 # t: {quantity: (recorded value, absolute tolerance)}
 RECORDED = {
@@ -46,3 +55,23 @@ def test_one_body_flows_keep_their_recorded_values(t, main_grid, potential_sampl
     }
     for name, (want, tol) in RECORDED[t].items():
         assert got[name] == pytest.approx(want, rel=0, abs=tol), name
+
+
+# (N, t): (trace_err, hs_err, e_minus_e2_norm)
+RECORDED_SWEEP = {
+    (2, 0.5): (0.034232651313663515, 0.02370121315738795, 0.006444194986901193),
+    (2, 1.0): (0.06118910285932075, 0.04177017147876631, 0.021173704234866038),
+    (3, 0.5): (0.02295573350762511, 0.01579013111400143, 0.0033670213788848497),
+    (3, 1.0): (0.04108806543100023, 0.0277664488185727, 0.010852625402061004),
+    (4, 0.5): (0.01726920950592779, 0.01184101204193103, 0.0021801228191060873),
+    (4, 1.0): (0.03093652842773771, 0.02080665550382843, 0.006927761417042945),
+}
+SWEEP_REL_TOL = {"trace_err": 1.3e-12, "hs_err": 2.8e-12, "e_minus_e2_norm": 1.9e-10}
+
+
+def test_small_sweep_keeps_its_recorded_records(config):
+    run = run_convergence(replace(config, particle_counts=(2, 3, 4)))
+    assert {(r.N, r.t) for r in run.records} == set(RECORDED_SWEEP)
+    for rec in run.records:
+        for name, want in zip(SWEEP_REL_TOL, RECORDED_SWEEP[rec.N, rec.t]):
+            assert getattr(rec, name) == pytest.approx(want, rel=SWEEP_REL_TOL[name], abs=0), (rec.N, rec.t, name)
