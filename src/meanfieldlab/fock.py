@@ -11,12 +11,13 @@ The fluctuation generator around a Hartree state phi splits into
 
 * a quadratic part: kinetic + mean-field potential + exchange kernel +
   pair creation/annihilation,
-* a cubic part, scaled by 1/sqrt(N),
-* a quartic part, scaled by 1/N,
+* a cubic part sum_j phi_j b_j* (sum_i V_ij n_i) + h.c., scaled by 1/sqrt(N),
+* a quartic part, diagonal in the occupation basis and scaled by 1/N,
 
 and the cubic and quartic parts annihilate the vacuum.  Generators are
-assembled per time step from precomputed sparse skeletons with
-state-dependent coefficients; the step itself is the exponential action of
+assembled per time step from precomputed sparse skeletons of the
+(m + 1)(2m + 1) distinct operators on m sites, with state-dependent
+coefficients; the step itself is the exponential action of
 the midpoint generator, a Chebyshev expansion whose truncation error is
 bounded before the first matvec (``expm_multiply``).
 """
@@ -99,13 +100,13 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float) -> np.ndarray
 def admit_lattice(sites: int, cutoff: int) -> int:
     """Dimension C(cutoff + sites, sites) of a lattice, refused before any allocation.
 
-    Each of the 5 sites^2 + 1 generator skeletons maps a basis column to at most
-    one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
-    (tracemalloc: 111 B at one site, 56-65 B at four).  Above WORKING_SET_BUDGET
+    Each of the (sites + 1)(2 sites + 1) generator skeletons maps a basis column to
+    at most one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
+    (tracemalloc: 77-103 B at one site, 36-64 B at four).  Above WORKING_SET_BUDGET
     that is a ``MemoryError``; keys that would overflow int64 are a ``ValueError``.
     """
     dim = comb(cutoff + sites, sites)
-    need = 112 * (5 * sites**2 + 1) * dim
+    need = 112 * (sites + 1) * (2 * sites + 1) * dim
     if need > WORKING_SET_BUDGET:
         raise MemoryError(
             f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generators "
@@ -281,70 +282,68 @@ def one_particle_values(vec: FockVector) -> np.ndarray:
 class GeneratorSet:
     """Fluctuation generators on a lattice Fock space for one pair potential.
 
-    Sparse skeletons (one-body transfers b_i* b_j, pair raisers b_i* b_j*,
-    their adjoints, the cubic strings b_i* b_j* b_i and b_i* b_j b_i, and the
-    diagonal quartic) are built once; ``matrix`` contracts them with
-    state-dependent coefficients on a shared sparsity pattern.  The
-    coefficient bank is sparse (row alpha holds skeleton alpha on the
-    pattern), so per-step assembly costs one sparse matvec over the stored
-    skeleton entries; the one-body weights carry the kinetic term.
+    The generator is spanned by (m + 1)(2m + 1) distinct operators, each
+    built once as a sparse skeleton: the m^2 one-body transfers b_i* b_j, the
+    pair raisers b_i* b_j* (i <= j, as b_i* b_j* = b_j* b_i*), one cubic raiser
+    b_j* diag(sum_i V_ij n_i) per site (as b_i* b_j* b_i = b_j* n_i), the
+    adjoints of both raiser groups, and the diagonal quartic.  The coefficient
+    bank is sparse (row alpha holds skeleton alpha on the union of their
+    supports, one contiguous slice per group), so ``matrix`` costs one sparse
+    matvec over the stored skeleton entries; the one-body weights carry the
+    kinetic term.
     """
 
     def __init__(self, space: LatticeFockSpace, potential_samples: np.ndarray):
         self.space = space
         self.grid = space.grid
         self.potential_samples = np.asarray(potential_samples, dtype=float)
-        self.vmat = potential_matrix(self.potential_samples, self.grid)
-        m = self.grid.points
-        b = space.annihilators
-        bdag = [op.T.tocsr() for op in b]
-
         self.tmat = kinetic_matrix(self.grid)
-        skeletons = [(bdag[i] @ b[j]).tocsr() for i in range(m) for j in range(m)]
-        self._one_body = slice(0, m * m)
-        self._pair_raise = []
-        self._pair_lower = []
-        for i in range(m):
-            for j in range(m):
-                q = (bdag[i] @ bdag[j]).tocsr()
-                self._pair_raise.append(len(skeletons))
-                skeletons.append(q)
-                self._pair_lower.append(len(skeletons))
-                skeletons.append(q.T.tocsr())
-        self._cubic_raise = []
-        self._cubic_lower = []
-        for i in range(m):
-            for j in range(m):
-                c1 = (bdag[i] @ bdag[j] @ b[i]).tocsr()
-                self._cubic_raise.append(len(skeletons))
-                skeletons.append(c1)
-                self._cubic_lower.append(len(skeletons))
-                skeletons.append(c1.T.tocsr())
-        # quartic: diagonal in the occupation basis
-        occ = space.occupations.astype(float)
-        quart = 0.5 * (np.einsum("si,ij,sj->s", occ, self.vmat, occ) - occ @ np.diag(self.vmat))
-        self._quartic = len(skeletons)
-        skeletons.append(sparse.diags(quart).tocsr())
-
-        self.n_terms = len(skeletons)
-        # shared sparsity pattern: the union of all skeleton supports
-        union = sum(abs(sk) for sk in skeletons).tocsr()
-        union.sum_duplicates()
-        union.sort_indices()
-        self._indptr = union.indptr
-        self._indices = union.indices
-        self._nnz = union.nnz
-        # sparse coefficient bank: row alpha holds skeleton alpha on the
-        # union, located by the sorted keys row * dim + col
+        vmat = potential_matrix(self.potential_samples, self.grid)
+        m = self.grid.points
         dim = space.dimension
-        union_coo = union.tocoo()
-        union_keys = union_coo.row.astype(np.int64) * dim + union_coo.col
-        coos = [sk.tocoo() for sk in skeletons]
-        keys = np.concatenate([c.row.astype(np.int64) * dim + c.col for c in coos])
-        terms = np.repeat(np.arange(self.n_terms), [c.nnz for c in coos])
+        n = space.occupations.astype(float)
+        keys, weights = space._keys, space._weights
+        room = space.cutoff - space.totals
+
+        def skeleton(values, shift):
+            """Entries (rows, cols, data): column s goes to the state keyed keys[s] + shift."""
+            (cols,) = np.nonzero(values)
+            return np.searchsorted(keys, keys[cols] + shift), cols, values[cols]
+
+        transfers = [
+            skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), weights[i] - weights[j])
+            for i in range(m)
+            for j in range(m)
+        ]
+        raisers = [
+            skeleton(
+                np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), weights[i] + weights[j]
+            )
+            for i, j in zip(*np.triu_indices(m))
+        ]
+        mean = n @ vmat  # sum_i n_i V_ij
+        raisers += [
+            skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), weights[j]) for j in range(m)
+        ]
+        lowers = [(cols, rows, data) for rows, cols, data in raisers]
+        quart = 0.5 * (np.einsum("si,si->s", n, mean) - n @ np.diag(vmat))
+        skeletons = transfers + raisers + lowers + [skeleton(quart, 0)]
+        self.n_terms = len(skeletons)
+
+        # shared sparsity pattern: the sorted union of the keys row * dim + col, and
+        # each skeleton entry's position in it; admission keeps every count below 2^31
+        union, position = np.unique(
+            np.concatenate([rows * dim + cols for rows, cols, _ in skeletons]), return_inverse=True
+        )
+        self._indptr = np.searchsorted(union, np.arange(dim + 1) * dim).astype(np.int32)
+        self._indices = (union % dim).astype(np.int32)
         self._bank = sparse.csr_matrix(
-            (np.concatenate([c.data for c in coos]), (terms, np.searchsorted(union_keys, keys))),
-            shape=(self.n_terms, self._nnz),
+            (
+                np.concatenate([data for _, _, data in skeletons]),
+                position,
+                np.cumsum([0] + [len(data) for _, _, data in skeletons]),
+            ),
+            shape=(self.n_terms, len(union)),
         )
 
     def coefficients(self, phi, which: str, n_field: float) -> np.ndarray:
@@ -353,22 +352,21 @@ class GeneratorSet:
             raise ValueError(f"unknown generator selection {which!r}")
         m = self.grid.points
         dx = self.grid.dx
+        pairs = m * (m + 1) // 2
         c = np.zeros(self.n_terms, dtype=complex)
+        transfers, raisers = c[: m * m], c[m * m : m * m + pairs + m]
         phi = np.asarray(phi, dtype=complex)
-        quad = which in ("full", "quadratic")
-        if quad:
+        if which in ("full", "quadratic"):
             kern = coupling_kernels(phi, self.potential_samples, self.grid)
-            w = self.tmat + dx * kern.k1 + np.diag(kern.u_eff)
-            c[self._one_body] = w.reshape(-1)
-            c[self._pair_raise] = 0.5 * dx * kern.k2.reshape(-1)
-            c[self._pair_lower] = 0.5 * dx * kern.k2.conj().reshape(-1)
+            transfers[:] = (self.tmat + dx * kern.k1 + np.diag(kern.u_eff)).reshape(-1)
+            # sum_ij K2_ij b_i* b_j* / 2 on i <= j: K2_ij + K2_ji above the diagonal
+            k2 = np.triu(kern.k2) + np.triu(kern.k2.T, 1)
+            raisers[:pairs] = 0.5 * dx * k2[np.triu_indices(m)]
         if which in ("full", "cubic"):
-            s = np.sqrt(dx / n_field)
-            cub = s * self.vmat * phi[None, :]
-            c[self._cubic_raise] = cub.reshape(-1)
-            c[self._cubic_lower] = cub.conj().reshape(-1)
+            raisers[pairs:] = np.sqrt(dx / n_field) * phi
+        c[m * m + raisers.size : -1] = raisers.conj()
         if which in ("full", "quartic"):
-            c[self._quartic] = 1.0 / n_field
+            c[-1] = 1.0 / n_field
         return c
 
     def matrix(self, phi, which: str = "full", n_field: float = 1.0) -> sparse.csr_matrix:

@@ -204,18 +204,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # records and fits
 
-RECORD_COLUMNS = (
-    "N",
-    "t",
-    "trace_err",
-    "hs_err",
-    "e2_norm",
-    "e_minus_e2_norm",
-    "energy_drift",
-    "sym_defect",
-    "boundary_mass",
-)
-
 
 @dataclass
 class RunRecord:
@@ -232,6 +220,9 @@ class RunRecord:
     def row(self) -> str:
         vals = [str(self.N)] + [repr(float(getattr(self, c))) for c in RECORD_COLUMNS[1:]]
         return ",".join(vals)
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def save_records(records, path):

@@ -121,6 +121,9 @@ def test_oversized_lattice_is_refused_before_allocating():
         # C(29, 16) = 67,863,915 basis states
         with pytest.raises(MemoryError, match="exceeds the budget"):
             fk.LatticeFockSpace(GridSpec(16, 16.0), 13)
+        # 112 B x 45 skeletons x C(69, 4) states is just above the 4 GiB budget
+        with pytest.raises(MemoryError, match="exceeds the budget"):
+            fk.LatticeFockSpace(GridSpec(4, 4.0), 65)
         # keys below 2^64 do not fit in int64, even though the bank would be small
         with pytest.raises(ValueError, match="overflow int64"):
             fk.LatticeFockSpace(GridSpec(63, 63.0), 1)
@@ -128,9 +131,27 @@ def test_oversized_lattice_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # 112 B x 45 skeletons x C(68, 4) states is just below the budget
+    assert fk.admit_lattice(4, 64) == comb(68, 4)
+    assert fk.admit_lattice(4, 56) == 487_635
     # keys below 2^63 fit: the largest binary lattice is still located exactly
     space = fk.LatticeFockSpace(GridSpec(62, 62.0), 1)
     assert np.array_equal(space.locate(space.occupations), np.arange(63))
+
+
+@pytest.mark.parametrize("sites, cutoff", [(1, 5000), (2, 100), (3, 30), (4, 15)])
+def test_generator_build_peaks_below_its_admission_charge(sites, cutoff):
+    space = fk.LatticeFockSpace(GridSpec(sites, float(sites)), cutoff)
+    vs = sample_potential(PotentialSpec("gaussian", 1.0, 1.0), space.grid)
+    tracemalloc.start()
+    try:
+        gens = fk.GeneratorSet(space, vs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gens.n_terms == (sites + 1) * (2 * sites + 1)
+    # admit_lattice charges 112 B per basis state and skeleton
+    assert peak < 112 * gens.n_terms * space.dimension
 
 
 def test_commutator_on_safe_subspace():
@@ -387,14 +408,18 @@ def dense_generator(space, vs, phi, which, n_field):
 
 @pytest.mark.parametrize("which", ["quadratic", "cubic", "quartic", "full"])
 def test_generator_matches_dense_assembly(which):
-    space = fk.LatticeFockSpace(GridSpec(2, 2.0), 3)
-    vs = sample_potential(PotentialSpec("gaussian", 0.7, 0.9), space.grid)
-    phi = normalize(np.array([1.0, 0.3 - 0.4j]), space.grid)
-    gens = fk.GeneratorSet(space, vs)
-    got = gens.matrix(phi, which, 5.0).toarray()
-    want = dense_generator(space, vs, phi, which, 5.0)
-    assert np.max(np.abs(got - want)) < 1e-12
-    assert np.max(np.abs(got - got.conj().T)) < 1e-12
+    for grid, cutoff, orbital in (
+        (GridSpec(2, 2.0), 3, [1.0, 0.3 - 0.4j]),
+        (GridSpec(3, 3.0), 4, [0.8, 0.2 + 0.5j, -0.6 - 0.3j]),
+    ):
+        space = fk.LatticeFockSpace(grid, cutoff)
+        vs = sample_potential(PotentialSpec("gaussian", 0.7, 0.9), grid)
+        phi = normalize(np.array(orbital), grid)
+        gens = fk.GeneratorSet(space, vs)
+        got = gens.matrix(phi, which, 5.0).toarray()
+        want = dense_generator(space, vs, phi, which, 5.0)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got - got.conj().T)) < 1e-12
 
 
 def test_generator_is_hermitian(lattice):

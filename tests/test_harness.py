@@ -492,7 +492,7 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw)
     [
         pytest.param({"sites": 16}, id="C(29,16) basis states"),
         # the base lattice fits; the swept one is refused before the base battery runs
-        pytest.param({"cutoff": 50, "cutoff_step": 6}, id="swept cutoff"),
+        pytest.param({"cutoff": 60, "cutoff_step": 6}, id="swept cutoff"),
     ],
 )
 def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path, capsys, fock):
