@@ -352,9 +352,10 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
             print(f"[nbody] N={n}", file=sys.stderr)
         state = nb.product_state(phi0, n, grid)
         e0 = nb.nbody_energy(state, vsamp)
+        step = nb.split_step(grid, vsamp, n, config.nbody_dt)
         prev_t = 0.0
         for ts in sample_times:
-            state = nb.evolve_nbody(state, vsamp, ts - prev_t, config.nbody_dt)
+            nb.evolve_nbody(state, step, ts - prev_t)
             prev_t = ts
             gamma = nb.reduce_marginal(state, 1)
             phi_t = traj.state_at(ts)

@@ -7,12 +7,16 @@ dense complex tensors of shape (M,)*N, so memory is the binding constraint;
 byte budget before allocating.
 
 Propagation is Strang splitting with the kinetic half steps fused across
-consecutive steps.  The kinetic factor of one step is an M x M position-space
-propagator applied on each axis in turn, N matrix products per step, and the
-potential factor is a precomputed phase applied in place.  That phase is a
-product of M x M pair phases built one axis at a time, and the energy of a
-symmetric state reads one axis and the pair density, so neither makes a pass
-over the state per pair or per axis.
+consecutive steps.  ``split_step`` builds the operators of one step once per
+(N, dt): the potential phase and the M x M position-space kinetic
+propagators.  ``evolve_nbody`` advances a state in place with them, applying
+the kinetic factor on each axis in turn, N matrix products per step that
+alternate between the state's array and one buffer, and the phase in place,
+so a sweep holds three state-size arrays: the state, the phase and the
+buffer.  The phase is a product of M x M pair phases built one axis at a
+time, and the energy of a symmetric state reads one axis and the pair
+density slab by slab, so neither makes a pass over the state per pair or
+per axis, and the energy holds no state-size temporary.
 """
 
 from __future__ import annotations
@@ -66,12 +70,14 @@ class MarginalDensity:
 def working_set_bytes(points: int, n: int) -> int:
     """Bytes of the state-size arrays a sweep over (points,)*n holds at once.
 
-    At its peak evolve_nbody holds four complex arrays: the state it was
-    given, the potential phase and its two buffers.  Building the phase holds
-    three (the state, the phase and its last pair column); nbody_energy,
-    reduce_marginal and symmetry_defect hold fewer.
+    At its peak a sweep holds three complex arrays.  evolve_nbody holds the
+    state, the potential phase of its SplitStep and one buffer;
+    reduce_marginal and symmetry_defect hold one state-size temporary beside
+    the state and the phase.  Building the phase holds two (the state and the
+    last pair column, which becomes the phase), and nbody_energy holds only
+    slab-size temporaries.
     """
-    return 4 * 16 * points**n
+    return 3 * 16 * points**n
 
 
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
@@ -121,48 +127,75 @@ def potential_phase(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: f
     P = exp(-i dt V / n) is an M x M matrix.  The product is built one axis
     at a time: level k multiplies the phase of the first k axes by the column
     prod_{i<=k} P(x_i - y) of the pairs the new axis y closes, and the column
-    gains one pair factor per level, so only the last column and the last
-    phase are state-size.
+    gains one pair factor per level, so only the last column is state-size,
+    and it takes the last level's product in place and becomes the phase.
     """
     pair = np.exp((-1j * dt / n) * potential_matrix(potential_samples, grid))
     phase = np.ones(grid.points, dtype=complex)
     column = pair
-    for level in range(1, n):
+    for _ in range(n - 2):
         phase = phase[..., None] * column
-        if level < n - 1:
-            column = column[..., None, :] * pair
+        column = column[..., None, :] * pair
+    if n > 1:
+        phase = np.multiply(phase[..., None], column, out=column)
     return phase
 
 
-def evolve_nbody(
-    state: NBodyState, potential_samples: np.ndarray, span: float, dt: float
-) -> NBodyState:
-    """Propagate the state over ``span``, a whole number of steps of dt."""
-    n_steps, _ = step_schedule(span, dt)
-    grid, n, m = state.grid, state.n, state.grid.points
+@dataclass(frozen=True)
+class SplitStep:
+    """The operators of one Strang step of dt for N particles on one grid."""
 
-    pot_phase = potential_phase(grid, potential_samples, n, dt)
-    # Transposed, so that each product below applies the propagator itself.
-    half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T
-    full = multiplier_matrix(grid, kinetic_phase(grid, dt)).T
-    buffers = (np.empty(state.psi.shape, complex), np.empty(state.psi.shape, complex))
+    dt: float
+    phase: np.ndarray  # exp(-i dt W), complex, shape (grid.points,) * N
+    # Kinetic propagators of dt/2 and dt, transposed, so that evolve_nbody's
+    # products apply the propagators themselves.
+    half: np.ndarray
+    full: np.ndarray
 
-    def kinetic(psi, prop):
+
+def split_step(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float) -> SplitStep:
+    """Build the step once per (N, dt); every span of a sweep reuses it."""
+    return SplitStep(
+        dt,
+        potential_phase(grid, potential_samples, n, dt),
+        multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T,
+        multiplier_matrix(grid, kinetic_phase(grid, dt)).T,
+    )
+
+
+def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
+    """Advance the state in place over ``span``, a whole number of steps of step.dt.
+
+    The state's amplitudes are overwritten (after a contiguous copy if they
+    are not C-contiguous) and the same state is returned, so a caller that
+    needs the start afterwards evolves a copy.
+    """
+    n_steps, _ = step_schedule(span, step.dt)
+    if step.phase.shape != state.psi.shape:
+        raise ValueError(
+            f"step is built for shape {step.phase.shape}, the state has shape {state.psi.shape}"
+        )
+    n, m = state.n, state.grid.points
+    psi = np.ascontiguousarray(state.psi, dtype=complex)
+    spare = np.empty(psi.shape, complex)
+
+    def kinetic(prop):
         # Each product contracts the leading axis and moves it last, so n
         # products act on every axis and restore the axis order.
+        nonlocal psi, spare
         for _ in range(n):
-            out = buffers[1] if psi is buffers[0] else buffers[0]
-            np.matmul(psi.reshape(m, -1).T, prop, out=out.reshape(-1, m))
-            psi = out
-        return psi
+            np.matmul(psi.reshape(m, -1).T, prop, out=spare.reshape(-1, m))
+            psi, spare = spare, psi
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
-    psi = kinetic(state.psi, half)
-    for step in range(n_steps):
-        psi *= pot_phase
-        psi = kinetic(psi, full if step < n_steps - 1 else half)
-    return NBodyState(grid, n, psi, state.t + n_steps * dt)
+    kinetic(step.half)
+    for k in range(n_steps):
+        psi *= step.phase
+        kinetic(step.full if k < n_steps - 1 else step.half)
+    state.psi = psi
+    state.t += n_steps * step.dt
+    return state
 
 
 def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
@@ -175,21 +208,32 @@ def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
     with the kinetic term a spectral sum over the last axis and rho_2 the
     position density |psi|^2 summed over every axis but the first two.  The
     formula assumes the symmetry; the harness measures it as ``sym_defect``.
-    Both sums run along contiguous axes, so numpy adds them pairwise.
+    Both run over slabs of the first axis, so no temporary is state-size, and
+    every sum runs along a contiguous axis, so numpy adds it pairwise.  An
+    N <= 2 state is small and stays one slab: BLAS sums the rows of a
+    matrix-vector product in groups of four, and single-row slabs would
+    change the last bits of the row sums.
     """
     grid, n, m = state.grid, state.n, state.grid.points
     weight = grid.dx**n
-    psi = np.ascontiguousarray(state.psi).reshape(-1, m)
-    # |psi_hat|^2 weighted by k^2, as real and imaginary parts in place
-    spec = sfft.fftn(psi, axes=(1,)).view(float)
-    np.square(spec, out=spec)
-    kinetic = float(np.sum(spec @ np.repeat(grid.wavenumbers**2, 2))) * n * weight / m
+    slabs = np.ascontiguousarray(state.psi).reshape(m if n > 2 else 1, -1, m)
+    k2 = np.repeat(grid.wavenumbers**2, 2)
+    rows = np.empty(slabs.shape[:2])  # k^2-weighted |psi_hat|^2 of each row
+    density = np.empty((len(slabs), m * m // len(slabs)))  # rho_2, when N > 1
+    for i, slab in enumerate(slabs):
+        # |psi_hat|^2 as real and imaginary parts in place
+        spec = sfft.fftn(slab, axes=(1,)).view(float)
+        np.square(spec, out=spec)
+        np.matmul(spec, k2, out=rows[i])
+        if n > 1:
+            # |psi|^2 into the spectrum's buffer, summed over all axes but the first two
+            sq = np.square(slab.view(float), out=spec)
+            density[i] = sq.reshape(density.shape[1], -1).sum(axis=1)
+    kinetic = float(np.sum(rows)) * n * weight / m
     if n < 2:
         return kinetic
-    # |psi|^2 into the spectrum's buffer, summed over all axes but the first two
-    density = np.square(psi.view(float), out=spec).reshape(m * m, -1).sum(axis=1)
     vmat = potential_matrix(potential_samples, grid)
-    pot = float(vmat.ravel() @ density) * (n - 1) / 2 * weight
+    pot = float(vmat.ravel() @ density.ravel()) * (n - 1) / 2 * weight
     return kinetic + pot
 
 

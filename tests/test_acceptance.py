@@ -11,6 +11,7 @@ own wall-clock budget.
 import json
 import time
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,11 +270,13 @@ def test_solver_hygiene(convergence, config, main_grid, potential_samples, phi0,
     energy_slope = -hn.fit_rate([(1.0 / dt, d) for dt, d in drifts]).slope
 
     start = nb.product_state(phi0, 3, main_grid)
+    step = nb.split_step(main_grid, potential_samples, 3, config.dt)
     residuals = []
     for h in (8e-3, 4e-3, 2e-3):
-        samples = [nb.evolve_nbody(start, potential_samples, 0.5 - h, config.dt)]
+        samples = [nb.evolve_nbody(replace(start, psi=start.psi.copy()), step, 0.5 - h)]
         for _ in range(2):
-            samples.append(nb.evolve_nbody(samples[-1], potential_samples, h, config.dt))
+            last = samples[-1]
+            samples.append(nb.evolve_nbody(replace(last, psi=last.psi.copy()), step, h))
         residuals.append((h, nb.bbgky_residual(samples, potential_samples)))
     bbgky_slope = hn.fit_rate(residuals).slope
 

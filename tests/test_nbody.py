@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from meanfieldlab.nbody import (
     product_state,
     projection_marginal,
     reduce_marginal,
+    split_step,
     symmetry_defect,
     trace_distance,
     working_set_bytes,
@@ -118,7 +120,7 @@ def test_product_state_properties(small):
 
 
 def test_product_state_refuses_by_working_set_before_allocating():
-    # 16^7 = 2^28 amplitudes: one state is 4 GiB, a sweep needs four of them
+    # 16^7 = 2^28 amplitudes: one state is 4 GiB, a sweep needs three of them
     g = GridSpec(16, 16.0)
     phi = gaussian_packet(g, 8.0, 1.0)
     tracemalloc.start()
@@ -136,14 +138,24 @@ def test_sweep_peak_stays_inside_the_admitted_working_set():
     g = GridSpec(16, 16.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
     phi = gaussian_packet(g, 8.0, 1.0, 0.5)
-    n = 4
-    evolve_nbody(product_state(phi, 2, g), vs, 4e-3, 4e-3)  # warm up outside the trace
+
+    def sweep(n):
+        # run_convergence's sequence for one N, with two sample times
+        st = product_state(phi, n, g)
+        nbody_energy(st, vs)
+        step = split_step(g, vs, n, 4e-3)
+        for _ in range(2):
+            evolve_nbody(st, step, 8e-3)
+            reduce_marginal(st, 1)
+            nbody_energy(st, vs)
+            symmetry_defect(st)
+        return st.psi.nbytes
+
+    n = 5
+    sweep(2)  # warm up outside the trace
     tracemalloc.start()
     try:
-        st = product_state(phi, n, g)
-        state_bytes = st.psi.nbytes
-        st = evolve_nbody(st, vs, 0.02, 4e-3)
-        nbody_energy(st, vs)
+        state_bytes = sweep(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,7 +177,7 @@ def test_marginal_tower_property(small):
     # tracing the two-body marginal down one slot reproduces the one-body one
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    st = evolve_nbody(st, vs, 0.2, 2e-3)
+    st = evolve_nbody(st, split_step(g, vs, 3, 2e-3), 0.2)
     g1 = reduce_marginal(st, 1)
     g2 = reduce_marginal(st, 2).matrix.reshape(8, 8, 8, 8)
     traced = np.einsum("xzyz->xy", g2) * g.dx
@@ -206,7 +218,7 @@ def test_trace_distance_orthogonal_pure_states(small):
 def test_trace_distance_against_jacobi_oracle(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    st = evolve_nbody(st, vs, 0.3, 2e-3)
+    st = evolve_nbody(st, split_step(g, vs, 2, 2e-3), 0.3)
     gamma = reduce_marginal(st, 1)
     proj = projection_marginal(phi, g)
     diff = gamma.matrix - proj.matrix
@@ -279,31 +291,56 @@ def test_two_body_evolution_matches_dense_exponential(small):
     st = product_state(phi, 2, g)
     h = dense_hamiltonian(g, vs, 2)
     want = expm(-1j * h * 0.25) @ st.psi.ravel()
-    got = evolve_nbody(st, vs, 0.25, 1e-3)
+    got = evolve_nbody(replace(st, psi=st.psi.copy()), split_step(g, vs, 2, 1e-3), 0.25)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx
     assert err < 1e-6
     # and the splitting error shrinks at second order
-    got2 = evolve_nbody(st, vs, 0.25, 5e-4)
+    got2 = evolve_nbody(st, split_step(g, vs, 2, 5e-4), 0.25)
     err2 = np.linalg.norm(got2.psi.ravel() - want) * g.dx
     assert 3.0 <= err / err2 <= 5.0
 
 
-def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
-    # three different packets, so an axis left permuted cannot go unnoticed
-    g = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
-    packets = [
+def three_packets(g):
+    """Three different packets, so an axis left permuted cannot go unnoticed."""
+    return [
         gaussian_packet(g, 1.5, 0.8),
         gaussian_packet(g, 3.0, 1.0, 2.0),
         gaussian_packet(g, 4.5, 0.6, -1.0),
     ]
-    psi = np.einsum("i,j,k->ijk", *packets)
+
+
+def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
+    g = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    psi = np.einsum("i,j,k->ijk", *three_packets(g))
     st = NBodyState(g, 3, psi, 0.0)
     assert symmetry_defect(st) > 0.1
     want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
-    got = evolve_nbody(st, vs, 0.25, 1e-3)
+    got = evolve_nbody(st, split_step(g, vs, 3, 1e-3), 0.25)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
     assert err < 1e-6
+
+
+def test_non_contiguous_state_matches_dense_exponential():
+    g = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    psi = np.swapaxes(np.einsum("i,j,k->ijk", *three_packets(g)), 0, 1)
+    assert not psi.flags.c_contiguous
+    want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
+    got = evolve_nbody(NBodyState(g, 3, psi, 0.0), split_step(g, vs, 3, 1e-3), 0.25)
+    err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
+    assert err < 1e-6
+
+
+def test_reused_step_equals_a_fresh_step_per_span(small):
+    g, vs, phi = small
+    step = split_step(g, vs, 3, 2e-3)
+    reused, fresh = product_state(phi, 3, g), product_state(phi, 3, g)
+    for span in (0.05, 0.1):
+        evolve_nbody(reused, step, span)
+        evolve_nbody(fresh, split_step(g, vs, 3, 2e-3), span)
+        assert reused.t == fresh.t
+        assert np.array_equal(reused.psi, fresh.psi)
 
 
 def test_energy_matches_dense_quadratic_form(small):
@@ -335,11 +372,7 @@ def test_energy_of_symmetrized_state_matches_dense_quadratic_form():
     # a sum over all orderings of three different packets: symmetric, not a product
     g = GridSpec(6, 6.0)
     vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
-    packets = [
-        gaussian_packet(g, 1.5, 0.8),
-        gaussian_packet(g, 3.0, 1.0, 2.0),
-        gaussian_packet(g, 4.5, 0.6, -1.0),
-    ]
+    packets = three_packets(g)
     psi = sum(np.einsum("i,j,k->ijk", *(packets[i] for i in order)) for order in itertools.permutations(range(3)))
     psi /= np.linalg.norm(psi) * g.dx**1.5
     st = NBodyState(g, 3, psi, 0.0)
@@ -354,7 +387,7 @@ def test_conservation_and_symmetry(small):
     g, vs, phi = small
     st = product_state(phi, 3, g)
     e0 = nbody_energy(st, vs)
-    fin = evolve_nbody(st, vs, 0.5, 2e-3)
+    fin = evolve_nbody(st, split_step(g, vs, 3, 2e-3), 0.5)
     assert abs(fin.norm() ** 2 - 1.0) < 1e-12
     assert abs(nbody_energy(fin, vs) - e0) < 1e-6
     assert symmetry_defect(fin) < 1e-12
@@ -371,10 +404,13 @@ def test_symmetry_defect_detects_asymmetry(small):
 def test_evolution_validation(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
+    step = split_step(g, vs, 2, 1e-3)
     with pytest.raises(ValueError):
-        evolve_nbody(st, vs, 0.1003, 1e-3)
+        evolve_nbody(st, step, 0.1003)
     with pytest.raises(ValueError):
-        evolve_nbody(st, vs, 0.0, 1e-3)
+        evolve_nbody(st, step, 0.0)
+    with pytest.raises(ValueError, match="built for shape"):
+        evolve_nbody(st, split_step(g, vs, 3, 1e-3), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +420,13 @@ def test_evolution_validation(small):
 def test_bbgky_residual_shrinks_at_second_order(small):
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    dt = 5e-4
+    step = split_step(g, vs, 3, 5e-4)
     resid = {}
     for spacing in (8e-3, 4e-3):
-        samples = [evolve_nbody(st, vs, 0.1 - spacing, dt)]
+        samples = [evolve_nbody(replace(st, psi=st.psi.copy()), step, 0.1 - spacing)]
         for _ in range(2):
-            samples.append(evolve_nbody(samples[-1], vs, spacing, dt))
+            last = samples[-1]
+            samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), step, spacing))
         resid[spacing] = bbgky_residual(samples, vs)
     order = math.log2(resid[8e-3] / resid[4e-3])
     assert 1.7 <= order <= 2.3
@@ -397,9 +434,10 @@ def test_bbgky_residual_shrinks_at_second_order(small):
 
 def test_bbgky_residual_validation(small):
     g, vs, phi = small
-    st = product_state(phi, 2, g)
-    samples = [evolve_nbody(st, vs, 0.1, 1e-3)]
+    step = split_step(g, vs, 2, 1e-3)
+    samples = [evolve_nbody(product_state(phi, 2, g), step, 0.1)]
     for _ in range(2):
-        samples.append(evolve_nbody(samples[-1], vs, 0.1, 1e-3))
+        last = samples[-1]
+        samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), step, 0.1))
     with pytest.raises(ValueError):
         bbgky_residual(samples[:2], vs)
