@@ -147,13 +147,22 @@ class LatticeFockSpace:
         self._weights = (cutoff + 1) ** m + (cutoff + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self._keys = self.occupations @ self._weights
 
-        # b_i |n> = sqrt(n_i) |n - e_i>, and n - e_i has the key of n minus weight i
+        # b_i |n> = sqrt(n_i) |n - e_i>
         self.annihilators = []
-        for i in range(m):
+        for i, e_i in enumerate(np.eye(m, dtype=np.int64)):
             (cols,) = np.nonzero(self.occupations[:, i])
-            rows = np.searchsorted(self._keys, self._keys[cols] - self._weights[i])
             data = np.sqrt(self.occupations[cols, i])
+            rows = self.hop(cols, -e_i)
             self.annihilators.append(sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim)))
+
+    def hop(self, cols, shift) -> np.ndarray:
+        """Basis positions of n + shift for the basis states n at positions ``cols``.
+
+        Keys are linear in n, so this is one binary search for the keys of
+        ``cols`` plus the key of the occupation change ``shift``; every n + shift
+        must lie in the basis.
+        """
+        return np.searchsorted(self._keys, self._keys[cols] + shift @ self._weights)
 
     def locate(self, occ) -> np.ndarray:
         """Basis indices of occupation vectors (..., m); ``ValueError`` outside the basis."""
@@ -302,32 +311,28 @@ class GeneratorSet:
         m = self.grid.points
         dim = space.dimension
         n = space.occupations.astype(float)
-        keys, weights = space._keys, space._weights
+        e = np.eye(m, dtype=np.int64)
         room = space.cutoff - space.totals
 
         def skeleton(values, shift):
-            """Entries (rows, cols, data): column s goes to the state keyed keys[s] + shift."""
+            """Entries (rows, cols, data): column s goes to occupations[s] + shift."""
             (cols,) = np.nonzero(values)
-            return np.searchsorted(keys, keys[cols] + shift), cols, values[cols]
+            return space.hop(cols, shift), cols, values[cols]
 
         transfers = [
-            skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), weights[i] - weights[j])
+            skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), e[i] - e[j])
             for i in range(m)
             for j in range(m)
         ]
         raisers = [
-            skeleton(
-                np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), weights[i] + weights[j]
-            )
+            skeleton(np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), e[i] + e[j])
             for i, j in zip(*np.triu_indices(m))
         ]
         mean = n @ vmat  # sum_i n_i V_ij
-        raisers += [
-            skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), weights[j]) for j in range(m)
-        ]
+        raisers += [skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), e[j]) for j in range(m)]
         lowers = [(cols, rows, data) for rows, cols, data in raisers]
         quart = 0.5 * (np.einsum("si,si->s", n, mean) - n @ np.diag(vmat))
-        skeletons = transfers + raisers + lowers + [skeleton(quart, 0)]
+        skeletons = transfers + raisers + lowers + [skeleton(quart, np.zeros(m, np.int64))]
         self.n_terms = len(skeletons)
 
         # shared sparsity pattern: the sorted union of the keys row * dim + col, and
@@ -424,11 +429,6 @@ def evolve_fock(
     return FockEvolution(FockVector(space, coeffs), snaps, top)
 
 
-class ResidualField(NamedTuple):
-    aggregates: dict[int, float]
-    top_mass: float
-
-
 def site_backs(
     gens: GeneratorSet,
     trajectory: HartreeTrajectory,
@@ -438,12 +438,13 @@ def site_backs(
     which: str,
     n_field: float,
     sites=None,
-) -> tuple[list, float]:
+) -> tuple[FockVector, float]:
     """Apply a_y to a time-t state and evolve each copy back to time zero.
 
-    Returns one backward state per requested site (all sites by default) and
-    the worst truncation mass seen along the way.  The copies travel as one
-    (dimension, sites) block, so each step assembles its generator once.
+    Returns the backward copies as one (dimension, sites) block, one column
+    per requested site (all sites by default), and the worst truncation mass
+    seen along the way.  The block travels as one, so each step assembles its
+    generator once.
     """
     space = gens.space
     dx = space.grid.dx
@@ -453,19 +454,10 @@ def site_backs(
         [(space.annihilators[site] / np.sqrt(dx)) @ state.coeffs for site in sites], axis=1
     )
     run = evolve_fock(gens, FockVector(space, block), trajectory, t, 0.0, dt, which, n_field)
-    backs = [FockVector(space, col) for col in np.ascontiguousarray(run.state.coeffs.T)]
-    return backs, run.top_mass
+    return run.state, run.top_mass
 
 
-def annihilator_residual(
-    gens: GeneratorSet,
-    trajectory: HartreeTrajectory,
-    t: float,
-    dt: float,
-    n_field: float,
-    forward_full: FockVector,
-    quad_parts: tuple,
-) -> ResidualField:
+def residual_aggregates(full_backs: FockVector, quad_backs: FockVector) -> dict[int, float]:
     """Difference between full and quadratic Heisenberg-evolved annihilators.
 
     For each lattice site y the residual vector is
@@ -473,26 +465,17 @@ def annihilator_residual(
         [U(t)* a_y U(t) - U2(t)* a_y U2(t)] vacuum,
 
     realized by evolving the vacuum forward with each generator, applying
-    a_y, and evolving backward again.  Aggregates are
+    a_y, and evolving backward again: the columns of the two ``site_backs``
+    blocks of all sites.  Aggregates are
     sum_y dx * || (N+1)^{j/2} r_y ||^2 for j = 0, 1, 2; their
     1/N decay is the quantitative content of the mean-field error bound.
 
-    ``forward_full`` is the vacuum evolved to time t by the full generator.
-    The quadratic flow does not depend on the field strength, so its site
-    backs and their truncation mass come in as ``quad_parts`` and are
-    shared across strengths.
+    Each site's residual is summed as its own contiguous vector, so an
+    aggregate does not depend on which other sites share the block.
     """
-    space = gens.space
-    dx = space.grid.dx
-    backs_quad, top_quad = quad_parts
-    backs_full, top_full = site_backs(gens, trajectory, forward_full, t, dt, "full", n_field)
-    top = max(top_quad, top_full)
-
-    residuals = [
-        FockVector(space, bf.coeffs - bq.coeffs) for bf, bq in zip(backs_full, backs_quad)
-    ]
-    aggregates = {
-        j: sum(dx * shifted_number_norm(r, j) ** 2 for r in residuals) for j in (0, 1, 2)
+    space = full_backs.space
+    diff = np.ascontiguousarray((full_backs.coeffs - quad_backs.coeffs).T)
+    residuals = [FockVector(space, r) for r in diff]
+    return {
+        j: sum(space.grid.dx * shifted_number_norm(r, j) ** 2 for r in residuals) for j in (0, 1, 2)
     }
-    return ResidualField(aggregates, top)
-

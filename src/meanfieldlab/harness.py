@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +139,10 @@ class FockSectionConfig:
     initial_state: InitialStateConfig = field(
         default_factory=lambda: InitialStateConfig(center=1.7, width=0.8)
     )
+
+    def horizon(self) -> float:
+        """End of the lattice flows: the last identity or residual time, and at least 1."""
+        return max(max(self.identity_times), self.residual_time, 1.0)
 
 
 @dataclass(frozen=True)
@@ -334,13 +339,21 @@ class ConvergenceRun:
     fits: dict
 
 
-def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
-    """Full pipeline: Hartree, Bogoliubov correction, exact N-body sweep."""
+def _sample_times(config: ExperimentConfig) -> tuple:
+    """The sample times in ascending order, refused when empty or past the horizon."""
     sample_times = tuple(sorted(config.sample_times))
     if not sample_times:
-        raise ConfigError("need at least one sample time")
+        raise ConfigError("time.sample_times is empty: need at least one sample time")
     if sample_times[-1] > config.horizon + 1e-9:
-        raise ConfigError("sample times must lie within the horizon")
+        raise ConfigError("time.sample_times must lie within time.horizon")
+    return sample_times
+
+
+def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
+    """Full pipeline: Hartree, Bogoliubov correction, exact N-body sweep."""
+    sample_times = _sample_times(config)
+    if not config.particle_counts:
+        raise ConfigError("particle_counts is empty: need at least one particle count")
 
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, sample_times)
@@ -390,7 +403,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     }
 
     fits = {}
-    if len(config.particle_counts) >= 2:
+    if len(set(config.particle_counts)) >= 2:
         for ts in sample_times:
             fit = fit_rate(records_for_fit(records, ts))
             fits[repr(float(ts))] = asdict(fit)
@@ -431,8 +444,9 @@ def convergence_check(
 
     An exceeded diagnostic makes the run inconclusive rather than failed.
     """
-    if fit and len(config.particle_counts) < 2:
-        raise ConfigError("a rate fit needs at least two particle counts")
+    if fit and len(set(config.particle_counts)) < 2:
+        counts = list(config.particle_counts)
+        raise ConfigError(f"a rate fit needs at least two particle counts, got particle_counts {counts}")
     run = run_convergence(config, quiet)
     tol = config.tolerances
     worst = run.diagnostics["worst"]
@@ -474,6 +488,7 @@ def hartree_check(config: ExperimentConfig) -> tuple[Report, str]:
 
 def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, str]:
     """Pair-relation defect of the kernel flow, and defects and correction norms as CSV."""
+    _sample_times(config)
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
     rows = ["t,depletion,identity_defect,symmetry_defect"]
@@ -499,6 +514,13 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
     total squared mass, the Krasikov envelope (worst log margin, which must
     stay strictly negative), and the spread of the scaled weighted sums.
     """
+    if not config.combinatorics_counts:
+        raise ConfigError("combinatorics.counts is empty: need at least one count")
+    if not config.krasikov_grid or min(config.krasikov_grid) < 2:
+        raise ConfigError(
+            f"combinatorics.krasikov_grid {list(config.krasikov_grid)} needs at least one "
+            "entry, each at least 2, for an envelope check"
+        )
     rows = ["n,first_overlap,sum_sq,weighted_sum,scaled_weighted_sum"]
     lead_gaps, masses, scaled, margins = [], [], [], []
     for n in config.combinatorics_counts:
@@ -529,102 +551,75 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
 # Fock cross-validation
 
 
-def _lattice_observables(
-    config: ExperimentConfig, cutoff: int, couplings=None, column_sites=None
-) -> dict:
-    """Everything the cross checks need from one Fock engine at one cutoff.
+class LatticeBattery(NamedTuple):
+    """What the lattice engine gives the cross checks at one cutoff."""
 
-    A full battery runs every coupling value and every lattice site; the
-    cutoff-sweep rerun restricts both to the most exposed cases through
-    ``couplings`` and ``column_sites``.  Shared work is hoisted: one
-    quadratic evolution serves the depletion identity, the parity monitor,
-    and the kernel columns, its site backs serve every residual, and each
-    coupling gets a single full evolution whose final state carries the
-    number moment and whose midpoint snapshot seeds the residual battery.
+    leakage: float  # worst top-sector mass over every evolution of the battery
+    parity_odd: float  # worst odd-sector mass of the quadratic flow
+    identity_moments: dict  # identity time -> <N> of the quadratic flow
+    columns: np.ndarray  # one-particle values of each back-evolved a_y vacuum, one column per site
+    moments: dict  # coupling value -> <N> of the full flow at the horizon
+    residuals: dict  # coupling value -> the j = 1 residual aggregate
+
+
+def _lattice_battery(
+    gens: fk.GeneratorSet, traj: ha.HartreeTrajectory, fsec: FockSectionConfig, couplings, sites
+) -> LatticeBattery:
+    """Every lattice flow the cross checks need, on one generator set.
+
+    One quadratic evolution serves the depletion identity, the parity
+    monitor and the kernel columns (the back-evolved a_y of ``sites``), and
+    its site backs serve every residual; each coupling value gets a single
+    full evolution whose final state carries the number moment and whose
+    residual-time snapshot seeds the residual.
     """
-    fsec = config.fock
-    if couplings is None:
-        couplings = fsec.coupling_values
-    grid = config.fock_grid()
-    vsamp = sample_potential(config.potential, grid)
-    phi0 = fsec.initial_state.build(grid)
-    horizon = max(max(fsec.identity_times), fsec.residual_time, 1.0)
-    traj = ha.evolve_hartree(phi0, vsamp, grid, horizon, fsec.dt)
-    _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, horizon, fsec.dt, fsec.identity_times)
-
-    space = fk.LatticeFockSpace(grid, cutoff)
-    gens = fk.GeneratorSet(space, vsamp)
-
-    out = {"cutoff": cutoff, "leakage": 0.0}
-
-    # quadratic evolution: depletion identity, parity, kernel columns
+    space = gens.space
+    horizon = fsec.horizon()
     snap_times = tuple(sorted(set(fsec.identity_times) | {fsec.residual_time}))
     quad = fk.evolve_fock(
         gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "quadratic", 1.0, snap_times
     )
-    out["leakage"] = max(out["leakage"], quad.top_mass)
-    out["parity_odd"] = max(fk.odd_sector_mass(s) for s in quad.snapshots.values())
-    out["identity"] = {}
-    for ts in fsec.identity_times:
-        out["identity"][ts] = {
-            "depletion": bg.depletion(pair_snaps[ts]),
-            "moment": fk.number_moment(quad.snapshots[ts], 1),
-        }
-
-    # kernel columns against back-evolved annihilators at the last identity time
     t_k = max(fsec.identity_times)
-    pair_t = pair_snaps[t_k]
-    sites = tuple(range(grid.points)) if column_sites is None else tuple(column_sites)
     col_backs, col_top = fk.site_backs(
         gens, traj, quad.snapshots[t_k], t_k, fsec.dt, "quadratic", 1.0, sites
     )
-    out["leakage"] = max(out["leakage"], col_top)
-    out["column_errs"] = {}
-    for site, back in zip(sites, col_backs):
-        got = fk.one_particle_values(back)
-        want = pair_t.v[site]
-        out["column_errs"][site] = float(np.sqrt(np.sum(np.abs(got - want) ** 2) * grid.dx))
-    out["kernel_column_err"] = max(out["column_errs"].values())
-
-    # shared quadratic site backs for every residual battery
     quad_backs, qb_top = fk.site_backs(
         gens, traj, quad.snapshots[fsec.residual_time], fsec.residual_time, fsec.dt, "quadratic", 1.0
     )
-    out["leakage"] = max(out["leakage"], qb_top)
-
-    # full evolution per coupling value: number moments and residual aggregates
-    out["moments"] = {}
-    out["residual"] = {}
+    tops = [quad.top_mass, col_top, qb_top]
+    moments, residuals = {}, {}
     for n in couplings:
         full = fk.evolve_fock(
             gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "full", n, (fsec.residual_time,)
         )
-        out["leakage"] = max(out["leakage"], full.top_mass)
-        out["moments"][n] = fk.number_moment(full.state, 1)
-        res = fk.annihilator_residual(
-            gens,
-            traj,
-            fsec.residual_time,
-            fsec.dt,
-            n,
-            forward_full=full.snapshots[fsec.residual_time],
-            quad_parts=(quad_backs, qb_top),
+        moments[n] = fk.number_moment(full.state, 1)
+        full_backs, fb_top = fk.site_backs(
+            gens, traj, full.snapshots[fsec.residual_time], fsec.residual_time, fsec.dt, "full", n
         )
-        out["leakage"] = max(out["leakage"], res.top_mass)
-        out["residual"][n] = res.aggregates
-    return out
+        residuals[n] = fk.residual_aggregates(full_backs, quad_backs)[1]
+        tops += [full.top_mass, fb_top]
+    return LatticeBattery(
+        leakage=max(tops),
+        parity_odd=max(fk.odd_sector_mass(s) for s in quad.snapshots.values()),
+        identity_moments={ts: fk.number_moment(quad.snapshots[ts], 1) for ts in fsec.identity_times},
+        columns=fk.one_particle_values(col_backs),
+        moments=moments,
+        residuals=residuals,
+    )
 
 
 def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     """Engine-versus-kernel consistency battery with a cutoff sweep.
 
-    The full battery runs at the configured cutoff.  The sweep rerun at
-    cutoff + cutoff_step keeps the most exposed slice only: the smallest
-    coupling value (strongest cubic and quartic parts) and the worst kernel
-    column.  Each item carries a base/swept scalar pair; disagreement beyond
-    the cutoff_agreement tolerance marks the item inconclusive rather than
-    failed.  Vacuous settings (a sweep step below one, no coupling pair (a, 2a))
-    and a swept lattice refused by ``fock.admit_lattice`` are refused up front.
+    The Hartree trajectory and the pair kernels are computed once and serve
+    both cutoffs.  The full battery runs at the configured cutoff.  The sweep
+    rerun at cutoff + cutoff_step keeps the most exposed slice only: the
+    smallest coupling value (strongest cubic and quartic parts) and the worst
+    kernel column.  Each item carries a base/swept scalar pair; disagreement
+    beyond the cutoff_agreement tolerance marks the item inconclusive rather
+    than failed.  Vacuous settings (a sweep step below one, no coupling pair
+    (a, 2a), a coupling value below one, no identity time) and a swept
+    lattice refused by ``fock.admit_lattice`` are refused up front.
     """
     tol = config.tolerances
     fsec = config.fock
@@ -637,15 +632,37 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
             f"fock.coupling_values {list(fsec.coupling_values)} need two neighbouring "
             "values a and 2a for a residual ratio"
         )
+    if counts[0] < 1:
+        raise ConfigError(f"fock.coupling_values {list(fsec.coupling_values)} must all be at least 1")
+    if not fsec.identity_times:
+        raise ConfigError("fock.identity_times is empty: need at least one identity time")
     fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
-    lo = _lattice_observables(config, fsec.cutoff)
+
+    grid = config.fock_grid()
+    vsamp = sample_potential(config.potential, grid)
+    phi0 = fsec.initial_state.build(grid)
+    traj = ha.evolve_hartree(phi0, vsamp, grid, fsec.horizon(), fsec.dt)
+    _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, fsec.horizon(), fsec.dt, fsec.identity_times)
+    depletion = {ts: bg.depletion(pair_snaps[ts]) for ts in fsec.identity_times}
+    kernel_v = pair_snaps[max(fsec.identity_times)].v
+
+    def battery(cutoff, couplings, sites):
+        """The battery at one cutoff, and the distance of each site's column to its v-kernel row."""
+        run = _lattice_battery(
+            fk.GeneratorSet(fk.LatticeFockSpace(grid, cutoff), vsamp), traj, fsec, couplings, sites
+        )
+        errs = {
+            site: float(np.sqrt(np.sum(np.abs(run.columns[:, k] - kernel_v[site]) ** 2) * grid.dx))
+            for k, site in enumerate(sites)
+        }
+        return run, errs
+
+    lo, lo_errs = battery(fsec.cutoff, fsec.coupling_values, range(grid.points))
     if not quiet:
         print("[fock-check] base cutoff done", file=sys.stderr)
     n_probe = min(fsec.coupling_values)
-    worst_site = max(lo["column_errs"], key=lo["column_errs"].get)
-    hi = _lattice_observables(
-        config, fsec.cutoff + fsec.cutoff_step, couplings=(n_probe,), column_sites=(worst_site,)
-    )
+    worst_site = max(lo_errs, key=lo_errs.get)
+    hi, hi_errs = battery(fsec.cutoff + fsec.cutoff_step, (n_probe,), (worst_site,))
 
     items: list[CheckItem] = []
 
@@ -658,35 +675,31 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
         items.append(item)
 
     # truncation leakage across every evolution involved
-    add("leakage", lo["leakage"], tol.leakage, (lo["leakage"], hi["leakage"]))
+    add("leakage", lo.leakage, tol.leakage, (lo.leakage, hi.leakage))
 
     # depletion identity at each requested time
     for ts in fsec.identity_times:
-        d = lo["identity"][ts]
-        gap = abs(d["depletion"] - d["moment"])
-        thr = tol.identity_match * (1.0 + d["depletion"])
-        add(f"depletion_identity_t{ts}", gap, thr, (d["moment"], hi["identity"][ts]["moment"]))
+        gap = abs(depletion[ts] - lo.identity_moments[ts])
+        thr = tol.identity_match * (1.0 + depletion[ts])
+        swept = (lo.identity_moments[ts], hi.identity_moments[ts])
+        add(f"depletion_identity_t{ts}", gap, thr, swept)
 
     # v-kernel columns reproduced by the engine
-    add(
-        "kernel_columns",
-        lo["kernel_column_err"],
-        tol.identity_match,
-        (lo["column_errs"][worst_site], hi["column_errs"][worst_site]),
-    )
+    col_pair = (lo_errs[worst_site], hi_errs[worst_site])
+    add("kernel_columns", max(lo_errs.values()), tol.identity_match, col_pair)
 
     # parity conservation of the quadratic flow
-    add("parity_odd_mass", lo["parity_odd"], 1e-10, (lo["parity_odd"], hi["parity_odd"]))
+    add("parity_odd_mass", lo.parity_odd, 1e-10, (lo.parity_odd, hi.parity_odd))
 
     # number moments of the full flow stay order one across coupling values
-    moments = [lo["moments"][n] for n in fsec.coupling_values]
+    moments = [lo.moments[n] for n in fsec.coupling_values]
     ratio = max(moments) / min(moments)
-    add("moment_stability", ratio, 3.0, (lo["moments"][n_probe], hi["moments"][n_probe]))
+    add("moment_stability", ratio, 3.0, (lo.moments[n_probe], hi.moments[n_probe]))
 
     # residual aggregates halve when N doubles
-    res_pair = (lo["residual"][n_probe][1], hi["residual"][n_probe][1])
+    res_pair = (lo.residuals[n_probe], hi.residuals[n_probe])
     for a, b in pairs:
-        r_lo = lo["residual"][a][1] / lo["residual"][b][1]
+        r_lo = lo.residuals[a] / lo.residuals[b]
         add(
             f"residual_ratio_{a}_to_{b}",
             r_lo,

@@ -2,9 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines;
 the slow pieces (the exact N-body sweep and the lattice flows) are module
-or session fixtures, so the whole file costs about 185 s on an idle 2-vCPU
-x86-64 host with two BLAS threads, 152 s of it in the N-body sweep and about
-30 s in the lattice flows, with each timed computation also asserting its
+or session fixtures, so the whole file costs about 146 s on an idle 2-vCPU
+x86-64 host with two BLAS threads, 122 s of it in the N-body sweep and about
+22 s in the lattice flows, with each timed computation also asserting its
 own wall-clock budget.
 """
 
@@ -77,23 +77,20 @@ def residual_battery(lattice):
     quad = fk.evolve_fock(
         lattice.gens, fk.vacuum(lattice.space), traj, 0.0, t_res, dt, "quadratic", 1.0, (t_res,)
     )
-    leak = quad.top_mass
     quad_backs, qb_top = fk.site_backs(
         lattice.gens, traj, quad.snapshots[t_res], t_res, dt, "quadratic", 1.0
     )
-    leak = max(leak, qb_top)
+    leak = max(quad.top_mass, qb_top)
     aggregates = {}
     for n in couplings:
         full = fk.evolve_fock(
             lattice.gens, fk.vacuum(lattice.space), traj, 0.0, t_res, dt, "full", n, (t_res,)
         )
-        leak = max(leak, full.top_mass)
-        res = fk.annihilator_residual(
-            lattice.gens, traj, t_res, dt, n,
-            forward_full=full.snapshots[t_res], quad_parts=(quad_backs, qb_top),
+        full_backs, fb_top = fk.site_backs(
+            lattice.gens, traj, full.snapshots[t_res], t_res, dt, "full", n
         )
-        leak = max(leak, res.top_mass)
-        aggregates[n] = res.aggregates[1]
+        leak = max(leak, full.top_mass, fb_top)
+        aggregates[n] = fk.residual_aggregates(full_backs, quad_backs)[1]
     return aggregates, leak, time.perf_counter() - start
 
 

@@ -499,15 +499,14 @@ def test_residual_aggregates_decay_with_coupling(lattice):
     t, dt = 0.5, 2e-3
     fwd_quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "quadratic")
     bq, tq = fk.site_backs(gens, traj, fwd_quad.state, t, dt, "quadratic", 1.0)
-    parts = (bq, max(fwd_quad.top_mass, tq))
     aggs = {}
     for n in (8, 16):
         fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "full", n)
-        res = fk.annihilator_residual(gens, traj, t, dt, n, fwd.state, parts)
-        aggs[n] = res.aggregates
-        assert res.top_mass < 1e-4
+        bf, tf = fk.site_backs(gens, traj, fwd.state, t, dt, "full", n)
+        aggs[n] = fk.residual_aggregates(bf, bq)
+        assert max(fwd_quad.top_mass, tq, tf) < 1e-4
         # the (N+1)^j weights are >= 1 and increasing in j
-        assert res.aggregates[0] <= res.aggregates[1] <= res.aggregates[2]
+        assert aggs[n][0] <= aggs[n][1] <= aggs[n][2]
     for j in (0, 1, 2):
         assert 1.6 <= aggs[8][j] / aggs[16][j] <= 2.4
 
@@ -516,13 +515,13 @@ def test_site_backs_restriction(lattice):
     space, _, _, traj, gens = lattice
     fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic")
     all_backs, _ = fk.site_backs(gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0)
-    assert len(all_backs) == space.grid.points
+    assert all_backs.coeffs.shape == (space.dimension, space.grid.points)
     for site in range(space.grid.points):
         one_back, _ = fk.site_backs(
             gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0, sites=(site,)
         )
-        assert len(one_back) == 1
-        assert np.array_equal(one_back[0].coeffs, all_backs[site].coeffs)
+        assert one_back.coeffs.shape == (space.dimension, 1)
+        assert np.array_equal(one_back.coeffs[:, 0], all_backs.coeffs[:, site])
 
 
 def test_site_backs_rerun_is_bitwise_identical(lattice):
@@ -540,5 +539,4 @@ def test_site_backs_rerun_is_bitwise_identical(lattice):
     state = fk.product_state_fock(space, phi0, 3)
     runs = [fk.site_backs(gens, traj, state, t, dt, "full", 1.0) for _ in range(2)]
     assert runs[0][1] == runs[1][1]
-    for first, second in zip(runs[0][0], runs[1][0]):
-        assert np.array_equal(first.coeffs, second.coeffs)
+    assert np.array_equal(runs[0][0].coeffs, runs[1][0].coeffs)

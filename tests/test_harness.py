@@ -377,6 +377,19 @@ def test_battery_marks_cutoff_sensitive_numbers_inconclusive(tiny_config):
     json.dumps(report.to_dict())  # must be serializable as written
 
 
+def test_battery_evolves_each_one_body_flow_once(tiny_config, monkeypatch):
+    """Both cutoffs share one Hartree trajectory and one pair-kernel run."""
+    calls = {}
+    for module, name in ((hn.ha, "evolve_hartree"), (hn.bg, "evolve_pair")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    hn.cross_validate(tiny_config, quiet=True)
+    assert calls == {"evolve_hartree": 1, "evolve_pair": 1}
+
+
 def test_battery_fails_on_true_leakage():
     cfg = hn.ExperimentConfig.from_dict({**tiny_dict(), "fock": {**tiny_dict()["fock"], "cutoff": 12}})
     report = hn.cross_validate(cfg, quiet=True)
@@ -519,6 +532,8 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         ({"coupling_values": [8, 24]}, "fock.coupling_values"),  # no residual ratio item
         ({"coupling_values": [8]}, "fock.coupling_values"),
         ({"coupling_values": [8, 12, 16]}, "fock.coupling_values"),  # 8 and 16 are not neighbours
+        ({"coupling_values": [0, 0]}, "fock.coupling_values"),  # no field strength 1/N
+        ({"identity_times": []}, "fock.identity_times"),
     ],
 )
 def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragment):
@@ -532,3 +547,41 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragmen
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not (out / "fock_check.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, change, fragment",
+    [
+        pytest.param("nbody", {"particle_counts": []}, "particle_counts", id="nbody-no particle count"),
+        pytest.param("rate", {"particle_counts": [2, 2]}, "particle_counts", id="rate-one distinct count"),
+        pytest.param(
+            "bogoliubov", {"time": {"sample_times": []}}, "time.sample_times", id="bogoliubov-no sample time"
+        ),
+        pytest.param(
+            "laguerre", {"combinatorics": {"krasikov_grid": []}}, "combinatorics.krasikov_grid",
+            id="laguerre-no envelope count",
+        ),
+        pytest.param(
+            "laguerre", {"combinatorics": {"krasikov_grid": [1]}}, "combinatorics.krasikov_grid",
+            id="laguerre-no envelope order",
+        ),
+        pytest.param(
+            "laguerre", {"combinatorics": {"counts": []}}, "combinatorics.counts", id="laguerre-no count"
+        ),
+    ],
+)
+def test_cli_refuses_vacuous_settings(tmp_path, capsys, command, change, fragment):
+    raw = tiny_dict()
+    for key, value in change.items():
+        if isinstance(value, dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not any(out.iterdir())

@@ -12,6 +12,11 @@ rate-small workload at seed 0) were recorded with the potential phase taken
 as cos/sin of the dense interaction tensor, before it became a product of
 pair phases; each relative tolerance is ten times the round-off change that
 switch made.
+
+The lattice battery's items at the benchmark's fock-check-coarse config
+(seed 0) were recorded before its one-body flows were shared between the
+two cutoffs; the tolerance is 1e-12 relative, with an absolute floor for
+the exact zeros that stays below 1e-12 of every non-zero value.
 """
 
 from dataclasses import replace
@@ -20,7 +25,7 @@ import pytest
 
 from meanfieldlab import bogoliubov as bg
 from meanfieldlab import hartree as ha
-from meanfieldlab.harness import run_convergence
+from meanfieldlab.harness import ExperimentConfig, cross_validate, run_convergence
 
 # t: {quantity: (recorded value, absolute tolerance)}
 RECORDED = {
@@ -75,3 +80,27 @@ def test_small_sweep_keeps_its_recorded_records(config):
     for rec in run.records:
         for name, want in zip(SWEEP_REL_TOL, RECORDED_SWEEP[rec.N, rec.t]):
             assert getattr(rec, name) == pytest.approx(want, rel=SWEEP_REL_TOL[name], abs=0), (rec.N, rec.t, name)
+
+
+# item: (measured, details.base, details.swept)
+RECORDED_BATTERY = {
+    "leakage": (6.26639813541589e-07, 6.26639813541589e-07, 1.0350706755572141e-07),
+    "depletion_identity_t0.25": (6.519133291901791e-06, 0.007610961503568511, 0.0076109615035686445),
+    "depletion_identity_t0.5": (1.8238275533963982e-05, 0.027469257315642367, 0.027469257317004985),
+    "depletion_identity_t1.0": (4.6894171773378956e-05, 0.09635679157085635, 0.09635680158922143),
+    "kernel_columns": (6.305705826087989e-05, 6.305705826087989e-05, 6.293205169848982e-05),
+    "parity_odd_mass": (0.0, 0.0, 0.0),
+    "moment_stability": (1.0031860515145277, 0.09575143438790631, 0.09575158711366981),
+    "residual_ratio_8_to_16": (2.038194073675103, 0.00018111907575814226, 0.00018111650428338094),
+}
+BATTERY_REL_TOL = 1e-12
+BATTERY_ZERO_FLOOR = 1e-20
+
+
+def test_lattice_battery_keeps_its_recorded_items():
+    report = cross_validate(ExperimentConfig.from_dict({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
+    assert [item.name for item in report.items] == list(RECORDED_BATTERY)
+    for item in report.items:
+        got = (item.measured, item.details["base"], item.details["swept"])
+        for what, value, want in zip(("measured", "base", "swept"), got, RECORDED_BATTERY[item.name]):
+            assert value == pytest.approx(want, rel=BATTERY_REL_TOL, abs=BATTERY_ZERO_FLOOR), (item.name, what)
