@@ -1,10 +1,12 @@
 """Experiment harness: configuration, convergence runs, fits, cross-checks.
 
-Everything an experiment produces is derived from one ExperimentConfig, is
-bitwise reproducible (no timestamps, no threading, fixed summation orders),
-and lands in two files: a CSV of per-(N, t) records and a JSON manifest
-carrying the config (in the layout ``from_dict`` reads), its hash, library
-versions and diagnostic outcomes.
+Everything an experiment produces is derived from one ExperimentConfig and is
+bitwise reproducible (no timestamps, no threading, fixed summation orders).
+Each check behind a subcommand returns its Report and its output files as a
+dict from file name to text; it writes nothing itself.  A convergence run's
+files are a CSV of per-(N, t) records and a JSON manifest carrying the config
+(in the layout ``from_dict`` reads), its hash, library versions and
+diagnostic outcomes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -23,11 +25,19 @@ from . import combinatorics as comb_mod
 from . import fock as fk
 from . import hartree as ha
 from . import nbody as nb
-from .grid import GridSpec, PotentialSpec, gaussian_packet, sample_potential, sech_packet
+from .grid import GridSpec, PotentialSpec, gaussian_packet, sample_potential, sech_packet, step_schedule
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _on_steps(key: str, span: float, dt: float, offsets) -> None:
+    """Refuse, naming ``key``, a span or offsets that ``step_schedule`` refuses."""
+    try:
+        step_schedule(span, dt, offsets)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _in_section(section: str, key: str, default):
@@ -222,19 +232,24 @@ class RunRecord:
     sym_defect: float
     boundary_mass: float
 
-    def row(self) -> str:
-        vals = [str(self.N)] + [repr(float(getattr(self, c))) for c in RECORD_COLUMNS[1:]]
-        return ",".join(vals)
-
 
 RECORD_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
-def save_records(records, path):
-    lines = [",".join(RECORD_COLUMNS)]
-    lines.extend(r.row() for r in records)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def csv_table(header, rows) -> str:
+    """CSV text of a header and rows: ints as written, every other value as ``repr(float(v))``."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(blob) -> str:
+    """``blob`` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+def records_csv(records) -> str:
+    return csv_table(RECORD_COLUMNS, [astuple(r) for r in records])
 
 
 def load_records(path) -> list[RunRecord]:
@@ -340,13 +355,21 @@ class ConvergenceRun:
 
 
 def _sample_times(config: ExperimentConfig) -> tuple:
-    """The sample times in ascending order, refused when empty or past the horizon."""
+    """The sample times in ascending order, refused when empty, past the horizon or off its steps."""
     sample_times = tuple(sorted(config.sample_times))
     if not sample_times:
         raise ConfigError("time.sample_times is empty: need at least one sample time")
     if sample_times[-1] > config.horizon + 1e-9:
         raise ConfigError("time.sample_times must lie within time.horizon")
+    _on_steps("time.horizon", config.horizon, config.dt, ())
+    _on_steps("time.sample_times", config.horizon, config.dt, sample_times)
     return sample_times
+
+
+def _refuse_repeated_counts(config: ExperimentConfig) -> None:
+    counts = list(config.particle_counts)
+    if len(set(counts)) < len(counts):
+        raise ConfigError(f"particle_counts {counts} repeats a count")
 
 
 def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
@@ -354,6 +377,9 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     sample_times = _sample_times(config)
     if not config.particle_counts:
         raise ConfigError("particle_counts is empty: need at least one particle count")
+    _refuse_repeated_counts(config)
+    for start, end in zip((0.0,) + sample_times, sample_times):
+        _on_steps("time.sample_times on the time.nbody_dt steps", end - start, config.nbody_dt, ())
 
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, sample_times)
@@ -403,7 +429,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     }
 
     fits = {}
-    if len(set(config.particle_counts)) >= 2:
+    if len(config.particle_counts) >= 2:
         for ts in sample_times:
             fit = fit_rate(records_for_fit(records, ts))
             fits[repr(float(ts))] = asdict(fit)
@@ -423,28 +449,26 @@ def library_versions() -> dict:
     }
 
 
-def save_manifest(run: ConvergenceRun, path):
-    manifest = {
+def manifest_json(run: ConvergenceRun) -> str:
+    return json_text({
         "config": run.config.to_dict(),
         "config_hash": run.config.config_hash(),
         "versions": library_versions(),
         "n_records": len(run.records),
         "diagnostics": run.diagnostics,
         "rate_fits": run.fits,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def convergence_check(
     config: ExperimentConfig, fit: bool, quiet: bool = True
-) -> tuple[ConvergenceRun, Report]:
+) -> tuple[Report, dict]:
     """The N-body sweep, its diagnostics as items, and with ``fit`` the rate band.
 
     An exceeded diagnostic makes the run inconclusive rather than failed.
+    The files are ``records.csv`` and ``manifest.json``.
     """
-    if fit and len(set(config.particle_counts)) < 2:
+    if fit and len(config.particle_counts) < 2:
         counts = list(config.particle_counts)
         raise ConfigError(f"a rate fit needs at least two particle counts, got particle_counts {counts}")
     run = run_convergence(config, quiet)
@@ -461,14 +485,15 @@ def convergence_check(
         slope.details = {"band": [lo, hi]}
         items += [slope, _check("r_squared", final["r_squared"], tol.r_squared_min,
                                 ok=final["r_squared"] >= tol.r_squared_min)]
-    return run, Report(items)
+    return Report(items), {"records.csv": records_csv(run.records), "manifest.json": manifest_json(run)}
 
 
-def hartree_check(config: ExperimentConfig) -> tuple[Report, str]:
-    """Mass and energy drift of the Hartree flow, and its monitor table as CSV."""
+def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
+    """Mass and energy drift of the Hartree flow, and its monitor table as ``hartree.csv``."""
+    _on_steps("time.horizon", config.horizon, config.dt, ())
     grid, vsamp, _, traj = _hartree_flow(config)
     e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
-    rows = ["t,mass_drift,energy_drift,boundary_mass"]
+    rows = []
     worst_mass = worst_energy = 0.0
     stride = max(1, len(traj.times) // 64)
     for i in range(0, len(traj.times), stride):
@@ -477,38 +502,40 @@ def hartree_check(config: ExperimentConfig) -> tuple[Report, str]:
         ed = abs(ha.hartree_energy(phi, vsamp, grid) - e0)
         worst_mass = max(worst_mass, md)
         worst_energy = max(worst_energy, ed)
-        rows.append(f"{float(traj.times[i])!r},{md!r},{ed!r},{ha.boundary_mass(phi, grid)!r}")
+        rows.append((traj.times[i], md, ed, ha.boundary_mass(phi, grid)))
     tol = config.tolerances
     report = Report([
         _check("mass_drift", worst_mass, tol.mass_drift),
         _check("energy_drift", worst_energy, tol.energy_drift * max(abs(e0), 1.0)),
     ])
-    return report, "\n".join(rows) + "\n"
+    return report, {"hartree.csv": csv_table(("t", "mass_drift", "energy_drift", "boundary_mass"), rows)}
 
 
-def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, str]:
-    """Pair-relation defect of the kernel flow, and defects and correction norms as CSV."""
+def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
+    """Pair-relation defect of the kernel flow, and ``bogoliubov.csv``: the
+    defects, a blank line, then the correction norms."""
     _sample_times(config)
+    _refuse_repeated_counts(config)
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
-    rows = ["t,depletion,identity_defect,symmetry_defect"]
+    defects, norms = [], []
     worst = 0.0
     for ts in sorted(snaps):
         d1, d2 = bg.symplectic_defect(snaps[ts])
         worst = max(worst, d1, d2)
-        rows.append(f"{ts!r},{bg.depletion(snaps[ts])!r},{d1!r},{d2!r}")
-    rows.append("")
-    rows.append("N,t,correction_norm")
+        defects.append((ts, bg.depletion(snaps[ts]), d1, d2))
     for n in config.particle_counts:
         for ts in sorted(snaps):
             corr = bg.correction_kernel(snaps[ts], phi0, traj.state_at(ts), n)
-            rows.append(f"{n},{ts!r},{corr.norm()!r}")
+            norms.append((n, ts, corr.norm()))
     report = Report([_check("pair_relation_defect", worst, config.tolerances.defect)])
-    return report, "\n".join(rows) + "\n"
+    table = (csv_table(("t", "depletion", "identity_defect", "symmetry_defect"), defects) + "\n"
+             + csv_table(("N", "t", "correction_norm"), norms))
+    return report, {"bogoliubov.csv": table}
 
 
-def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
-    """Sector-overlap tables against their bounds, and the tables as CSV.
+def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
+    """Sector-overlap tables against their bounds, and the tables as ``laguerre.csv``.
 
     Items: the leading value against its closed form (relative gap), the
     total squared mass, the Krasikov envelope (worst log margin, which must
@@ -521,13 +548,13 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
             f"combinatorics.krasikov_grid {list(config.krasikov_grid)} needs at least one "
             "entry, each at least 2, for an envelope check"
         )
-    rows = ["n,first_overlap,sum_sq,weighted_sum,scaled_weighted_sum"]
+    rows = []
     lead_gaps, masses, scaled, margins = [], [], [], []
     for n in config.combinatorics_counts:
         table = comb_mod.sector_overlaps(n)
         ws = comb_mod.weighted_sector_sum(table)
         first = table.values[0]
-        rows.append(f"{n},{float(first)!r},{table.sum_sq!r},{ws.value!r},{ws.scaled!r}")
+        rows.append((n, first, table.sum_sq, ws.value, ws.scaled))
         lead_gaps.append(abs(first - np.exp(-comb_mod.log_coherent_norm(n))) / first)
         masses.append(table.sum_sq)
         scaled.append(ws.scaled)
@@ -544,7 +571,8 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, str]:
         _check("envelope_log_margin", margin, 0.0, ok=margin < 0.0),
         _check("weighted_sum_spread", max(scaled) / min(scaled), 10.0),
     ])
-    return report, "\n".join(rows) + "\n"
+    header = ("n", "first_overlap", "sum_sq", "weighted_sum", "scaled_weighted_sum")
+    return report, {"laguerre.csv": csv_table(header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +636,7 @@ def _lattice_battery(
     )
 
 
-def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
+def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report, dict]:
     """Engine-versus-kernel consistency battery with a cutoff sweep.
 
     The Hartree trajectory and the pair kernels are computed once and serve
@@ -618,8 +646,9 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
     kernel column.  Each item carries a base/swept scalar pair; disagreement
     beyond the cutoff_agreement tolerance marks the item inconclusive rather
     than failed.  Vacuous settings (a sweep step below one, no coupling pair
-    (a, 2a), a coupling value below one, no identity time) and a swept
-    lattice refused by ``fock.admit_lattice`` are refused up front.
+    (a, 2a), a coupling value below one, no identity time), times off the
+    fock.dt steps, and a swept lattice refused by ``fock.admit_lattice`` are
+    refused up front.  The file is ``fock_check.json``, the report itself.
     """
     tol = config.tolerances
     fsec = config.fock
@@ -636,6 +665,10 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
         raise ConfigError(f"fock.coupling_values {list(fsec.coupling_values)} must all be at least 1")
     if not fsec.identity_times:
         raise ConfigError("fock.identity_times is empty: need at least one identity time")
+    # the backward flows start at the residual time and the last identity time
+    _on_steps("fock.residual_time", fsec.residual_time, fsec.dt, ())
+    _on_steps("fock.identity_times", max(fsec.identity_times), fsec.dt, fsec.identity_times)
+    _on_steps("fock.dt (against the lattice horizon)", fsec.horizon(), fsec.dt, ())
     fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
 
     grid = config.fock_grid()
@@ -707,4 +740,5 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> Report:
             res_pair,
             ok=1.6 <= r_lo <= 2.4,
         )
-    return Report(items)
+    report = Report(items)
+    return report, {"fock_check.json": json_text(report.to_dict())}

@@ -251,7 +251,7 @@ def test_sector_overlap_table_honors_its_bounds(config):
     assert ok, line
 
 
-def test_solver_hygiene(convergence, config, main_grid, potential_samples, phi0, tmp_path):
+def test_solver_hygiene(convergence, config, main_grid, potential_samples, phi0):
     run, _ = convergence
     mass_worst = run.diagnostics["worst"]["mass_drift"]
 
@@ -284,12 +284,9 @@ def test_solver_hygiene(convergence, config, main_grid, potential_samples, phi0,
         "time": {"horizon": 0.1, "dt": 1e-3, "nbody_dt": 2e-3, "sample_times": [0.05, 0.1]},
     })
     blobs = []
-    for tag in ("a", "b"):
+    for _ in range(2):
         rerun = hn.run_convergence(reduced, quiet=True)
-        rec, man = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
-        hn.save_records(rerun.records, rec)
-        hn.save_manifest(rerun, man)
-        blobs.append((rec.read_bytes(), man.read_bytes()))
+        blobs.append((hn.records_csv(rerun.records), hn.manifest_json(rerun)))
     deterministic = blobs[0] == blobs[1]
 
     ok = (

@@ -3,10 +3,11 @@
 The oracles: hand-applied ladder arithmetic on explicit occupation states,
 a dict from occupation vectors to basis positions built in the test,
 the Poisson closed form for displaced vacua, the dense matrix exponential,
-and a from-scratch second-quantized dense assembly of the fluctuation
-generator.
+a from-scratch second-quantized dense assembly of the fluctuation
+generator, and the dense N-body Hamiltonian of the first-quantized engine.
 """
 
+import functools
 import tracemalloc
 from math import comb, factorial, sqrt
 
@@ -18,8 +19,16 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import meanfieldlab.fock as fk
-from meanfieldlab.grid import GridSpec, PotentialSpec, normalize, sample_potential
+from meanfieldlab.grid import (
+    GridSpec,
+    PotentialSpec,
+    gaussian_packet,
+    kinetic_matrix,
+    normalize,
+    sample_potential,
+)
 from meanfieldlab.hartree import evolve_hartree
+from meanfieldlab.nbody import interaction_tensor, product_state, reduce_marginal
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +457,35 @@ def test_cubic_and_quartic_annihilate_vacuum(lattice):
     assert np.all(gens.matrix(phi0, "quartic", 3.0) @ vac == 0)
     with pytest.raises(ValueError):
         gens.coefficients(phi0, "cubic+quartic", 3.0)
+
+
+def test_zero_field_generator_is_the_n_body_hamiltonian():
+    """At phi = 0 the full generator with n_field = N acts on sector N as H_N.
+
+    H_N = sum_k T_k + (1/N) sum_{i<j} V(x_i - x_j) is the dense engine's
+    Hamiltonian; the lattice one-body density <b_y* b_x> / (N dx) of the
+    evolved product state must equal the dense engine's marginal.
+    """
+    grid = GridSpec(6, 6.0)
+    vs = sample_potential(PotentialSpec("gaussian", 2.0, 1.0), grid)
+    phi = gaussian_packet(grid, 2.5, 0.8, 1.0)
+    n, t, m = 3, 0.3, grid.points
+    space = fk.LatticeFockSpace(grid, n + 2)
+    h = fk.GeneratorSet(space, vs).matrix(np.zeros(m), "full", n)
+    coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi, n).coeffs, t)
+    outside = np.sum(np.abs(coeffs) ** 2) - np.sum(np.abs(coeffs[space.sector_slice(n)]) ** 2)
+    assert abs(outside) < 1e-12
+    lowered = np.stack([b @ coeffs for b in space.annihilators], axis=1)
+    gamma_lattice = lowered.T @ lowered.conj() / (n * grid.dx)
+
+    eye = np.eye(m)
+    dense = np.diag(interaction_tensor(grid, vs, n).ravel())
+    for axis in range(n):
+        dense += functools.reduce(np.kron, [kinetic_matrix(grid) if k == axis else eye for k in range(n)])
+    state = product_state(phi, n, grid)
+    state.psi = (expm(-1j * t * dense) @ state.psi.ravel()).reshape(state.psi.shape)
+    gamma_dense = reduce_marginal(state, 1).matrix
+    assert np.max(np.abs(gamma_lattice - gamma_dense)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

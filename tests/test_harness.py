@@ -259,7 +259,7 @@ def _fake_records():
 def test_records_round_trip_exactly(tmp_path):
     path = tmp_path / "records.csv"
     recs = _fake_records()
-    hn.save_records(recs, path)
+    path.write_text(hn.records_csv(recs))
     assert hn.load_records(path) == recs
 
 
@@ -317,7 +317,7 @@ def test_pipeline_rejects_bad_sample_plans(tiny_config):
 
 def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_config):
     strict = replace(tiny_config.tolerances, sym_defect=0.0)
-    _, report = hn.convergence_check(replace(tiny_config, tolerances=strict), fit=True)
+    report, _ = hn.convergence_check(replace(tiny_config, tolerances=strict), fit=True)
     status = {item.name: item.status for item in report.items}
     assert status == {
         "mass_drift": "pass",
@@ -328,36 +328,31 @@ def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_confi
     }
     assert report.status == "inconclusive"
     off_band = replace(strict, rate_band=(-0.5, 0.0))
-    _, report = hn.convergence_check(replace(tiny_config, tolerances=off_band), fit=True)
+    report, _ = hn.convergence_check(replace(tiny_config, tolerances=off_band), fit=True)
     assert report.status == "fail"
 
 
-def test_manifest_is_deterministic(tmp_path, tiny_run, tiny_config):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    hn.save_manifest(tiny_run, a)
-    hn.save_manifest(tiny_run, b)
-    blob = json.loads(a.read_text())
+def test_manifest_is_deterministic(tiny_run, tiny_config):
+    a, b = hn.manifest_json(tiny_run), hn.manifest_json(tiny_run)
+    blob = json.loads(a)
     assert blob["config_hash"] == tiny_config.config_hash()
     assert blob["n_records"] == 4
     assert "versions" in blob and "rate_fits" in blob
-    assert a.read_bytes() == b.read_bytes()
+    assert a == b
     # the config block is a valid config file for a rerun
     assert hn.ExperimentConfig.from_dict(blob["config"]) == tiny_config
 
 
-def test_rerun_writes_bitwise_identical_records(tmp_path, tiny_config, tiny_run):
+def test_rerun_writes_bitwise_identical_records(tiny_config, tiny_run):
     again = hn.run_convergence(tiny_config, quiet=True)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    hn.save_records(tiny_run.records, a)
-    hn.save_records(again.records, b)
-    assert a.read_bytes() == b.read_bytes()
+    assert hn.records_csv(tiny_run.records) == hn.records_csv(again.records)
 
 
 # ---------------------------------------------------------------- lattice battery
 
 
 def test_battery_marks_cutoff_sensitive_numbers_inconclusive(tiny_config):
-    report = hn.cross_validate(tiny_config, quiet=True)
+    report, files = hn.cross_validate(tiny_config, quiet=True)
     by_name = {item.name: item for item in report.items}
     assert set(by_name) == {
         "leakage",
@@ -374,7 +369,7 @@ def test_battery_marks_cutoff_sensitive_numbers_inconclusive(tiny_config):
     assert by_name["parity_odd_mass"].measured == 0.0
     assert by_name["depletion_identity_t0.25"].status == "pass"
     assert report.status == "inconclusive"
-    json.dumps(report.to_dict())  # must be serializable as written
+    assert json.loads(files["fock_check.json"]) == report.to_dict()
 
 
 def test_battery_evolves_each_one_body_flow_once(tiny_config, monkeypatch):
@@ -392,7 +387,7 @@ def test_battery_evolves_each_one_body_flow_once(tiny_config, monkeypatch):
 
 def test_battery_fails_on_true_leakage():
     cfg = hn.ExperimentConfig.from_dict({**tiny_dict(), "fock": {**tiny_dict()["fock"], "cutoff": 12}})
-    report = hn.cross_validate(cfg, quiet=True)
+    report, _ = hn.cross_validate(cfg, quiet=True)
     by_name = {item.name: item for item in report.items}
     # cutoff 12 on two sites: the sweep agrees, the number is just too big
     assert by_name["leakage"].status == "fail"
@@ -461,6 +456,20 @@ def test_cli_rerun_is_bitwise_identical(tmp_path, cfg_file, command):
         cli.main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"])
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_cli_looks_up_the_checks_when_it_runs(tmp_path, cfg_file, monkeypatch):
+    """A wrapper installed on the harness module after import is the one the CLI calls."""
+    calls = {}
+    for name in ("run_convergence", "cross_validate"):
+        def counted(*args, _original=getattr(hn, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hn, name, counted)
+    for command in ("rate", "fock-check"):
+        cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path / command), "--quiet"])
+    assert calls == {"run_convergence": 1, "cross_validate": 1}
 
 
 def test_cli_missing_config_reports_error(tmp_path, capsys):
@@ -534,6 +543,12 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         ({"coupling_values": [8, 12, 16]}, "fock.coupling_values"),  # 8 and 16 are not neighbours
         ({"coupling_values": [0, 0]}, "fock.coupling_values"),  # no field strength 1/N
         ({"identity_times": []}, "fock.identity_times"),
+        # no backward flow from time zero
+        ({"residual_time": 0.0}, "fock.residual_time"),
+        # off the fock.dt = 0.005 steps
+        ({"identity_times": [0.2525, 0.5]}, "fock.identity_times"),
+        # a lattice horizon of 1 is not a whole number of steps
+        ({"dt": 0.3, "residual_time": 0.6, "identity_times": [0.3, 0.9]}, "fock.dt"),
     ],
 )
 def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragment):
@@ -554,6 +569,17 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragmen
     [
         pytest.param("nbody", {"particle_counts": []}, "particle_counts", id="nbody-no particle count"),
         pytest.param("rate", {"particle_counts": [2, 2]}, "particle_counts", id="rate-one distinct count"),
+        pytest.param("nbody", {"particle_counts": [2, 2]}, "particle_counts", id="nbody-repeated count"),
+        pytest.param("rate", {"particle_counts": [2, 2, 3]}, "particle_counts", id="rate-repeated count"),
+        pytest.param("bogoliubov", {"particle_counts": [3, 2, 3]}, "particle_counts", id="bogoliubov-repeated count"),
+        pytest.param("hartree", {"time": {"horizon": 0.2005}}, "time.horizon", id="hartree-horizon off the steps"),
+        pytest.param(
+            "bogoliubov", {"time": {"sample_times": [0.1005, 0.2]}}, "time.sample_times",
+            id="bogoliubov-sample time off the steps",
+        ),
+        pytest.param(
+            "rate", {"time": {"sample_times": [0.1, 0.105]}}, "time.nbody_dt", id="rate-sample time off the N-body steps"
+        ),
         pytest.param(
             "bogoliubov", {"time": {"sample_times": []}}, "time.sample_times", id="bogoliubov-no sample time"
         ),

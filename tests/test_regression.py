@@ -98,7 +98,7 @@ BATTERY_ZERO_FLOOR = 1e-20
 
 
 def test_lattice_battery_keeps_its_recorded_items():
-    report = cross_validate(ExperimentConfig.from_dict({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
+    report, _ = cross_validate(ExperimentConfig.from_dict({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
     assert [item.name for item in report.items] == list(RECORDED_BATTERY)
     for item in report.items:
         got = (item.measured, item.details["base"], item.details["swept"])
