@@ -183,13 +183,6 @@ def gaussian_packet(grid: GridSpec, center: float, width: float, momentum: float
     return normalize(psi, grid)
 
 
-def sech_packet(grid: GridSpec, center: float, width: float) -> np.ndarray:
-    """Normalized sech profile, a smooth ground-state-like bump."""
-    x = grid.x
-    shift = np.minimum(np.abs(x - center), grid.length - np.abs(x - center))
-    return normalize(1.0 / np.cosh(shift / width), grid)
-
-
 def free_gaussian_exact(x, t, center, width, momentum, length, images: int = 8):
     """Closed-form free evolution of a periodized Gaussian packet.
 

@@ -5,8 +5,8 @@ bitwise reproducible (no timestamps, no threading, fixed summation orders).
 Each check behind a subcommand returns its Report and its output files as a
 dict from file name to text; it writes nothing itself.  A convergence run's
 files are a CSV of per-(N, t) records and a JSON manifest carrying the config
-(in the layout ``from_dict`` reads), its hash, library versions and
-diagnostic outcomes.
+(in the layout ``from_dict`` reads), its hash, the verdict thresholds
+(``THRESHOLDS``, fixed in code), library versions and diagnostic outcomes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import combinatorics as comb_mod
 from . import fock as fk
 from . import hartree as ha
 from . import nbody as nb
-from .grid import GridSpec, PotentialSpec, gaussian_packet, sample_potential, sech_packet, step_schedule
+from .grid import GridSpec, PotentialSpec, gaussian_packet, sample_potential, step_schedule
 
 
 class ConfigError(ValueError):
@@ -123,17 +123,12 @@ def _to_json(value):
 
 @dataclass(frozen=True)
 class InitialStateConfig:
-    profile: str = "gaussian"
     center: float = 8.0
     width: float = 1.0
     momentum: float = 0.0
 
     def build(self, grid: GridSpec) -> np.ndarray:
-        if self.profile == "gaussian":
-            return gaussian_packet(grid, self.center, self.width, self.momentum)
-        if self.profile == "sech":
-            return sech_packet(grid, self.center, self.width)
-        raise ConfigError(f"unknown initial profile {self.profile!r}")
+        return gaussian_packet(grid, self.center, self.width, self.momentum)
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,9 @@ class FockSectionConfig:
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
+class Thresholds:
+    """The limit of each verdict item, by item name; no config key moves one."""
+
     mass_drift: float = 1e-10
     energy_drift: float = 1e-6
     sym_defect: float = 1e-9
@@ -167,6 +164,16 @@ class ToleranceConfig:
     defect: float = 1e-6
     rate_band: tuple = (-1.35, -0.75)
     r_squared_min: float = 0.98
+    parity_odd_mass: float = 1e-10
+    moment_stability: float = 3.0
+    residual_ratio_band: tuple = (1.6, 2.4)
+    leading_value: float = 1e-12
+    total_mass: float = 1.0 + 1e-10
+    weighted_sum_spread: float = 10.0
+
+
+# Every check reads this module attribute when it runs, so a test can swap it.
+THRESHOLDS = Thresholds()
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,6 @@ class ExperimentConfig:
     fock: FockSectionConfig = field(default_factory=FockSectionConfig)
     combinatorics_counts: tuple = _in_section("combinatorics", "counts", (4, 16, 64, 256, 1024))
     krasikov_grid: tuple = _in_section("combinatorics", "krasikov_grid", (10, 50, 200))
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_points, self.grid_length)
@@ -366,10 +372,25 @@ def _sample_times(config: ExperimentConfig) -> tuple:
     return sample_times
 
 
-def _refuse_repeated_counts(config: ExperimentConfig) -> None:
+def _refuse_repeats(key: str, values) -> None:
+    values = list(values)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} {values} repeats a value")
+
+
+def _refuse_bad_counts(config: ExperimentConfig, sweep: bool) -> None:
+    """Refuse, naming particle_counts, a repeated count, a count below 1 and,
+    for an N-body ``sweep``, a count whose sweep ``nb.admit_sweep`` refuses."""
     counts = list(config.particle_counts)
-    if len(set(counts)) < len(counts):
-        raise ConfigError(f"particle_counts {counts} repeats a count")
+    _refuse_repeats("particle_counts", counts)
+    if min(counts, default=1) < 1:
+        raise ConfigError(f"particle_counts {counts} must all be at least 1")
+    if sweep:
+        for n in counts:
+            try:
+                nb.admit_sweep(config.grid_points, n)
+            except MemoryError as exc:
+                raise MemoryError(f"particle_counts {counts}: {exc}") from exc
 
 
 def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
@@ -377,7 +398,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     sample_times = _sample_times(config)
     if not config.particle_counts:
         raise ConfigError("particle_counts is empty: need at least one particle count")
-    _refuse_repeated_counts(config)
+    _refuse_bad_counts(config, sweep=True)
     for start, end in zip((0.0,) + sample_times, sample_times):
         _on_steps("time.sample_times on the time.nbody_dt steps", end - start, config.nbody_dt, ())
 
@@ -418,7 +439,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
             worst["boundary_mass"] = max(worst["boundary_mass"], rec.boundary_mass)
             worst["energy_drift"] = max(worst["energy_drift"], rec.energy_drift)
 
-    tol = config.tolerances
+    tol = THRESHOLDS
     diagnostics = {
         "worst": worst,
         "ok": {
@@ -453,6 +474,7 @@ def manifest_json(run: ConvergenceRun) -> str:
     return json_text({
         "config": run.config.to_dict(),
         "config_hash": run.config.config_hash(),
+        "thresholds": _to_json(THRESHOLDS),
         "versions": library_versions(),
         "n_records": len(run.records),
         "diagnostics": run.diagnostics,
@@ -472,7 +494,7 @@ def convergence_check(
         counts = list(config.particle_counts)
         raise ConfigError(f"a rate fit needs at least two particle counts, got particle_counts {counts}")
     run = run_convergence(config, quiet)
-    tol = config.tolerances
+    tol = THRESHOLDS
     worst = run.diagnostics["worst"]
     items = [
         CheckItem(name, "pass" if ok else "inconclusive", float(worst[name]), getattr(tol, name))
@@ -503,7 +525,7 @@ def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
         worst_mass = max(worst_mass, md)
         worst_energy = max(worst_energy, ed)
         rows.append((traj.times[i], md, ed, ha.boundary_mass(phi, grid)))
-    tol = config.tolerances
+    tol = THRESHOLDS
     report = Report([
         _check("mass_drift", worst_mass, tol.mass_drift),
         _check("energy_drift", worst_energy, tol.energy_drift * max(abs(e0), 1.0)),
@@ -515,7 +537,7 @@ def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
     """Pair-relation defect of the kernel flow, and ``bogoliubov.csv``: the
     defects, a blank line, then the correction norms."""
     _sample_times(config)
-    _refuse_repeated_counts(config)
+    _refuse_bad_counts(config, sweep=False)
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
     defects, norms = [], []
@@ -528,7 +550,7 @@ def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
         for ts in sorted(snaps):
             corr = bg.correction_kernel(snaps[ts], phi0, traj.state_at(ts), n)
             norms.append((n, ts, corr.norm()))
-    report = Report([_check("pair_relation_defect", worst, config.tolerances.defect)])
+    report = Report([_check("pair_relation_defect", worst, THRESHOLDS.defect)])
     table = (csv_table(("t", "depletion", "identity_defect", "symmetry_defect"), defects) + "\n"
              + csv_table(("N", "t", "correction_norm"), norms))
     return report, {"bogoliubov.csv": table}
@@ -566,10 +588,10 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
     # np.max, unlike max, carries a NaN through to a failed item
     margin = np.max(margins, initial=-np.inf)
     report = Report([
-        _check("leading_value", np.max(lead_gaps), 1e-12),
-        _check("total_mass", np.max(masses), 1.0 + 1e-10),
+        _check("leading_value", np.max(lead_gaps), THRESHOLDS.leading_value),
+        _check("total_mass", np.max(masses), THRESHOLDS.total_mass),
         _check("envelope_log_margin", margin, 0.0, ok=margin < 0.0),
-        _check("weighted_sum_spread", max(scaled) / min(scaled), 10.0),
+        _check("weighted_sum_spread", max(scaled) / min(scaled), THRESHOLDS.weighted_sum_spread),
     ])
     header = ("n", "first_overlap", "sum_sq", "weighted_sum", "scaled_weighted_sum")
     return report, {"laguerre.csv": csv_table(header, rows)}
@@ -644,16 +666,18 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     rerun at cutoff + cutoff_step keeps the most exposed slice only: the
     smallest coupling value (strongest cubic and quartic parts) and the worst
     kernel column.  Each item carries a base/swept scalar pair; disagreement
-    beyond the cutoff_agreement tolerance marks the item inconclusive rather
-    than failed.  Vacuous settings (a sweep step below one, no coupling pair
-    (a, 2a), a coupling value below one, no identity time), times off the
-    fock.dt steps, and a swept lattice refused by ``fock.admit_lattice`` are
-    refused up front.  The file is ``fock_check.json``, the report itself.
+    beyond the cutoff_agreement threshold marks the item inconclusive rather
+    than failed.  Vacuous settings (fewer than one site, a cutoff or a sweep
+    step below one, no coupling pair (a, 2a), a coupling value below one, a
+    repeated coupling value or identity time, no identity time), times off
+    the fock.dt steps, and a swept lattice refused by ``fock.admit_lattice``
+    are refused up front.  The file is ``fock_check.json``, the report itself.
     """
-    tol = config.tolerances
+    tol = THRESHOLDS
     fsec = config.fock
-    if fsec.cutoff_step < 1:
-        raise ConfigError(f"fock.cutoff_step must be at least 1, got {fsec.cutoff_step}")
+    for key in ("sites", "cutoff", "cutoff_step"):
+        if getattr(fsec, key) < 1:
+            raise ConfigError(f"fock.{key} must be at least 1, got {getattr(fsec, key)}")
     counts = sorted(fsec.coupling_values)
     pairs = [(a, b) for a, b in zip(counts, counts[1:]) if b == 2 * a]
     if not pairs:
@@ -663,8 +687,10 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
         )
     if counts[0] < 1:
         raise ConfigError(f"fock.coupling_values {list(fsec.coupling_values)} must all be at least 1")
+    _refuse_repeats("fock.coupling_values", fsec.coupling_values)
     if not fsec.identity_times:
         raise ConfigError("fock.identity_times is empty: need at least one identity time")
+    _refuse_repeats("fock.identity_times", fsec.identity_times)
     # the backward flows start at the residual time and the last identity time
     _on_steps("fock.residual_time", fsec.residual_time, fsec.dt, ())
     _on_steps("fock.identity_times", max(fsec.identity_times), fsec.dt, fsec.identity_times)
@@ -722,23 +748,18 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     add("kernel_columns", max(lo_errs.values()), tol.identity_match, col_pair)
 
     # parity conservation of the quadratic flow
-    add("parity_odd_mass", lo.parity_odd, 1e-10, (lo.parity_odd, hi.parity_odd))
+    add("parity_odd_mass", lo.parity_odd, tol.parity_odd_mass, (lo.parity_odd, hi.parity_odd))
 
     # number moments of the full flow stay order one across coupling values
     moments = [lo.moments[n] for n in fsec.coupling_values]
     ratio = max(moments) / min(moments)
-    add("moment_stability", ratio, 3.0, (lo.moments[n_probe], hi.moments[n_probe]))
+    add("moment_stability", ratio, tol.moment_stability, (lo.moments[n_probe], hi.moments[n_probe]))
 
     # residual aggregates halve when N doubles
     res_pair = (lo.residuals[n_probe], hi.residuals[n_probe])
+    r_min, r_max = tol.residual_ratio_band
     for a, b in pairs:
         r_lo = lo.residuals[a] / lo.residuals[b]
-        add(
-            f"residual_ratio_{a}_to_{b}",
-            r_lo,
-            2.4,
-            res_pair,
-            ok=1.6 <= r_lo <= 2.4,
-        )
+        add(f"residual_ratio_{a}_to_{b}", r_lo, r_max, res_pair, ok=r_min <= r_lo <= r_max)
     report = Report(items)
     return report, {"fock_check.json": json_text(report.to_dict())}

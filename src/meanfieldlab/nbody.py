@@ -3,8 +3,8 @@
 The Hamiltonian is the sum of one-body spectral kinetic terms and the
 mean-field-scaled pair interaction (1/N) sum_{i<j} V(x_i - x_j).  States are
 dense complex tensors of shape (M,)*N, so memory is the binding constraint;
-``product_state`` refuses an (M, N) pair whose sweep working set exceeds a
-byte budget before allocating.
+``admit_sweep``, which ``product_state`` calls, refuses an (M, N) pair whose
+sweep working set exceeds a byte budget before allocating.
 
 Propagation is Strang splitting with the kinetic half steps fused across
 consecutive steps.  ``split_step`` builds the operators of one step once per
@@ -80,20 +80,25 @@ def working_set_bytes(points: int, n: int) -> int:
     return 3 * 16 * points**n
 
 
+def admit_sweep(points: int, n: int) -> int:
+    """Working set of a sweep over (points,)*n, a ``MemoryError`` above WORKING_SET_BUDGET."""
+    need = working_set_bytes(points, n)
+    if need > WORKING_SET_BUDGET:
+        raise MemoryError(
+            f"a sweep over {points}^{n} amplitudes needs {need} bytes, "
+            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
+        )
+    return need
+
+
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
     """Tensor power phi^(x) n, the factorized N-body initial state.
 
-    Refused with ``MemoryError``, before anything is allocated, when the
-    working set of a sweep over this state exceeds WORKING_SET_BUDGET.
+    Refused by ``admit_sweep`` before anything is allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
-    need = working_set_bytes(grid.points, n)
-    if need > WORKING_SET_BUDGET:
-        raise MemoryError(
-            f"a sweep over {grid.points}^{n} amplitudes needs {need} bytes, "
-            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
-        )
+    admit_sweep(grid.points, n)
     phi = np.asarray(phi, dtype=complex)
     psi = phi
     for _ in range(n - 1):

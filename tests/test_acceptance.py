@@ -114,18 +114,18 @@ def count_moments(lattice):
 def test_marginal_error_decays_at_inverse_count_rate(convergence, config):
     run, seconds = convergence
     fit = run.fits[repr(float(max(config.sample_times)))]
-    lo, hi = config.tolerances.rate_band
+    lo, hi = hn.THRESHOLDS.rate_band
     budget = 600.0
     ok = (
         lo <= fit["slope"] <= hi
-        and fit["r_squared"] >= config.tolerances.r_squared_min
+        and fit["r_squared"] >= hn.THRESHOLDS.r_squared_min
         and seconds <= budget
     )
     side = run.fits[repr(float(min(config.sample_times)))]
     line = _verdict(
         "inverse-count-rate", ok,
         f"slope {fit['slope']:.4f} in [{lo}, {hi}], R^2 {fit['r_squared']:.6f} >= "
-        f"{config.tolerances.r_squared_min}, {seconds:.0f}s <= {budget:.0f}s "
+        f"{hn.THRESHOLDS.r_squared_min}, {seconds:.0f}s <= {budget:.0f}s "
         f"(secondary slope {side['slope']:.4f} at t={min(config.sample_times)})",
     )
     assert ok, line

@@ -23,7 +23,6 @@ from meanfieldlab.grid import (
     periodic_convolve,
     potential_matrix,
     sample_potential,
-    sech_packet,
     step_schedule,
 )
 
@@ -230,7 +229,6 @@ def test_potential_spec_validation():
 def test_packets_are_normalized():
     g = GridSpec(16, 16.0)
     assert l2_norm(gaussian_packet(g, 8.0, 1.0), g) == pytest.approx(1.0, abs=1e-12)
-    assert l2_norm(sech_packet(g, 5.0, 1.5), g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_commensurate_momentum_only_changes_phase():

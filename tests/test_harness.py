@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ def test_nested_overrides_land_in_the_right_fields(tiny_config):
     assert cfg.combinatorics_counts == (4, 16, 64)
     # untouched sections keep their defaults
     assert cfg.potential == hn.ExperimentConfig().potential
-    assert cfg.tolerances == hn.ToleranceConfig()
     # a partial section keeps the defaults of its other keys
     partial = hn.ExperimentConfig.from_dict({"fock": {"initial_state": {"width": 0.5}}})
     assert partial.fock.initial_state.center == 1.7 and partial.fock.initial_state.width == 0.5
@@ -74,13 +73,27 @@ def test_nested_overrides_land_in_the_right_fields(tiny_config):
     assert length == 10.0 and type(length) is float
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_config_block() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("```json\n", 1)[1].split("```", 1)[0]
+    return _readme().split("```json\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_config_block_is_the_default():
     assert hn.ExperimentConfig.from_dict(json.loads(_readme_config_block())) == hn.ExperimentConfig()
+
+
+def test_readme_threshold_table_is_the_table_in_code():
+    section = _readme().split("## Verdict thresholds\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, value = (cell.strip() for cell in line.split("|")[1:3])
+            value = json.loads(value)
+            table[name.strip("`")] = tuple(value) if isinstance(value, list) else value
+    assert table == asdict(hn.THRESHOLDS)
 
 
 def test_default_lattice_section_is_self_consistent():
@@ -112,10 +125,11 @@ def test_default_lattice_section_is_self_consistent():
         ({"fock": {"cutoff": True}}, "fock.cutoff"),
         ({"particle_counts": [2.9, 3]}, "particle_counts"),
         ({"time": {"horizon": False}}, "time.horizon"),
-        ({"initial_state": {"profile": 3}}, "initial_state.profile"),
+        ({"potential": {"kind": 3}}, "potential.kind"),
         ({"grid": {"length": 10**400}}, "grid.length"),
         ({"time": {"horizon": float("inf")}}, "time.horizon"),
-        ({"tolerances": {"mass_drift": float("nan")}}, "tolerances.mass_drift"),
+        ({"fock": {"dt": float("nan")}}, "fock.dt"),
+        ({"initial_state": {"profile": "gaussian"}}, "profile"),
     ],
 )
 def test_unknown_keys_are_rejected(bad, fragment):
@@ -131,20 +145,16 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     points=st.integers(-(2**40), 2**40),
     length=finite | st.integers(-(2**40), 2**40),
     counts=st.lists(st.integers(1, 9), max_size=4),
-    profile=st.text(max_size=6),
     cutoff=st.integers(0, 40),
     width=finite,
-    rate_band=st.lists(finite | st.integers(-5, 5), max_size=3),
+    sample_times=st.lists(finite | st.integers(-5, 5), max_size=3),
 )
-def test_valid_scalar_overrides_load_exactly(
-    points, length, counts, profile, cutoff, width, rate_band
-):
+def test_valid_scalar_overrides_load_exactly(points, length, counts, cutoff, width, sample_times):
     raw = {
         "grid": {"points": points, "length": length},
         "particle_counts": counts,
-        "initial_state": {"profile": profile},
+        "time": {"sample_times": sample_times},
         "fock": {"cutoff": cutoff, "initial_state": {"width": width}},
-        "tolerances": {"rate_band": rate_band},
     }
     default = hn.ExperimentConfig()
     want = replace(
@@ -152,24 +162,17 @@ def test_valid_scalar_overrides_load_exactly(
         grid_points=points,
         grid_length=float(length),
         particle_counts=tuple(counts),
-        initial_state=replace(default.initial_state, profile=profile),
+        sample_times=tuple(float(v) for v in sample_times),
         fock=replace(
             default.fock,
             cutoff=cutoff,
             initial_state=replace(default.fock.initial_state, width=width),
         ),
-        tolerances=replace(default.tolerances, rate_band=tuple(float(v) for v in rate_band)),
     )
     got = hn.ExperimentConfig.from_dict(raw)
     assert got == want
     assert type(got.grid_length) is float
-    assert all(type(v) is float for v in got.tolerances.rate_band)
-
-
-def test_unknown_initial_profile_is_rejected():
-    cfg = hn.ExperimentConfig.from_dict({"initial_state": {"profile": "plane"}})
-    with pytest.raises(hn.ConfigError, match="plane"):
-        cfg.initial_state.build(cfg.grid())
+    assert all(type(v) is float for v in got.sample_times)
 
 
 def test_config_hash_is_stable_and_sensitive(tiny_config):
@@ -315,9 +318,10 @@ def test_pipeline_rejects_bad_sample_plans(tiny_config):
         hn.run_convergence(replace(tiny_config, sample_times=(0.1, 0.3)), quiet=True)
 
 
-def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_config):
-    strict = replace(tiny_config.tolerances, sym_defect=0.0)
-    report, _ = hn.convergence_check(replace(tiny_config, tolerances=strict), fit=True)
+def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_config, monkeypatch):
+    strict = replace(hn.THRESHOLDS, sym_defect=0.0)
+    monkeypatch.setattr(hn, "THRESHOLDS", strict)
+    report, _ = hn.convergence_check(tiny_config, fit=True)
     status = {item.name: item.status for item in report.items}
     assert status == {
         "mass_drift": "pass",
@@ -327,8 +331,8 @@ def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_confi
         "r_squared": "pass",
     }
     assert report.status == "inconclusive"
-    off_band = replace(strict, rate_band=(-0.5, 0.0))
-    report, _ = hn.convergence_check(replace(tiny_config, tolerances=off_band), fit=True)
+    monkeypatch.setattr(hn, "THRESHOLDS", replace(strict, rate_band=(-0.5, 0.0)))
+    report, _ = hn.convergence_check(tiny_config, fit=True)
     assert report.status == "fail"
 
 
@@ -338,6 +342,7 @@ def test_manifest_is_deterministic(tiny_run, tiny_config):
     assert blob["config_hash"] == tiny_config.config_hash()
     assert blob["n_records"] == 4
     assert "versions" in blob and "rate_fits" in blob
+    assert blob["thresholds"] == json.loads(json.dumps(asdict(hn.THRESHOLDS)))
     assert a == b
     # the config block is a valid config file for a rerun
     assert hn.ExperimentConfig.from_dict(blob["config"]) == tiny_config
@@ -396,6 +401,19 @@ def test_battery_fails_on_true_leakage():
 
 
 # ---------------------------------------------------------------- command line
+
+
+@pytest.fixture
+def hartree_flows(monkeypatch):
+    """One entry per ``hartree.evolve_hartree`` call the test makes."""
+    calls = []
+
+    def counted(*args, _original=hn.ha.evolve_hartree, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(hn.ha, "evolve_hartree", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -549,9 +567,15 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         ({"identity_times": [0.2525, 0.5]}, "fock.identity_times"),
         # a lattice horizon of 1 is not a whole number of steps
         ({"dt": 0.3, "residual_time": 0.6, "identity_times": [0.3, 0.9]}, "fock.dt"),
+        # a repeated time or value would run and report its items twice
+        ({"identity_times": [0.25, 0.25, 0.5]}, "fock.identity_times"),
+        ({"coupling_values": [8, 8, 16]}, "fock.coupling_values"),
+        ({"cutoff": 0}, "fock.cutoff"),
+        ({"cutoff": -3}, "fock.cutoff"),
+        ({"sites": 0}, "fock.sites"),
     ],
 )
-def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragment):
+def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, fock, fragment):
     raw = tiny_dict()
     raw["fock"].update(fock)
     path = tmp_path / "vacuous.json"
@@ -562,6 +586,7 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragmen
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not (out / "fock_check.json").exists()
+    assert hartree_flows == []
 
 
 @pytest.mark.parametrize(
@@ -572,6 +597,20 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragmen
         pytest.param("nbody", {"particle_counts": [2, 2]}, "particle_counts", id="nbody-repeated count"),
         pytest.param("rate", {"particle_counts": [2, 2, 3]}, "particle_counts", id="rate-repeated count"),
         pytest.param("bogoliubov", {"particle_counts": [3, 2, 3]}, "particle_counts", id="bogoliubov-repeated count"),
+        pytest.param("nbody", {"particle_counts": [0]}, "particle_counts [0] must", id="nbody-count below 1"),
+        pytest.param("rate", {"particle_counts": [2, 0]}, "particle_counts [2, 0] must", id="rate-count below 1"),
+        pytest.param(
+            "bogoliubov", {"particle_counts": [0, 2]}, "particle_counts [0, 2] must", id="bogoliubov-count below 1"
+        ),
+        # 20^7 amplitudes: the N = 2 and 3 sweeps fit, N = 7 does not
+        pytest.param(
+            "nbody", {"particle_counts": [2, 7]}, "particle_counts [2, 7]: a sweep over 20^7",
+            id="nbody-count over the budget",
+        ),
+        pytest.param(
+            "rate", {"particle_counts": [2, 3, 7]}, "particle_counts [2, 3, 7]: a sweep over 20^7",
+            id="rate-count over the budget",
+        ),
         pytest.param("hartree", {"time": {"horizon": 0.2005}}, "time.horizon", id="hartree-horizon off the steps"),
         pytest.param(
             "bogoliubov", {"time": {"sample_times": [0.1005, 0.2]}}, "time.sample_times",
@@ -596,7 +635,8 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, fock, fragmen
         ),
     ],
 )
-def test_cli_refuses_vacuous_settings(tmp_path, capsys, command, change, fragment):
+def test_cli_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, command, change, fragment):
+    """Each refusal names its key and comes before the first flow."""
     raw = tiny_dict()
     for key, value in change.items():
         if isinstance(value, dict):
@@ -611,3 +651,4 @@ def test_cli_refuses_vacuous_settings(tmp_path, capsys, command, change, fragmen
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not any(out.iterdir())
+    assert hartree_flows == []
