@@ -378,19 +378,11 @@ def _refuse_repeats(key: str, values) -> None:
         raise ConfigError(f"{key} {values} repeats a value")
 
 
-def _refuse_bad_counts(config: ExperimentConfig, sweep: bool) -> None:
-    """Refuse, naming particle_counts, a repeated count, a count below 1 and,
-    for an N-body ``sweep``, a count whose sweep ``nb.admit_sweep`` refuses."""
+def _refuse_bad_counts(config: ExperimentConfig) -> None:
     counts = list(config.particle_counts)
     _refuse_repeats("particle_counts", counts)
     if min(counts, default=1) < 1:
         raise ConfigError(f"particle_counts {counts} must all be at least 1")
-    if sweep:
-        for n in counts:
-            try:
-                nb.admit_sweep(config.grid_points, n)
-            except MemoryError as exc:
-                raise MemoryError(f"particle_counts {counts}: {exc}") from exc
 
 
 def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
@@ -398,7 +390,12 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     sample_times = _sample_times(config)
     if not config.particle_counts:
         raise ConfigError("particle_counts is empty: need at least one particle count")
-    _refuse_bad_counts(config, sweep=True)
+    _refuse_bad_counts(config)
+    for n in config.particle_counts:
+        try:
+            nb.admit_sweep(config.grid_points, n)
+        except MemoryError as exc:
+            raise MemoryError(f"particle_counts {list(config.particle_counts)}: {exc}") from exc
     for start, end in zip((0.0,) + sample_times, sample_times):
         _on_steps("time.sample_times on the time.nbody_dt steps", end - start, config.nbody_dt, ())
 
@@ -537,7 +534,7 @@ def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
     """Pair-relation defect of the kernel flow, and ``bogoliubov.csv``: the
     defects, a blank line, then the correction norms."""
     _sample_times(config)
-    _refuse_bad_counts(config, sweep=False)
+    _refuse_bad_counts(config)
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
     defects, norms = [], []

@@ -80,15 +80,14 @@ def working_set_bytes(points: int, n: int) -> int:
     return 3 * 16 * points**n
 
 
-def admit_sweep(points: int, n: int) -> int:
-    """Working set of a sweep over (points,)*n, a ``MemoryError`` above WORKING_SET_BUDGET."""
+def admit_sweep(points: int, n: int) -> None:
+    """Refuse, with ``MemoryError``, a sweep whose working set exceeds WORKING_SET_BUDGET."""
     need = working_set_bytes(points, n)
     if need > WORKING_SET_BUDGET:
         raise MemoryError(
             f"a sweep over {points}^{n} amplitudes needs {need} bytes, "
             f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
         )
-    return need
 
 
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
