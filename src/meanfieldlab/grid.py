@@ -50,10 +50,12 @@ class GridSpec:
 def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
     """Number of steps of dt in ``span``, and the step index of each offset.
 
-    The span must be a positive whole number of steps, and each offset (a
-    snapshot time measured from the start) must lie within 1e-9 of a step in
-    [0, span].
+    The step dt must be positive and finite, the span a positive whole number
+    of steps, and each offset (a snapshot time measured from the start) must
+    lie within 1e-9 of a step in [0, span].
     """
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError(f"step dt={dt} must be positive and finite")
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9:
         raise ValueError(f"span {span} is not a whole number of steps of dt={dt}")
@@ -116,32 +118,20 @@ def periodic_convolve(f, g, grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded even pair potential on the torus, selected by ``kind``.
+    """Bounded even pair potential amplitude * exp(-r^2 / (2 width^2)) on the torus.
 
-    kinds: "zero"; "gaussian" (amplitude, width); "cosine" (amplitude,
-    harmonic); "soft_coulomb" (amplitude, softening).  All are even under
-    x -> L - x, so the sampled array is exactly mirror symmetric.
+    Amplitude 0 is the free gas.  The potential is even under x -> L - x, so
+    the sampled array is exactly mirror symmetric.
     """
 
-    kind: str
-    amplitude: float = 1.0
+    amplitude: float = 0.5
     width: float = 1.0
-    harmonic: int = 1
-    softening: float = 1.0
-
-    _KINDS = ("zero", "gaussian", "cosine", "soft_coulomb")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}, expected one of {self._KINDS}")
         if not np.isfinite(self.amplitude):
-            raise ValueError("potential amplitude must be finite")
-        if self.kind == "gaussian" and self.width <= 0:
-            raise ValueError("gaussian width must be positive")
-        if self.kind == "cosine" and self.harmonic < 1:
-            raise ValueError("cosine harmonic must be a positive integer")
-        if self.kind == "soft_coulomb" and self.softening <= 0:
-            raise ValueError("soft_coulomb softening must be positive")
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if not (self.width > 0 and 0.0 < 2.0 * self.width * self.width < np.inf):
+            raise ValueError(f"width must be positive with a finite, nonzero square, got {self.width}")
 
 
 def sample_potential(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
@@ -153,17 +143,7 @@ def sample_potential(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
     m = grid.points
     half = m // 2
     r = grid.x[: half + 1]  # distances 0 .. L/2
-
-    if spec.kind == "zero":
-        head = np.zeros(half + 1)
-    elif spec.kind == "gaussian":
-        head = spec.amplitude * np.exp(-(r**2) / (2.0 * spec.width**2))
-    elif spec.kind == "cosine":
-        head = spec.amplitude * np.cos(2.0 * np.pi * spec.harmonic * r / grid.length)
-    elif spec.kind == "soft_coulomb":
-        head = spec.amplitude / np.sqrt(r**2 + spec.softening**2)
-    else:  # pragma: no cover
-        raise AssertionError(spec.kind)
+    head = spec.amplitude * np.exp(-(r**2) / (2.0 * spec.width**2))
 
     out = np.empty(m)
     out[: half + 1] = head

@@ -76,19 +76,22 @@ def _merge(default, raw, where: str):
         name: _convert(getattr(default, name), value, path)
         for name, value, path in _entries(raw, layout, where)
     }
-    return replace(default, **changes)
+    try:
+        return replace(default, **changes)
+    except ValueError as exc:  # a section that checks itself, such as the potential
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # The JSON values each scalar field type accepts; bools are refused separately.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
+_JSON_TYPES = {int: int, float: (int, float)}
 
 
 def _convert(default, value, where: str):
     """``value`` read as the type of the default value it replaces.
 
     Only lossless reads are allowed: an int field takes a JSON integer, a
-    float field any finite JSON number within float range, a str field a
-    string, and none takes a bool.
+    float field any finite JSON number within float range, and neither takes
+    a bool.
     """
     if is_dataclass(default):
         return _merge(default, value, where)
@@ -129,6 +132,23 @@ class InitialStateConfig:
 
     def build(self, grid: GridSpec) -> np.ndarray:
         return gaussian_packet(grid, self.center, self.width, self.momentum)
+
+
+def _packet(key: str, state: InitialStateConfig, grid: GridSpec) -> np.ndarray:
+    """``state.build(grid)``, refused by ``key.width`` unless it is a finite, nonzero packet."""
+    if not state.width > 0.0:
+        raise ConfigError(f"{key}.width must be positive, got {state.width}")
+    try:
+        with np.errstate(all="ignore"):
+            phi = state.build(grid)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("the packet is not finite")
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(
+            f"{key}.width {state.width} with center {state.center} and momentum "
+            f"{state.momentum} gives no packet on the grid: {exc}"
+        ) from exc
+    return phi
 
 
 @dataclass(frozen=True)
@@ -176,6 +196,14 @@ class Thresholds:
 THRESHOLDS = Thresholds()
 
 
+def _grid_spec(points_key: str, length_key: str, points: int, length: float) -> GridSpec:
+    """``GridSpec(points, length)``, refused by the config key at fault."""
+    try:
+        return GridSpec(points, length)
+    except ValueError as exc:
+        raise ConfigError(f"{points_key if points < 1 else length_key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of an experiment; ``from_dict`` reads the JSON layout.
@@ -187,7 +215,7 @@ class ExperimentConfig:
 
     grid_points: int = _in_section("grid", "points", 16)
     grid_length: float = _in_section("grid", "length", 16.0)
-    potential: PotentialSpec = field(default_factory=lambda: PotentialSpec("gaussian", 0.5, 1.0))
+    potential: PotentialSpec = field(default_factory=PotentialSpec)
     initial_state: InitialStateConfig = field(default_factory=InitialStateConfig)
     particle_counts: tuple = (2, 3, 4, 5, 6)
     horizon: float = _in_section("time", "horizon", 1.0)
@@ -199,10 +227,10 @@ class ExperimentConfig:
     krasikov_grid: tuple = _in_section("combinatorics", "krasikov_grid", (10, 50, 200))
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.grid_points, self.grid_length)
+        return _grid_spec("grid.points", "grid.length", self.grid_points, self.grid_length)
 
     def fock_grid(self) -> GridSpec:
-        return GridSpec(self.fock.sites, self.fock.length)
+        return _grid_spec("fock.sites", "fock.length", self.fock.sites, self.fock.length)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -348,7 +376,7 @@ def _hartree_flow(config: ExperimentConfig):
     """Grid, potential samples, initial orbital and its Hartree trajectory."""
     grid = config.grid()
     vsamp = sample_potential(config.potential, grid)
-    phi0 = config.initial_state.build(grid)
+    phi0 = _packet("initial_state", config.initial_state, grid)
     return grid, vsamp, phi0, ha.evolve_hartree(phi0, vsamp, grid, config.horizon, config.dt)
 
 
@@ -367,8 +395,8 @@ def _sample_times(config: ExperimentConfig) -> tuple:
         raise ConfigError("time.sample_times is empty: need at least one sample time")
     if sample_times[-1] > config.horizon + 1e-9:
         raise ConfigError("time.sample_times must lie within time.horizon")
-    _on_steps("time.horizon", config.horizon, config.dt, ())
-    _on_steps("time.sample_times", config.horizon, config.dt, sample_times)
+    _on_steps("time.horizon on the time.dt steps", config.horizon, config.dt, ())
+    _on_steps("time.sample_times on the time.dt steps", config.horizon, config.dt, sample_times)
     return sample_times
 
 
@@ -391,6 +419,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     if not config.particle_counts:
         raise ConfigError("particle_counts is empty: need at least one particle count")
     _refuse_bad_counts(config)
+    config.grid()  # a bad grid is refused by its key, not as a sweep over its points
     for n in config.particle_counts:
         try:
             nb.admit_sweep(config.grid_points, n)
@@ -509,7 +538,7 @@ def convergence_check(
 
 def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
     """Mass and energy drift of the Hartree flow, and its monitor table as ``hartree.csv``."""
-    _on_steps("time.horizon", config.horizon, config.dt, ())
+    _on_steps("time.horizon on the time.dt steps", config.horizon, config.dt, ())
     grid, vsamp, _, traj = _hartree_flow(config)
     e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
     rows = []
@@ -560,8 +589,9 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
     total squared mass, the Krasikov envelope (worst log margin, which must
     stay strictly negative), and the spread of the scaled weighted sums.
     """
-    if not config.combinatorics_counts:
-        raise ConfigError("combinatorics.counts is empty: need at least one count")
+    counts = list(config.combinatorics_counts)
+    if not counts or min(counts) < 1:
+        raise ConfigError(f"combinatorics.counts {counts} needs at least one count, each at least 1")
     if not config.krasikov_grid or min(config.krasikov_grid) < 2:
         raise ConfigError(
             f"combinatorics.krasikov_grid {list(config.krasikov_grid)} needs at least one "
@@ -688,15 +718,15 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     if not fsec.identity_times:
         raise ConfigError("fock.identity_times is empty: need at least one identity time")
     _refuse_repeats("fock.identity_times", fsec.identity_times)
+    _on_steps("fock.dt (against the lattice horizon)", fsec.horizon(), fsec.dt, ())
     # the backward flows start at the residual time and the last identity time
     _on_steps("fock.residual_time", fsec.residual_time, fsec.dt, ())
     _on_steps("fock.identity_times", max(fsec.identity_times), fsec.dt, fsec.identity_times)
-    _on_steps("fock.dt (against the lattice horizon)", fsec.horizon(), fsec.dt, ())
     fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
 
     grid = config.fock_grid()
     vsamp = sample_potential(config.potential, grid)
-    phi0 = fsec.initial_state.build(grid)
+    phi0 = _packet("fock.initial_state", fsec.initial_state, grid)
     traj = ha.evolve_hartree(phi0, vsamp, grid, fsec.horizon(), fsec.dt)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, fsec.horizon(), fsec.dt, fsec.identity_times)
     depletion = {ts: bg.depletion(pair_snaps[ts]) for ts in fsec.identity_times}

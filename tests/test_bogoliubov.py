@@ -35,7 +35,7 @@ from meanfieldlab.hartree import HartreeTrajectory, evolve_hartree
 @pytest.fixture()
 def setup():
     g = GridSpec(16, 8.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     phi = gaussian_packet(g, 3.5, 0.9)
     return g, vs, phi
 

@@ -35,7 +35,7 @@ from meanfieldlab.nbody import interaction_tensor, product_state, reduce_margina
 def lattice():
     """Two asymmetric sites with dx = 1, cutoff 8, and a short trajectory."""
     space = fk.LatticeFockSpace(GridSpec(2, 2.0), 8)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), space.grid)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), space.grid)
     phi0 = normalize(np.array([1.0, 0.45 + 0.2j]), space.grid)
     traj = evolve_hartree(phi0, vs, space.grid, 0.5, 2e-3)
     gens = fk.GeneratorSet(space, vs)
@@ -151,7 +151,7 @@ def test_oversized_lattice_is_refused_before_allocating():
 @pytest.mark.parametrize("sites, cutoff", [(1, 5000), (2, 100), (3, 30), (4, 15)])
 def test_generator_build_peaks_below_its_admission_charge(sites, cutoff):
     space = fk.LatticeFockSpace(GridSpec(sites, float(sites)), cutoff)
-    vs = sample_potential(PotentialSpec("gaussian", 1.0, 1.0), space.grid)
+    vs = sample_potential(PotentialSpec(1.0, 1.0), space.grid)
     tracemalloc.start()
     try:
         gens = fk.GeneratorSet(space, vs)
@@ -422,7 +422,7 @@ def test_generator_matches_dense_assembly(which):
         (GridSpec(3, 3.0), 4, [0.8, 0.2 + 0.5j, -0.6 - 0.3j]),
     ):
         space = fk.LatticeFockSpace(grid, cutoff)
-        vs = sample_potential(PotentialSpec("gaussian", 0.7, 0.9), grid)
+        vs = sample_potential(PotentialSpec(0.7, 0.9), grid)
         phi = normalize(np.array(orbital), grid)
         gens = fk.GeneratorSet(space, vs)
         got = gens.matrix(phi, which, 5.0).toarray()
@@ -467,7 +467,7 @@ def test_zero_field_generator_is_the_n_body_hamiltonian():
     evolved product state must equal the dense engine's marginal.
     """
     grid = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 2.0, 1.0), grid)
+    vs = sample_potential(PotentialSpec(2.0, 1.0), grid)
     phi = gaussian_packet(grid, 2.5, 0.8, 1.0)
     n, t, m = 3, 0.3, grid.points
     space = fk.LatticeFockSpace(grid, n + 2)

@@ -25,7 +25,7 @@ from meanfieldlab.hartree import (
 @pytest.fixture()
 def setup():
     g = GridSpec(16, 16.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     phi0 = gaussian_packet(g, 8.0, 1.0)
     return g, vs, phi0
 

@@ -49,7 +49,7 @@ from meanfieldlab.nbody import (
 @pytest.fixture()
 def small():
     g = GridSpec(8, 8.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     phi = gaussian_packet(g, 4.0, 1.0)
     return g, vs, phi
 
@@ -136,7 +136,7 @@ def test_product_state_refuses_by_working_set_before_allocating():
 
 def test_sweep_peak_stays_inside_the_admitted_working_set():
     g = GridSpec(16, 16.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     phi = gaussian_packet(g, 8.0, 1.0, 0.5)
 
     def sweep(n):
@@ -242,7 +242,7 @@ def test_distance_grid_compatibility(small):
 
 def test_interaction_tensor_matches_pair_loop():
     g = GridSpec(4, 4.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     n = 3
     w = interaction_tensor(g, vs, n)
     assert w.shape == (4, 4, 4)
@@ -261,7 +261,7 @@ def test_interaction_tensor_matches_pair_loop():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pair_phase_product_matches_the_interaction_tensor(n):
     g = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     dt = 4e-3
     angle = -dt * interaction_tensor(g, vs, n)
     phase = potential_phase(g, vs, n, dt)
@@ -311,7 +311,7 @@ def three_packets(g):
 
 def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
     g = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     psi = np.einsum("i,j,k->ijk", *three_packets(g))
     st = NBodyState(g, 3, psi, 0.0)
     assert symmetry_defect(st) > 0.1
@@ -323,7 +323,7 @@ def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
 
 def test_non_contiguous_state_matches_dense_exponential():
     g = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     psi = np.swapaxes(np.einsum("i,j,k->ijk", *three_packets(g)), 0, 1)
     assert not psi.flags.c_contiguous
     want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
@@ -354,7 +354,7 @@ def test_energy_matches_dense_quadratic_form(small):
 def test_energy_of_product_state_matches_one_body_closed_form():
     # E = N <phi, T phi> + ((N-1)/2) <|phi|^2, V |phi|^2>, summed in long double
     g = GridSpec(16, 16.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     phi = gaussian_packet(g, 8.0, 1.0, 0.5)
     n = 5
     ld = np.longdouble
@@ -371,7 +371,7 @@ def test_energy_of_product_state_matches_one_body_closed_form():
 def test_energy_of_symmetrized_state_matches_dense_quadratic_form():
     # a sum over all orderings of three different packets: symmetric, not a product
     g = GridSpec(6, 6.0)
-    vs = sample_potential(PotentialSpec("gaussian", 0.5, 1.0), g)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     packets = three_packets(g)
     psi = sum(np.einsum("i,j,k->ijk", *(packets[i] for i in order)) for order in itertools.permutations(range(3)))
     psi /= np.linalg.norm(psi) * g.dx**1.5
