@@ -696,9 +696,10 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     beyond the cutoff_agreement threshold marks the item inconclusive rather
     than failed.  Vacuous settings (fewer than one site, a cutoff or a sweep
     step below one, no coupling pair (a, 2a), a coupling value below one, a
-    repeated coupling value or identity time, no identity time), times off
-    the fock.dt steps, and a swept lattice refused by ``fock.admit_lattice``
-    are refused up front.  The file is ``fock_check.json``, the report itself.
+    repeated coupling value or identity time, no identity time), a fock.dt
+    that is not positive or times off its steps, a swept lattice refused by
+    ``fock.admit_lattice``, and a bad lattice length or packet are refused up
+    front.  The file is ``fock_check.json``, the report itself.
     """
     tol = THRESHOLDS
     fsec = config.fock
