@@ -2,21 +2,26 @@
 
 The Hamiltonian is the sum of one-body spectral kinetic terms and the
 mean-field-scaled pair interaction (1/N) sum_{i<j} V(x_i - x_j).  States are
-dense complex tensors of shape (M,)*N, so memory is the binding constraint;
-``admit_sweep``, which ``product_state`` calls, refuses an (M, N) pair whose
-sweep working set exceeds a byte budget before allocating.
+dense complex tensors of shape (M,)*N, so memory is the binding constraint.
+A sweep holds the state as its one state-size array, and ``admit_sweep``,
+which ``product_state`` calls, refuses an (M, N) pair whose working set (the
+state and its slab scratch) exceeds a byte budget before allocating.
 
 Propagation is Strang splitting with the kinetic half steps fused across
-consecutive steps.  ``split_step`` builds the operators of one step once per
-(N, dt): the potential phase and the M x M position-space kinetic
-propagators.  ``evolve_nbody`` advances a state in place with them, applying
-the kinetic factor on each axis in turn, N matrix products per step that
-alternate between the state's array and one buffer, and the phase in place,
-so a sweep holds three state-size arrays: the state, the phase and the
-buffer.  The phase is a product of M x M pair phases built one axis at a
-time, and the energy of a symmetric state reads one axis and the pair
-density slab by slab, so neither makes a pass over the state per pair or
-per axis, and the energy holds no state-size temporary.
+consecutive steps, blocked for the cache.  The N axes split into L leading
+and k trailing ones, k the most with M^k <= SLAB, so the state is M^L slabs
+of at most SLAB amplitudes.  ``split_step`` builds the operators of one step
+once per (N, dt): the M x M position-space kinetic propagators and three
+tables of pair phases exp(-i dt V(x_i - x_j) / N), none of them state-size.
+``evolve_nbody`` advances a state in place in two passes per step.  Slab by
+slab, it applies the phase and the kinetic factor on the trailing axes, with
+the pair phases of the slab's leading index folded into the propagator.
+Block of columns by block, it applies the kinetic factor on the leading
+axes.  Each pass works in buffers of about SLAB amplitudes, which stay in
+cache.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  The
+energy of a symmetric state reads one axis and the pair density slab by
+slab, and the marginals and the symmetry defect work in chunks of at most
+SLAB amplitudes, so none of them holds a state-size temporary.
 """
 
 from __future__ import annotations
@@ -67,17 +72,36 @@ class MarginalDensity:
         return float(np.trace(self.matrix).real * self.grid.dx**self.k)
 
 
-def working_set_bytes(points: int, n: int) -> int:
-    """Bytes of the state-size arrays a sweep over (points,)*n holds at once.
+# A slab of 2**16 complex amplitudes is 1 MB; with its 1 MB buffer it fills
+# a core's 2 MB L2, so the products on a slab run from cache.
+SLAB = 2**16
 
-    At its peak a sweep holds three complex arrays.  evolve_nbody holds the
-    state, the potential phase of its SplitStep and one buffer;
-    reduce_marginal and symmetry_defect hold one state-size temporary beside
-    the state and the phase.  Building the phase holds two (the state and the
-    last pair column, which becomes the phase), and nbody_energy holds only
-    slab-size temporaries.
+
+def _trailing_axes(points: int, n: int) -> int:
+    """The k trailing axes of a blocked step: the most, at least one, with points**k <= SLAB."""
+    k = 1
+    while k < n and points ** (k + 1) <= SLAB:
+        k += 1
+    return k
+
+
+def working_set_bytes(points: int, n: int) -> int:
+    """Bytes a sweep over (points,)*n holds at its peak: one state and its scratch.
+
+    Beside the state, a sweep holds its SplitStep's trailing phase
+    (points**k amplitudes, k from ``_trailing_axes``) and the larger of two
+    scratch sets.  evolve_nbody holds one slab buffer (points**k) and two
+    leading-pass buffers (about SLAB each).  nbody_energy holds the spectrum
+    of one first-axis slab of points**(n-1) amplitudes, the transform's copy
+    of it and the slab's row sums: five halves of a slab.  reduce_marginal
+    and symmetry_defect hold one chunk of at most SLAB amplitudes, and
+    split_step two tables of points**k while it builds the phase.
     """
-    return 3 * 16 * points**n
+    k = _trailing_axes(points, n)
+    rows = points ** (n - k)
+    evolve = points**k + 2 * rows * max(1, SLAB // rows)
+    energy = 5 * points ** (n - 1 if n > 2 else n) // 2
+    return 16 * (points**n + points**k + max(evolve, energy))
 
 
 def admit_sweep(points: int, n: int) -> None:
@@ -109,7 +133,7 @@ def interaction_tensor(grid: GridSpec, potential_samples: np.ndarray, n: int) ->
     """W(x_1..x_n) = (1/n) sum_{i<j} V(x_i - x_j) as a dense real tensor.
 
     No pipeline calls it: the propagator builds exp(-i dt W) from pair phases
-    (``potential_phase``) and the energy reads the pair density.  It stays as the
+    (``split_step``) and the energy reads the pair density.  It stays as the
     tests' oracle and because the benchmark's tracer wraps it by name.
     """
     m = grid.points
@@ -125,43 +149,63 @@ def interaction_tensor(grid: GridSpec, potential_samples: np.ndarray, n: int) ->
     return w
 
 
-def potential_phase(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float) -> np.ndarray:
-    """exp(-i dt W) over (M,)*n, as the product prod_{i<j} P(x_i - x_j) of pair phases.
+def _pair_tables(pair: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-phase products over n axes, built one axis at a time.
 
-    P = exp(-i dt V / n) is an M x M matrix.  The product is built one axis
-    at a time: level k multiplies the phase of the first k axes by the column
-    prod_{i<=k} P(x_i - y) of the pairs the new axis y closes, and the column
-    gains one pair factor per level, so only the last column is state-size,
-    and it takes the last level's product in place and becomes the phase.
+    Returns the phase prod_{i<j} pair[x_i, x_j] over (M,)*n and the column
+    prod_i pair[x_i, y] over (M,)*n + (M,) of the pairs a further axis y
+    would close.  Each level multiplies the phase so far by the column, so
+    no pair is visited twice.
     """
-    pair = np.exp((-1j * dt / n) * potential_matrix(potential_samples, grid))
-    phase = np.ones(grid.points, dtype=complex)
-    column = pair
-    for _ in range(n - 2):
+    phase = np.ones((), dtype=complex)
+    column = np.ones(len(pair), dtype=complex)
+    for _ in range(n):
         phase = phase[..., None] * column
         column = column[..., None, :] * pair
-    if n > 1:
-        phase = np.multiply(phase[..., None], column, out=column)
-    return phase
+    return phase, column
 
 
 @dataclass(frozen=True)
 class SplitStep:
-    """The operators of one Strang step of dt for N particles on one grid."""
+    """The operators of one Strang step of dt for N particles on one grid.
+
+    The N axes split into L leading and k trailing ones (``_trailing_axes``),
+    and the state into M^L slabs of M^k amplitudes, one per leading index
+    i = (a_1..a_L).  The pair phase exp(-i dt W) of a slab is the product of
+    ``phase`` (pairs among the trailing axes), ``cross[i]`` on each trailing
+    axis (pairs of a leading and a trailing axis) and the scalar ``lead[i]``
+    (pairs among the leading axes), so no table is state-size.
+    """
 
     dt: float
-    phase: np.ndarray  # exp(-i dt W), complex, shape (grid.points,) * N
+    shape: tuple  # (grid.points,) * N, the state shape it is built for
+    phase: np.ndarray  # complex, shape (grid.points,) * k
+    cross: np.ndarray  # (M^L, M): prod_l P[a_l, y] per leading index
+    lead: np.ndarray  # (M^L,): prod_{l<l'} P[a_l, a_l'] per leading index
     # Kinetic propagators of dt/2 and dt, transposed, so that evolve_nbody's
-    # products apply the propagators themselves.
+    # slab products apply the propagators themselves.
     half: np.ndarray
     full: np.ndarray
 
 
 def split_step(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float) -> SplitStep:
-    """Build the step once per (N, dt); every span of a sweep reuses it."""
+    """Build the step once per (N, dt); every span of a sweep reuses it.
+
+    Its tables multiply the pair phases P = exp(-i dt V / N) one axis at a
+    time (``_pair_tables``).  Together they hold M^k + M^L (M + 1)
+    amplitudes, so at N = 6 on 16 points the build takes milliseconds.
+    """
+    m = grid.points
+    k = _trailing_axes(m, n)
+    pair = np.exp((-1j * dt / n) * potential_matrix(potential_samples, grid))
+    lead, cross = _pair_tables(pair, n - k)
+    inner, column = _pair_tables(pair, k - 1)  # the last trailing axis closes its pairs in the phase
     return SplitStep(
         dt,
-        potential_phase(grid, potential_samples, n, dt),
+        (m,) * n,
+        inner[..., None] * column,
+        cross.reshape(-1, m),
+        lead.reshape(-1),
         multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T,
         multiplier_matrix(grid, kinetic_phase(grid, dt)).T,
     )
@@ -170,33 +214,69 @@ def split_step(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float)
 def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     """Advance the state in place over ``span``, a whole number of steps of step.dt.
 
+    Each Strang step is two passes over the state, and only the state is
+    state-size.  The trailing pass multiplies each slab by the step's pair
+    phase and applies the kinetic propagator on its k axes: k products that
+    alternate between the slab and one slab buffer, with the leading-trailing
+    pairs folded into the propagator as diag(cross[i]) K and the leading
+    pairs' scalar into the first product.  The leading pass applies the
+    propagator on the L leading axes, one block of columns at a time,
+    through two buffers of about SLAB amplitudes.  When the whole state is
+    one slab (L = 0) the step is the unblocked one: the phase in place, then
+    N products.
+
     The state's amplitudes are overwritten (after a contiguous copy if they
     are not C-contiguous) and the same state is returned, so a caller that
     needs the start afterwards evolves a copy.
     """
     n_steps, _ = step_schedule(span, step.dt)
-    if step.phase.shape != state.psi.shape:
-        raise ValueError(
-            f"step is built for shape {step.phase.shape}, the state has shape {state.psi.shape}"
-        )
-    n, m = state.n, state.grid.points
+    if step.shape != state.psi.shape:
+        raise ValueError(f"step is built for shape {step.shape}, the state has shape {state.psi.shape}")
+    m, k = state.grid.points, step.phase.ndim
     psi = np.ascontiguousarray(state.psi, dtype=complex)
-    spare = np.empty(psi.shape, complex)
+    slabs = psi.reshape(-1, m**k)
+    rows, cols = slabs.shape
+    phase = step.phase.reshape(-1)
+    spare = np.empty(cols, complex)
+    width = max(1, SLAB // rows)
+    blocks = np.empty((2, rows * min(width, cols)), complex) if rows > 1 else None
 
-    def kinetic(prop):
-        # Each product contracts the leading axis and moves it last, so n
-        # products act on every axis and restore the axis order.
-        nonlocal psi, spare
-        for _ in range(n):
-            np.matmul(psi.reshape(m, -1).T, prop, out=spare.reshape(-1, m))
-            psi, spare = spare, psi
+    def kinetic(prop, phased):
+        for i, slab in enumerate(slabs):
+            first = rest = prop
+            if phased:
+                slab *= phase
+                if rows > 1:
+                    rest = step.cross[i][:, None] * prop
+                    first = step.lead[i] * rest
+            # Each product contracts the slab's leading axis and moves it
+            # last, so k products act on every trailing axis in order.
+            x, y = slab, spare
+            for j in range(k):
+                np.matmul(x.reshape(m, -1).T, first if j == 0 else rest, out=y.reshape(-1, m))
+                x, y = y, x
+            if x is spare:
+                slab[:] = spare
+        if rows > 1:
+            leading(prop)
+
+    def leading(prop):
+        # The same rotating products on a block of columns: L of them turn
+        # (a_1..a_L, column) into (column, a_1..a_L), written back transposed.
+        for start in range(0, cols, width):
+            block = slabs[:, start : start + width]
+            x, y = (buf[: block.size] for buf in blocks)
+            np.copyto(x.reshape(block.shape), block)
+            for _ in range(state.n - k):
+                np.matmul(x.reshape(m, -1).T, prop, out=y.reshape(-1, m))
+                x, y = y, x
+            np.copyto(block, x.reshape(block.shape[::-1]).T)
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
-    kinetic(step.half)
-    for k in range(n_steps):
-        psi *= step.phase
-        kinetic(step.full if k < n_steps - 1 else step.half)
+    kinetic(step.half, False)
+    for s in range(n_steps):
+        kinetic(step.full if s < n_steps - 1 else step.half, True)
     state.psi = psi
     state.t += n_steps * step.dt
     return state
@@ -246,7 +326,9 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
 
     Returns the kernel gamma(x_1..x_k ; y_1..y_k) as a matrix indexed by the
     flattened first/second variable groups.  Supported for k in {1, 2}; at
-    k = N it is the pure-state projection itself.
+    k = N it is the pure-state projection itself.  A state of more than SLAB
+    amplitudes is summed over blocks of columns of about SLAB amplitudes, so
+    its conjugate is never state-size; a smaller one is one product.
     """
     if k not in (1, 2):
         raise ValueError(f"marginal order k={k} not supported (use 1 or 2)")
@@ -254,7 +336,16 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
         raise ValueError(f"need k <= N, got k={k} with N={state.n}")
     m = state.grid.points
     a = state.psi.reshape(m**k, m ** (state.n - k))
-    gamma = (a @ a.conj().T) * state.grid.dx ** (state.n - k)
+    weight = state.grid.dx ** (state.n - k)
+    if a.size <= SLAB:
+        return MarginalDensity(state.grid, k, (a @ a.conj().T) * weight, state.t)
+    width = max(1, SLAB // len(a))
+    conj = np.empty(len(a) * width, complex)
+    gamma = np.zeros((len(a), len(a)), complex)
+    for start in range(0, a.shape[1], width):
+        block = a[:, start : start + width]
+        gamma += block @ np.conjugate(block, out=conj[: block.size].reshape(block.shape)).T
+    gamma *= weight
     return MarginalDensity(state.grid, k, gamma, state.t)
 
 
@@ -283,11 +374,30 @@ def hs_distance(a: MarginalDensity, b: MarginalDensity) -> float:
 
 
 def symmetry_defect(state: NBodyState) -> float:
-    """Norm distance between the state and itself with two particles swapped."""
+    """Norm distance between the state and itself with two particles swapped.
+
+    A state of more than SLAB amplitudes is compared in chunks of at most
+    SLAB amplitudes, each pair (i, j) of the first two axes once.
+    """
     if state.n < 2:
         return 0.0
-    diff = state.psi - np.swapaxes(state.psi, 0, 1)
-    return float(np.linalg.norm(diff.ravel()) * state.grid.dx ** (state.n / 2.0))
+    weight = state.grid.dx ** (state.n / 2.0)
+    if state.psi.size <= SLAB:
+        diff = state.psi - np.swapaxes(state.psi, 0, 1)
+        return float(np.linalg.norm(diff.ravel()) * weight)
+    # ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, in
+    # chunks of at most SLAB amplitudes, so no difference is state-size
+    m = state.grid.points
+    a = state.psi.reshape(m, m, -1)
+    width = min(a.shape[2], SLAB)
+    diff = np.empty(width, complex)
+    total = 0.0
+    for i, j in zip(*np.triu_indices(m, 1)):
+        for start in range(0, a.shape[2], width):
+            chunk = a[i, j, start : start + width]
+            d = np.subtract(chunk, a[j, i, start : start + width], out=diff[: len(chunk)])
+            total += np.vdot(d, d).real
+    return float(np.sqrt(2.0 * total) * weight)
 
 
 def marginal_boundary_mass(md: MarginalDensity) -> float:

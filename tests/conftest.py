@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-about two minutes (131 s on an idle 2-vCPU x86-64 host with two BLAS
-threads, 215 s with one) and is shared between the acceptance tests;
-everything else builds small throwaway objects per test.
+about three minutes (177 s on a shared 2-vCPU x86-64 host with one BLAS
+thread, most of it the 250 steps at N = 6) and is shared between the
+acceptance tests; everything else builds small throwaway objects per test.
 """
 
 import time

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from meanfieldlab import nbody
 from meanfieldlab.grid import (
     GridSpec,
     PotentialSpec,
@@ -35,7 +36,6 @@ from meanfieldlab.nbody import (
     interaction_tensor,
     marginal_boundary_mass,
     nbody_energy,
-    potential_phase,
     product_state,
     projection_marginal,
     reduce_marginal,
@@ -120,7 +120,7 @@ def test_product_state_properties(small):
 
 
 def test_product_state_refuses_by_working_set_before_allocating():
-    # 16^7 = 2^28 amplitudes: one state is 4 GiB, a sweep needs three of them
+    # 16^7 = 2^28 amplitudes: one state is 4 GiB, the whole budget before any scratch
     g = GridSpec(16, 16.0)
     phi = gaussian_packet(g, 8.0, 1.0)
     tracemalloc.start()
@@ -264,7 +264,7 @@ def test_pair_phase_product_matches_the_interaction_tensor(n):
     vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     dt = 4e-3
     angle = -dt * interaction_tensor(g, vs, n)
-    phase = potential_phase(g, vs, n, dt)
+    phase = split_step(g, vs, n, dt).phase  # 6^n <= SLAB, so the phase spans every axis
     assert phase.shape == (6,) * n
     assert np.max(np.abs(phase - (np.cos(angle) + 1j * np.sin(angle)))) <= 1e-14
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-14
@@ -330,6 +330,33 @@ def test_non_contiguous_state_matches_dense_exponential():
     got = evolve_nbody(NBodyState(g, 3, psi, 0.0), split_step(g, vs, 3, 1e-3), 0.25)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
     assert err < 1e-6
+
+
+def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
+    # Five different packets and a potential with V(x) != V(-x): every axis
+    # and both orders of every pair have their own phase, so a leading index
+    # read with its digits in the wrong order cannot go unnoticed.
+    g = GridSpec(4, 4.0)
+    vs = np.array([0.8, 0.5, -0.3, 0.1])
+    packets = [
+        gaussian_packet(g, center, width, momentum)
+        for center, width, momentum in ((0.5, 0.6, 0.0), (1.5, 0.8, 1.0), (2.0, 0.5, -1.5), (2.5, 0.9, 0.5), (3.5, 0.7, -0.5))
+    ]
+    psi = functools.reduce(np.multiply.outer, packets)
+    assert symmetry_defect(NBodyState(g, 5, psi, 0.0)) > 0.1
+    want = expm(-1j * dense_hamiltonian(g, vs, 5) * 0.25) @ psi.ravel()
+    runs = []
+    for lead in range(5):
+        # a slab of 4^(5 - lead) amplitudes leaves `lead` leading axes
+        monkeypatch.setattr(nbody, "SLAB", 4 ** (5 - lead))
+        step = split_step(g, vs, 5, 1e-3)
+        assert step.phase.ndim == 5 - lead
+        st = evolve_nbody(NBodyState(g, 5, psi.copy(), 0.0), step, 0.25)
+        assert np.linalg.norm(st.psi.ravel() - want) * g.dx**2.5 < 1e-6
+        runs.append((st.psi, reduce_marginal(st, 1).matrix, reduce_marginal(st, 2).matrix, symmetry_defect(st)))
+    for run in runs[1:]:
+        for got, unblocked in zip(run, runs[0]):
+            assert np.max(np.abs(got - unblocked)) <= 1e-13
 
 
 def test_reused_step_equals_a_fresh_step_per_span(small):
