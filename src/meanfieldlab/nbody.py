@@ -19,9 +19,9 @@ the pair phases of the slab's leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
 axes.  Each pass works in buffers of about SLAB amplitudes, which stay in
 cache.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  The
-energy of a symmetric state reads one axis and the pair density slab by
-slab, and the marginals and the symmetry defect work in chunks of at most
-SLAB amplitudes, so none of them holds a state-size temporary.
+energy of a symmetric state and the symmetry defect work slab by slab of
+the first axis, and the marginals in chunks of at most SLAB amplitudes, so
+none of them holds a state-size temporary.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ def working_set_bytes(points: int, n: int) -> int:
     scratch sets.  evolve_nbody holds one slab buffer (points**k) and two
     leading-pass buffers (about SLAB each).  nbody_energy holds the spectrum
     of one first-axis slab of points**(n-1) amplitudes, the transform's copy
-    of it and the slab's row sums: five halves of a slab.  reduce_marginal
-    and symmetry_defect hold one chunk of at most SLAB amplitudes, and
-    split_step two tables of points**k while it builds the phase.
+    of it and the slab's row sums: five halves of a slab.  symmetry_defect
+    holds one such slab, reduce_marginal one chunk of at most SLAB
+    amplitudes, and split_step two tables of points**k while it builds the
+    phase.
     """
     k = _trailing_axes(points, n)
     rows = points ** (n - k)
@@ -211,6 +212,19 @@ def split_step(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float)
     )
 
 
+def _rotate(x: np.ndarray, y: np.ndarray, props: list) -> np.ndarray:
+    """Apply props[j] on axis j of x, alternating between x and y; return the buffer holding the result.
+
+    Each product contracts the leading axis and moves it last, so len(props)
+    products act on that many leading axes in order.
+    """
+    m = len(props[0])
+    for prop in props:
+        np.matmul(x.reshape(m, -1).T, prop, out=y.reshape(-1, m))
+        x, y = y, x
+    return x
+
+
 def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     """Advance the state in place over ``span``, a whole number of steps of step.dt.
 
@@ -222,8 +236,10 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     pairs' scalar into the first product.  The leading pass applies the
     propagator on the L leading axes, one block of columns at a time,
     through two buffers of about SLAB amplitudes.  When the whole state is
-    one slab (L = 0) the step is the unblocked one: the phase in place, then
-    N products.
+    one slab (L = 0) the step is the unblocked one: the phase, then N
+    products.  When k is odd the phase is written into the buffer, so the
+    last product lands in the slab; only the first half step of a call then
+    copies each slab into the buffer.
 
     The state's amplitudes are overwritten (after a contiguous copy if they
     are not C-contiguous) and the same state is returned, so a caller that
@@ -244,32 +260,28 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     def kinetic(prop, phased):
         for i, slab in enumerate(slabs):
             first = rest = prop
+            # An odd number of products starts in the buffer, so the last
+            # one lands in the slab.
+            x, y = (spare, slab) if k % 2 else (slab, spare)
             if phased:
-                slab *= phase
+                np.multiply(slab, phase, out=x)
                 if rows > 1:
                     rest = step.cross[i][:, None] * prop
                     first = step.lead[i] * rest
-            # Each product contracts the slab's leading axis and moves it
-            # last, so k products act on every trailing axis in order.
-            x, y = slab, spare
-            for j in range(k):
-                np.matmul(x.reshape(m, -1).T, first if j == 0 else rest, out=y.reshape(-1, m))
-                x, y = y, x
-            if x is spare:
-                slab[:] = spare
+            elif x is spare:
+                np.copyto(spare, slab)
+            _rotate(x, y, [first] + [rest] * (k - 1))
         if rows > 1:
             leading(prop)
 
     def leading(prop):
-        # The same rotating products on a block of columns: L of them turn
-        # (a_1..a_L, column) into (column, a_1..a_L), written back transposed.
+        # L products turn (a_1..a_L, column) into (column, a_1..a_L), written
+        # back transposed.
         for start in range(0, cols, width):
             block = slabs[:, start : start + width]
             x, y = (buf[: block.size] for buf in blocks)
             np.copyto(x.reshape(block.shape), block)
-            for _ in range(state.n - k):
-                np.matmul(x.reshape(m, -1).T, prop, out=y.reshape(-1, m))
-                x, y = y, x
+            x = _rotate(x, y, [prop] * (state.n - k))
             np.copyto(block, x.reshape(block.shape[::-1]).T)
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
@@ -376,28 +388,19 @@ def hs_distance(a: MarginalDensity, b: MarginalDensity) -> float:
 def symmetry_defect(state: NBodyState) -> float:
     """Norm distance between the state and itself with two particles swapped.
 
-    A state of more than SLAB amplitudes is compared in chunks of at most
-    SLAB amplitudes, each pair (i, j) of the first two axes once.
+    Summed over the first axis, so the one difference held is a slab of
+    M^(N-1) amplitudes, not the state.
     """
     if state.n < 2:
         return 0.0
-    weight = state.grid.dx ** (state.n / 2.0)
-    if state.psi.size <= SLAB:
-        diff = state.psi - np.swapaxes(state.psi, 0, 1)
-        return float(np.linalg.norm(diff.ravel()) * weight)
-    # ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, in
-    # chunks of at most SLAB amplitudes, so no difference is state-size
     m = state.grid.points
     a = state.psi.reshape(m, m, -1)
-    width = min(a.shape[2], SLAB)
-    diff = np.empty(width, complex)
+    diff = np.empty(a.shape[1:], complex)
     total = 0.0
-    for i, j in zip(*np.triu_indices(m, 1)):
-        for start in range(0, a.shape[2], width):
-            chunk = a[i, j, start : start + width]
-            d = np.subtract(chunk, a[j, i, start : start + width], out=diff[: len(chunk)])
-            total += np.vdot(d, d).real
-    return float(np.sqrt(2.0 * total) * weight)
+    for i in range(m):
+        np.subtract(a[i], a[:, i], out=diff)
+        total += np.vdot(diff, diff).real
+    return float(np.sqrt(total) * state.grid.dx ** (state.n / 2.0))
 
 
 def marginal_boundary_mass(md: MarginalDensity) -> float:
