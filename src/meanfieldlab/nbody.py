@@ -338,9 +338,9 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
 
     Returns the kernel gamma(x_1..x_k ; y_1..y_k) as a matrix indexed by the
     flattened first/second variable groups.  Supported for k in {1, 2}; at
-    k = N it is the pure-state projection itself.  A state of more than SLAB
-    amplitudes is summed over blocks of columns of about SLAB amplitudes, so
-    its conjugate is never state-size; a smaller one is one product.
+    k = N it is the pure-state projection itself.  The product is summed over
+    blocks of columns of about SLAB amplitudes, so the conjugate is never
+    state-size; a state of at most SLAB amplitudes is one block.
     """
     if k not in (1, 2):
         raise ValueError(f"marginal order k={k} not supported (use 1 or 2)")
@@ -349,9 +349,7 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
     m = state.grid.points
     a = state.psi.reshape(m**k, m ** (state.n - k))
     weight = state.grid.dx ** (state.n - k)
-    if a.size <= SLAB:
-        return MarginalDensity(state.grid, k, (a @ a.conj().T) * weight, state.t)
-    width = max(1, SLAB // len(a))
+    width = min(max(1, SLAB // len(a)), a.shape[1])
     conj = np.empty(len(a) * width, complex)
     gamma = np.zeros((len(a), len(a)), complex)
     for start in range(0, a.shape[1], width):
