@@ -386,8 +386,9 @@ def hs_distance(a: MarginalDensity, b: MarginalDensity) -> float:
 def symmetry_defect(state: NBodyState) -> float:
     """Norm distance between the state and itself with two particles swapped.
 
-    Summed over the first axis, so the one difference held is a slab of
-    M^(N-1) amplitudes, not the state.
+    ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, summed
+    over the first axis, so each pair is read once and the one difference
+    held is at most a slab of M^(N-1) amplitudes, not the state.
     """
     if state.n < 2:
         return 0.0
@@ -395,10 +396,10 @@ def symmetry_defect(state: NBodyState) -> float:
     a = state.psi.reshape(m, m, -1)
     diff = np.empty(a.shape[1:], complex)
     total = 0.0
-    for i in range(m):
-        np.subtract(a[i], a[:, i], out=diff)
-        total += np.vdot(diff, diff).real
-    return float(np.sqrt(total) * state.grid.dx ** (state.n / 2.0))
+    for i in range(m - 1):
+        d = np.subtract(a[i, i + 1 :], a[i + 1 :, i], out=diff[: m - 1 - i])
+        total += np.vdot(d, d).real
+    return float(np.sqrt(2.0 * total) * state.grid.dx ** (state.n / 2.0))
 
 
 def marginal_boundary_mass(md: MarginalDensity) -> float:
