@@ -94,7 +94,7 @@ def working_set_bytes(points: int, n: int) -> int:
     leading-pass buffers (about SLAB each).  nbody_energy holds the spectrum
     of one first-axis slab of points**(n-1) amplitudes, the transform's copy
     of it and the slab's row sums: five halves of a slab.  symmetry_defect
-    holds one such slab, reduce_marginal one chunk of at most SLAB
+    holds at most one such slab, reduce_marginal one chunk of at most SLAB
     amplitudes, and split_step two tables of points**k while it builds the
     phase.
     """
