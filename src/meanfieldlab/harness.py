@@ -40,6 +40,14 @@ def _on_steps(key: str, span: float, dt: float, offsets) -> None:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _admit_flow(key: str, grid: GridSpec, span: float, dt: float) -> None:
+    """Refuse, naming ``key``, a Hartree trajectory that ``hartree.admit_trajectory`` refuses."""
+    try:
+        ha.admit_trajectory(grid.points, span, dt)
+    except MemoryError as exc:
+        raise MemoryError(f"{key}: {exc}") from exc
+
+
 def _in_section(section: str, key: str, default):
     """A flat config field that the JSON config keeps at ``section.key``."""
     return field(default=default, metadata={"section": section, "key": key})
@@ -375,6 +383,7 @@ class Report:
 def _hartree_flow(config: ExperimentConfig):
     """Grid, potential samples, initial orbital and its Hartree trajectory."""
     grid = config.grid()
+    _admit_flow("time.horizon over time.dt", grid, config.horizon, config.dt)
     vsamp = sample_potential(config.potential, grid)
     phi0 = _packet("initial_state", config.initial_state, grid)
     return grid, vsamp, phi0, ha.evolve_hartree(phi0, vsamp, grid, config.horizon, config.dt)
@@ -698,8 +707,9 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     step below one, no coupling pair (a, 2a), a coupling value below one, a
     repeated coupling value or identity time, no identity time), a fock.dt
     that is not positive or times off its steps, a swept lattice refused by
-    ``fock.admit_lattice``, and a bad lattice length or packet are refused up
-    front.  The file is ``fock_check.json``, the report itself.
+    ``fock.admit_lattice``, a lattice horizon whose Hartree trajectory
+    ``hartree.admit_trajectory`` refuses, and a bad lattice length or packet
+    are refused up front.  The file is ``fock_check.json``, the report itself.
     """
     tol = THRESHOLDS
     fsec = config.fock
@@ -726,6 +736,7 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
 
     grid = config.fock_grid()
+    _admit_flow("fock.dt (against the lattice horizon)", grid, fsec.horizon(), fsec.dt)
     vsamp = sample_potential(config.potential, grid)
     phi0 = _packet("fock.initial_state", fsec.initial_state, grid)
     traj = ha.evolve_hartree(phi0, vsamp, grid, fsec.horizon(), fsec.dt)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .grid import (
+    WORKING_SET_BUDGET,
     GridSpec,
     edge_mass,
     kinetic_phase,
@@ -72,6 +73,21 @@ class HartreeTrajectory:
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
+def admit_trajectory(points: int, t_final: float, dt: float) -> None:
+    """Refuse, with ``MemoryError``, a trajectory whose stored states exceed WORKING_SET_BUDGET.
+
+    A trajectory stores t_final/dt + 1 states of ``points`` amplitudes, 16 B
+    each; a t_final that ``step_schedule`` refuses is a ``ValueError``.
+    """
+    n_steps, _ = step_schedule(t_final, dt)
+    need = 16 * points * (n_steps + 1)
+    if need > WORKING_SET_BUDGET:
+        raise MemoryError(
+            f"a Hartree trajectory of {n_steps + 1} states of {points} amplitudes needs {need} bytes, "
+            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
+        )
+
+
 def evolve_hartree(
     phi0,
     potential_samples: np.ndarray,
@@ -79,10 +95,14 @@ def evolve_hartree(
     t_final: float,
     dt: float,
 ) -> HartreeTrajectory:
-    """Propagate phi0 to t_final, storing the state after every step."""
+    """Propagate phi0 to t_final, storing the state after every step.
+
+    Refused by ``admit_trajectory`` before the trajectory is allocated.
+    """
     phi = np.asarray(phi0, dtype=complex)
     if phi.shape != (grid.points,):
         raise ValueError(f"initial state has shape {phi.shape}, expected ({grid.points},)")
+    admit_trajectory(grid.points, t_final, dt)
     n_steps, _ = step_schedule(t_final, dt)
 
     half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt))

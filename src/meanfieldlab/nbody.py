@@ -3,9 +3,9 @@
 The Hamiltonian is the sum of one-body spectral kinetic terms and the
 mean-field-scaled pair interaction (1/N) sum_{i<j} V(x_i - x_j).  States are
 dense complex tensors of shape (M,)*N, so memory is the binding constraint.
-A sweep holds the state as its one state-size array, and ``admit_sweep``,
-which ``product_state`` calls, refuses an (M, N) pair whose working set (the
-state and its slab scratch) exceeds a byte budget before allocating.
+A sweep holds the state as its one state-size array: every pass over it
+works in buffers of at most SLAB amplitudes, and ``admit_sweep`` refuses an
+(M, N) pair whose working set exceeds a byte budget before allocating.
 
 Propagation is Strang splitting with the kinetic half steps fused across
 consecutive steps, blocked for the cache.  The N axes split into L leading
@@ -17,15 +17,15 @@ tables of pair phases exp(-i dt V(x_i - x_j) / N), none of them state-size.
 slab, it applies the phase and the kinetic factor on the trailing axes, with
 the pair phases of the slab's leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
-axes.  Each pass works in buffers of about SLAB amplitudes, which stay in
-cache.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  The
-energy of a symmetric state and the symmetry defect work slab by slab of
-the first axis, and the marginals in chunks of at most SLAB amplitudes, so
-none of them holds a state-size temporary.
+axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.
+``product_state`` writes the state slab by slab; the marginals and the
+energy's pair density read it in blocks of whole columns of at most SLAB
+amplitudes, and the symmetry defect in contiguous blocks of pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,23 +86,16 @@ def _trailing_axes(points: int, n: int) -> int:
 
 
 def working_set_bytes(points: int, n: int) -> int:
-    """Bytes a sweep over (points,)*n holds at its peak: one state and its scratch.
+    """Bytes a sweep over (points,)*n holds at its peak: the state, the step's tables and scratch.
 
-    Beside the state, a sweep holds its SplitStep's trailing phase
-    (points**k amplitudes, k from ``_trailing_axes``) and the larger of two
-    scratch sets.  evolve_nbody holds one slab buffer (points**k) and two
-    leading-pass buffers (about SLAB each).  nbody_energy holds the spectrum
-    of one first-axis slab of points**(n-1) amplitudes, the transform's copy
-    of it and the slab's row sums: five halves of a slab.  symmetry_defect
-    holds at most one such slab, reduce_marginal one chunk of at most SLAB
-    amplitudes, and split_step two tables of points**k while it builds the
-    phase.
+    The step's tables hold points**k + points**(n-k) (points + 1) amplitudes.
+    Every pass over the state works in buffers of at most SLAB amplitudes (one
+    M x M block on grids of more than 256 points), evolve_nbody in three at
+    once.  The one-body M x M operators, a few KiB on 16 points, are left out.
     """
     k = _trailing_axes(points, n)
-    rows = points ** (n - k)
-    evolve = points**k + 2 * rows * max(1, SLAB // rows)
-    energy = 5 * points ** (n - 1 if n > 2 else n) // 2
-    return 16 * (points**n + points**k + max(evolve, energy))
+    tables = points**k + points ** (n - k) * (points + 1)
+    return 16 * (points**n + tables + 3 * max(SLAB, points**2))
 
 
 def admit_sweep(points: int, n: int) -> None:
@@ -118,15 +111,23 @@ def admit_sweep(points: int, n: int) -> None:
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
     """Tensor power phi^(x) n, the factorized N-body initial state.
 
-    Refused by ``admit_sweep`` before anything is allocated.
+    Refused by ``admit_sweep`` before anything is allocated.  Written slab by
+    slab (``_trailing_axes``), each amplitude phi(x_1) phi(x_2) ... phi(x_N)
+    multiplied left to right, so the tensor does not depend on SLAB.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
     admit_sweep(grid.points, n)
-    phi = np.asarray(phi, dtype=complex)
-    psi = phi
-    for _ in range(n - 1):
-        psi = psi[..., None] * phi
+    m, k = grid.points, _trailing_axes(grid.points, n)
+    phi = lead = np.asarray(phi, dtype=complex)
+    for _ in range(n - k - 1):
+        lead = lead[..., None] * phi
+    psi = np.empty((m,) * n, complex)
+    # a slab starts at its leading product, or at phi itself when there are no leading axes
+    for slab, head in zip(psi.reshape(-1, m**k), lead.reshape(-1, 1) if n > k else phi[None]):
+        for _ in range(k if n > k else k - 1):
+            head = head[..., None] * phi
+        slab[:] = head.ravel()
     return NBodyState(grid, n, psi, t)
 
 
@@ -294,43 +295,39 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     return state
 
 
+def _column_blocks(a: np.ndarray):
+    """Blocks of whole columns of ``a``, at most SLAB amplitudes or one column, each with a reused buffer."""
+    width = min(max(1, SLAB // len(a)), a.shape[1])
+    buf = np.empty(len(a) * width, complex)
+    for start in range(0, a.shape[1], width):
+        block = a[:, start : start + width]
+        yield block, buf[: block.size].reshape(block.shape)
+
+
 def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
-    """<psi, H psi> of a symmetric state, from one axis and the pair density.
+    """<psi, H psi> of a symmetric state, from its one-body marginal and its pair density.
 
     For a state symmetric under particle exchange
 
-        E = N <T on one axis> + ((N-1)/2) sum_xy V(x - y) rho_2(x, y) dx^N,
+        E = N dx Tr(T gamma) + ((N-1)/2) sum_xy V(x - y) rho_2(x, y) dx^N,
 
-    with the kinetic term a spectral sum over the last axis and rho_2 the
-    position density |psi|^2 summed over every axis but the first two.  The
-    formula assumes the symmetry; the harness measures it as ``sym_defect``.
-    Both run over slabs of the first axis, so no temporary is state-size, and
-    every sum runs along a contiguous axis, so numpy adds it pairwise.  An
-    N <= 2 state is small and stays one slab: BLAS sums the rows of a
-    matrix-vector product in groups of four, and single-row slabs would
-    change the last bits of the row sums.
+    with gamma the one-body marginal, T the spectral kinetic operator and
+    rho_2 the position density |psi|^2 summed over every axis but the first
+    two.  The trace is a k^2 sum over the transform of gamma: the (j, -j)
+    entries of F gamma F are the diagonal of F gamma F^dagger.  The formula
+    assumes the symmetry; the harness measures it as ``sym_defect``.
     """
     grid, n, m = state.grid, state.n, state.grid.points
-    weight = grid.dx**n
-    slabs = np.ascontiguousarray(state.psi).reshape(m if n > 2 else 1, -1, m)
-    k2 = np.repeat(grid.wavenumbers**2, 2)
-    rows = np.empty(slabs.shape[:2])  # k^2-weighted |psi_hat|^2 of each row
-    density = np.empty((len(slabs), m * m // len(slabs)))  # rho_2, when N > 1
-    for i, slab in enumerate(slabs):
-        # |psi_hat|^2 as real and imaginary parts in place
-        spec = sfft.fftn(slab, axes=(1,)).view(float)
-        np.square(spec, out=spec)
-        np.matmul(spec, k2, out=rows[i])
-        if n > 1:
-            # |psi|^2 into the spectrum's buffer, summed over all axes but the first two
-            sq = np.square(slab.view(float), out=spec)
-            density[i] = sq.reshape(density.shape[1], -1).sum(axis=1)
-    kinetic = float(np.sum(rows)) * n * weight / m
+    spec = sfft.fftn(reduce_marginal(state, 1).matrix)
+    j = np.arange(m)
+    kinetic = float(grid.wavenumbers**2 @ spec[j, -j].real) * n * grid.dx / m
     if n < 2:
         return kinetic
+    density = np.zeros(m * m)
+    for block, sq in _column_blocks(state.psi.reshape(m * m, -1)):
+        density += np.square(block.view(float), out=sq.view(float)).sum(axis=1)
     vmat = potential_matrix(potential_samples, grid)
-    pot = float(vmat.ravel() @ density.ravel()) * (n - 1) / 2 * weight
-    return kinetic + pot
+    return kinetic + float(vmat.ravel() @ density) * (n - 1) / 2 * grid.dx**n
 
 
 def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
@@ -339,8 +336,8 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
     Returns the kernel gamma(x_1..x_k ; y_1..y_k) as a matrix indexed by the
     flattened first/second variable groups.  Supported for k in {1, 2}; at
     k = N it is the pure-state projection itself.  The product is summed over
-    blocks of columns of about SLAB amplitudes, so the conjugate is never
-    state-size; a state of at most SLAB amplitudes is one block.
+    blocks of columns (``_column_blocks``), so the conjugate is never
+    state-size.
     """
     if k not in (1, 2):
         raise ValueError(f"marginal order k={k} not supported (use 1 or 2)")
@@ -348,14 +345,10 @@ def reduce_marginal(state: NBodyState, k: int = 1) -> MarginalDensity:
         raise ValueError(f"need k <= N, got k={k} with N={state.n}")
     m = state.grid.points
     a = state.psi.reshape(m**k, m ** (state.n - k))
-    weight = state.grid.dx ** (state.n - k)
-    width = min(max(1, SLAB // len(a)), a.shape[1])
-    conj = np.empty(len(a) * width, complex)
     gamma = np.zeros((len(a), len(a)), complex)
-    for start in range(0, a.shape[1], width):
-        block = a[:, start : start + width]
-        gamma += block @ np.conjugate(block, out=conj[: block.size].reshape(block.shape)).T
-    gamma *= weight
+    for block, conj in _column_blocks(a):
+        gamma += block @ np.conjugate(block, out=conj).T
+    gamma *= state.grid.dx ** (state.n - k)
     return MarginalDensity(state.grid, k, gamma, state.t)
 
 
@@ -386,19 +379,22 @@ def hs_distance(a: MarginalDensity, b: MarginalDensity) -> float:
 def symmetry_defect(state: NBodyState) -> float:
     """Norm distance between the state and itself with two particles swapped.
 
-    ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, summed
-    over the first axis, so each pair is read once and the one difference
-    held is at most a slab of M^(N-1) amplitudes, not the state.
+    ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, read
+    in blocks of at most SLAB amplitudes (rows psi[i, j] of several j, or
+    pieces of one longer row), so each pair is read once, in contiguous runs.
     """
     if state.n < 2:
         return 0.0
     m = state.grid.points
     a = state.psi.reshape(m, m, -1)
-    diff = np.empty(a.shape[1:], complex)
+    rows, cols = min(m, max(1, SLAB // a.shape[2])), min(a.shape[2], SLAB)
+    diff = np.empty(rows * cols, complex)
     total = 0.0
-    for i in range(m - 1):
-        d = np.subtract(a[i, i + 1 :], a[i + 1 :, i], out=diff[: m - 1 - i])
-        total += np.vdot(d, d).real
+    for i in range(m):
+        for j, c in itertools.product(range(i + 1, m, rows), range(0, a.shape[2], cols)):
+            upper = a[i, j : j + rows, c : c + cols]
+            d = np.subtract(upper, a[j : j + rows, i, c : c + cols], out=diff[: upper.size].reshape(upper.shape))
+            total += np.vdot(d, d).real
     return float(np.sqrt(2.0 * total) * state.grid.dx ** (state.n / 2.0))
 
 

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-about three minutes (177 s on a shared 2-vCPU x86-64 host with one BLAS
-thread, most of it the 250 steps at N = 6) and is shared between the
+about two and a half minutes (150 s on a shared 2-vCPU x86-64 host with one
+BLAS thread, most of it the 250 steps at N = 6) and is shared between the
 acceptance tests; everything else builds small throwaway objects per test.
 """
 

@@ -84,9 +84,12 @@ def test_step_schedule():
     for span, dt in ((0.5, 0.0), (-1.0, -1e-3)):  # no step; a whole number of steps backward
         with pytest.raises(ValueError, match="positive and finite"):
             step_schedule(span, dt)
-    for offset in (0.2001, 0.402, -2e-3):  # off the grid, past the end, before the start
+    for offset in (0.2001, 0.402, -2e-3, 1e308):  # off the grid, past the end, before the start, no finite step
         with pytest.raises(ValueError, match="does not land"):
             step_schedule(0.4, 2e-3, (offset,))
+    for span, dt in ((1e308, 1e-3), (0.2, 1e-320), (float("nan"), 1e-3)):  # no finite number of steps
+        with pytest.raises(ValueError, match="finite number of steps"):
+            step_schedule(span, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,7 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         ({"cutoff": -3}, "fock.cutoff"),
         ({"sites": 0}, "fock.sites"),
         ({"dt": 0}, "fock.dt"),
+        ({"dt": 1e-320}, "fock.dt"),  # the lattice horizon is no finite number of steps
         ({"length": 0}, "fock.length"),
         ({"initial_state": {"width": 0}}, "fock.initial_state.width"),
     ],
@@ -589,6 +590,39 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows
     assert err.startswith("error:") and fragment in err
     assert not (out / "fock_check.json").exists()
     assert hartree_flows == []
+
+
+# 2^30 + 1 stored states of 20 amplitudes (343 GB), or 2^34 + 1 of 2 on the
+# lattice (550 GB): steps exact in binary, so the spans are whole numbers of them
+HUGE_FLOWS = {
+    "hartree": ({"time": {"horizon": 2.0**20, "dt": 2.0**-10}}, "time.horizon over time.dt"),
+    "rate": ({"time": {"horizon": 2.0**20, "dt": 2.0**-10, "sample_times": [0.5, 1.0]}}, "time.horizon over time.dt"),
+    "bogoliubov": ({"time": {"horizon": 2.0**20, "dt": 2.0**-10, "sample_times": [0.5]}}, "time.horizon over time.dt"),
+    "fock-check": ({"fock": {"dt": 2.0**-34}}, "fock.dt"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_FLOWS))
+def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_path, capsys, hartree_flows, command):
+    change, fragment = HUGE_FLOWS[command]
+    raw = tiny_dict()
+    for key, value in change.items():
+        raw[key].update(value)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and "exceeds the budget" in err
+    assert not any(out.iterdir())
+    assert hartree_flows == []
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -638,6 +672,11 @@ def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows
         pytest.param("hartree", {"time": {"dt": 0}}, "time.dt", id="hartree-zero step"),
         pytest.param("bogoliubov", {"time": {"dt": 0}}, "time.dt", id="bogoliubov-zero step"),
         pytest.param("rate", {"time": {"nbody_dt": 0}}, "time.nbody_dt", id="rate-zero N-body step"),
+        # spans that are no finite number of steps
+        pytest.param("hartree", {"time": {"horizon": 1e308}}, "time.horizon", id="hartree-overflowing horizon"),
+        pytest.param("rate", {"time": {"horizon": 1e308}}, "time.horizon", id="rate-overflowing horizon"),
+        pytest.param("hartree", {"time": {"dt": 1e-320}}, "time.dt", id="hartree-subnormal step"),
+        pytest.param("rate", {"time": {"nbody_dt": 1e-320}}, "time.nbody_dt", id="rate-subnormal N-body step"),
         # a whole number of negative steps would run backward in time
         pytest.param(
             "hartree", {"time": {"dt": -1e-3, "horizon": -1.0}}, "time.dt", id="hartree-negative step"

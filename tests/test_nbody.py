@@ -115,6 +115,8 @@ def test_product_state_properties(small):
     # factorized: psi(x,y,z) = phi(x) phi(y) phi(z)
     want = np.einsum("i,j,k->ijk", phi, phi, phi)
     assert np.allclose(st.psi, want, atol=1e-14)
+    # evolve_nbody overwrites the state, so even N = 1 must not share the orbital's memory
+    assert not np.shares_memory(product_state(phi, 1, g).psi, phi)
     with pytest.raises(ValueError):
         product_state(phi, 0, g)
 
@@ -155,12 +157,13 @@ def test_sweep_peak_stays_inside_the_admitted_working_set():
     sweep(2)  # warm up outside the trace
     tracemalloc.start()
     try:
-        state_bytes = sweep(n)
+        sweep(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # allowance for one-body scratch (propagators, kinetic sums), far below a state
-    assert peak <= working_set_bytes(g.points, n) + state_bytes // 16
+    # the model leaves out the one-body operators: the step's two kinetic
+    # propagators, the two a slab folds them into, and room for two more
+    assert peak <= working_set_bytes(g.points, n) + 6 * 16 * g.points**2
 
 
 def test_marginal_of_product_state_is_projection(small):
@@ -345,7 +348,7 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
     psi = functools.reduce(np.multiply.outer, packets)
     assert symmetry_defect(NBodyState(g, 5, psi, 0.0)) > 0.1
     want = expm(-1j * dense_hamiltonian(g, vs, 5) * 0.25) @ psi.ravel()
-    runs = []
+    runs, powers = [], []
     for lead in range(5):
         # a slab of 4^(5 - lead) amplitudes leaves `lead` leading axes
         monkeypatch.setattr(nbody, "SLAB", 4 ** (5 - lead))
@@ -353,10 +356,22 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
         assert step.phase.ndim == 5 - lead
         st = evolve_nbody(NBodyState(g, 5, psi.copy(), 0.0), step, 0.25)
         assert np.linalg.norm(st.psi.ravel() - want) * g.dx**2.5 < 1e-6
-        runs.append((st.psi, reduce_marginal(st, 1).matrix, reduce_marginal(st, 2).matrix, symmetry_defect(st)))
+        runs.append(
+            (
+                st.psi,
+                reduce_marginal(st, 1).matrix,
+                reduce_marginal(st, 2).matrix,
+                symmetry_defect(st),
+                nbody_energy(st, vs),
+            )
+        )
+        powers.append(product_state(packets[1], 5, g).psi.tobytes())
     for run in runs[1:]:
-        for got, unblocked in zip(run, runs[0]):
+        for got, unblocked in zip(run[:-1], runs[0]):
             assert np.max(np.abs(got - unblocked)) <= 1e-13
+        # the energy, about 3.4, is a sum over every amplitude, so it is held relative
+        assert run[-1] == pytest.approx(runs[0][-1], rel=1e-13, abs=0)
+    assert powers == powers[:1] * 5
 
 
 def test_reused_step_equals_a_fresh_step_per_span(small):
