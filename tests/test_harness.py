@@ -573,9 +573,9 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         ({"cutoff": -3}, "fock.cutoff"),
         ({"sites": 0}, "fock.sites"),
         ({"dt": 0}, "fock.dt"),
-        ({"dt": 1e-320}, "fock.dt"),  # the lattice horizon is no finite number of steps
         ({"length": 0}, "fock.length"),
         ({"initial_state": {"width": 0}}, "fock.initial_state.width"),
+        ({"dt": 1e-320}, "fock.dt"),  # the lattice horizon is no finite number of steps
     ],
 )
 def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, fock, fragment):
