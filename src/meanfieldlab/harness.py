@@ -1,7 +1,10 @@
 """Experiment harness: configuration, convergence runs, fits, cross-checks.
 
 Everything an experiment produces is derived from one ExperimentConfig and is
-bitwise reproducible (no timestamps, no threading, fixed summation orders).
+bitwise reproducible at a given BLAS thread count: no timestamps, fixed
+summation orders, and the N-body step's workers split it into disjoint slabs
+and column blocks, each computed alike by whichever worker takes it, so no
+output depends on how many workers there are.
 Each check behind a subcommand returns its Report and its output files as a
 dict from file name to text; it writes nothing itself.  A convergence run's
 files are a CSV of per-(N, t) records and a JSON manifest carrying the config
@@ -464,7 +467,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
                 hs_err=nb.hs_distance(gamma, proj),
                 e2_norm=corr.norm(),
                 e_minus_e2_norm=float(np.linalg.norm(e_mat - corr.matrix) * grid.dx),
-                energy_drift=abs(nb.nbody_energy(state, vsamp) - e0),
+                energy_drift=abs(nb.nbody_energy(state, vsamp, gamma) - e0),
                 sym_defect=nb.symmetry_defect(state),
                 boundary_mass=nb.marginal_boundary_mass(gamma),
             )

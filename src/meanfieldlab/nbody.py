@@ -17,7 +17,10 @@ tables of pair phases exp(-i dt V(x_i - x_j) / N), none of them state-size.
 slab, it applies the phase and the kinetic factor on the trailing axes, with
 the pair phases of the slab's leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
-axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.
+axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  When
+there are several slabs, both passes are shared among a few threads
+(``_pool_size``): each takes the next slab or block when it is free, with
+buffers of its own, so the state does not depend on how many there are.
 ``product_state`` writes the state slab by slab; the marginals and the
 energy's pair density read it in blocks of whole columns of at most SLAB
 amplitudes, and the symmetry defect in contiguous blocks of pairs.
@@ -25,7 +28,11 @@ amplitudes, and the symmetry defect in contiguous blocks of pairs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +92,50 @@ def _trailing_axes(points: int, n: int) -> int:
     return k
 
 
+def _pool_size() -> int:
+    """Threads a blocked step runs on: the CPUs this process may use over the BLAS threads.
+
+    BLAS reads its thread count from OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, and uses every core when neither holds a positive
+    count; the step then runs on one thread, since its BLAS products already
+    fill the cores.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            return max(1, (cpus or 1) // int(value))
+    return 1
+
+
+def _blocking(rows: int, cols: int) -> tuple[int, int]:
+    """Workers and leading-pass block width for a state of ``rows`` slabs of ``cols`` amplitudes.
+
+    No more workers than slabs; the blocks of all workers together hold
+    about SLAB amplitudes, and each at least one column.
+    """
+    workers = min(_pool_size(), rows)
+    return workers, min(cols, max(1, SLAB // rows // workers))
+
+
 def working_set_bytes(points: int, n: int) -> int:
     """Bytes a sweep over (points,)*n holds at its peak: the state, the step's tables and scratch.
 
     The step's tables hold points**k + points**(n-k) (points + 1) amplitudes.
-    Every pass over the state works in buffers of at most SLAB amplitudes (one
-    M x M block on grids of more than 256 points), evolve_nbody in three at
-    once.  The one-body M x M operators, a few KiB on 16 points, are left out.
+    Each of evolve_nbody's workers (``_blocking``) holds a slab buffer,
+    three M x M buffers for folding a slab's pair phases into the propagator
+    and two blocks of columns, and each worker beside the caller a thread,
+    whose Python objects (about 8 KiB) are charged as 1024 amplitudes.
+    Every other pass works in at most three buffers of SLAB amplitudes (one
+    M x M block on grids of more than 256 points).  The step's own M x M
+    propagators, a few KiB on 16 points, are left out.
     """
     k = _trailing_axes(points, n)
-    tables = points**k + points ** (n - k) * (points + 1)
-    return 16 * (points**n + tables + 3 * max(SLAB, points**2))
+    rows, cols = points ** (n - k), points**k
+    workers, width = _blocking(rows, cols)
+    tables = cols + rows * (points + 1)
+    step_scratch = workers * (cols + 3 * points**2 + 2 * rows * width) + 1024 * (workers - 1)
+    return 16 * (points**n + tables + max(step_scratch, 3 * max(SLAB, points**2)))
 
 
 def admit_sweep(points: int, n: int) -> None:
@@ -226,21 +266,50 @@ def _rotate(x: np.ndarray, y: np.ndarray, props: list) -> np.ndarray:
     return x
 
 
+def _share(pool, workers: int, count: int, work) -> None:
+    """Call work(w, i) for every i < count, worker w taking the next i when it is free.
+
+    The caller is worker 0 and the pool runs the others, so one worker needs
+    no pool.
+    """
+    todo, lock = iter(range(count)), threading.Lock()
+
+    def drain(w):
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            work(w, i)
+
+    others = [pool.submit(drain, w) for w in range(1, workers)]
+    drain(0)
+    for done in others:
+        done.result()
+
+
 def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     """Advance the state in place over ``span``, a whole number of steps of step.dt.
 
     Each Strang step is two passes over the state, and only the state is
     state-size.  The trailing pass multiplies each slab by the step's pair
     phase and applies the kinetic propagator on its k axes: k products that
-    alternate between the slab and one slab buffer, with the leading-trailing
+    alternate between the slab and a slab buffer, with the leading-trailing
     pairs folded into the propagator as diag(cross[i]) K and the leading
     pairs' scalar into the first product.  The leading pass applies the
     propagator on the L leading axes, one block of columns at a time,
-    through two buffers of about SLAB amplitudes.  When the whole state is
-    one slab (L = 0) the step is the unblocked one: the phase, then N
-    products.  When k is odd the phase is written into the buffer, so the
-    last product lands in the slab; only the first half step of a call then
-    copies each slab into the buffer.
+    through two block buffers.  When the whole state is one slab (L = 0) the
+    step is the unblocked one: the phase, then N products.  When k is odd
+    the phase is written into the buffer, so the last product lands in the
+    slab; only the first half step of a call then copies each slab into the
+    buffer.
+
+    With several slabs, each pass is shared among the workers of
+    ``_blocking``: the caller and a thread pool that lives for this call.
+    Every worker has its own slab buffer, folded propagators and block
+    buffers, and takes the next slab or block when it is free; each slab
+    and block gets the same products in the same order whichever worker
+    takes it, so the state is bitwise independent of the worker count.
 
     The state's amplitudes are overwritten (after a contiguous copy if they
     are not C-contiguous) and the same state is returned, so a caller that
@@ -254,42 +323,53 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     slabs = psi.reshape(-1, m**k)
     rows, cols = slabs.shape
     phase = step.phase.reshape(-1)
-    spare = np.empty(cols, complex)
-    width = max(1, SLAB // rows)
-    blocks = np.empty((2, rows * min(width, cols)), complex) if rows > 1 else None
+    workers, width = _blocking(rows, cols)
+    spares = np.empty((workers, cols), complex)
+    if rows > 1:
+        folds = np.empty((workers, 3, m, m), complex)
+        blocks = np.empty((workers, 2, rows * width), complex)
 
-    def kinetic(prop, phased):
-        for i, slab in enumerate(slabs):
-            first = rest = prop
-            # An odd number of products starts in the buffer, so the last
-            # one lands in the slab.
-            x, y = (spare, slab) if k % 2 else (slab, spare)
-            if phased:
-                np.multiply(slab, phase, out=x)
-                if rows > 1:
-                    rest = step.cross[i][:, None] * prop
-                    first = step.lead[i] * rest
-            elif x is spare:
-                np.copyto(spare, slab)
-            _rotate(x, y, [first] + [rest] * (k - 1))
-        if rows > 1:
-            leading(prop)
+    def trailing(w, i, prop, phased):
+        slab, first = slabs[i], prop
+        # An odd number of products starts in the buffer, so the last one
+        # lands in the slab.
+        x, y = (spares[w], slab) if k % 2 else (slab, spares[w])
+        if phased:
+            np.multiply(slab, phase, out=x)
+            if rows > 1:
+                # diag(cross[i]) K and lead[i] diag(cross[i]) K, written as
+                # their transposes: every operand is contiguous, so numpy
+                # needs no broadcast buffer, and the results are column-major
+                # like K
+                diag, rest, first = folds[w]
+                np.copyto(diag, step.cross[i])
+                np.multiply(diag, prop.T, out=rest)
+                np.multiply(step.lead[i], rest, out=first)
+                prop, first = rest.T, first.T
+        elif k % 2:
+            np.copyto(x, slab)
+        _rotate(x, y, [first] + [prop] * (k - 1))
 
-    def leading(prop):
+    def leading(w, b, prop):
         # L products turn (a_1..a_L, column) into (column, a_1..a_L), written
         # back transposed.
-        for start in range(0, cols, width):
-            block = slabs[:, start : start + width]
-            x, y = (buf[: block.size] for buf in blocks)
-            np.copyto(x.reshape(block.shape), block)
-            x = _rotate(x, y, [prop] * (state.n - k))
-            np.copyto(block, x.reshape(block.shape[::-1]).T)
+        block = slabs[:, b * width : (b + 1) * width]
+        x, y = (buf[: block.size] for buf in blocks[w])
+        np.copyto(x.reshape(block.shape), block)
+        x = _rotate(x, y, [prop] * (state.n - k))
+        np.copyto(block, x.reshape(block.shape[::-1]).T)
+
+    def kinetic(prop, phased):
+        _share(pool, workers, rows, lambda w, i: trailing(w, i, prop, phased))
+        if rows > 1:
+            _share(pool, workers, -(-cols // width), lambda w, b: leading(w, b, prop))
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
-    kinetic(step.half, False)
-    for s in range(n_steps):
-        kinetic(step.full if s < n_steps - 1 else step.half, True)
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        kinetic(step.half, False)
+        for s in range(n_steps):
+            kinetic(step.full if s < n_steps - 1 else step.half, True)
     state.psi = psi
     state.t += n_steps * step.dt
     return state
@@ -304,7 +384,9 @@ def _column_blocks(a: np.ndarray):
         yield block, buf[: block.size].reshape(block.shape)
 
 
-def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
+def nbody_energy(
+    state: NBodyState, potential_samples: np.ndarray, marginal: MarginalDensity | None = None
+) -> float:
     """<psi, H psi> of a symmetric state, from its one-body marginal and its pair density.
 
     For a state symmetric under particle exchange
@@ -315,10 +397,16 @@ def nbody_energy(state: NBodyState, potential_samples: np.ndarray) -> float:
     rho_2 the position density |psi|^2 summed over every axis but the first
     two.  The trace is a k^2 sum over the transform of gamma: the (j, -j)
     entries of F gamma F are the diagonal of F gamma F^dagger.  The formula
-    assumes the symmetry; the harness measures it as ``sym_defect``.
+    assumes the symmetry; the harness measures it as ``sym_defect``.  A
+    caller that has taken ``reduce_marginal(state, 1)`` already passes it as
+    ``marginal``, so the marginal is not taken twice.
     """
     grid, n, m = state.grid, state.n, state.grid.points
-    spec = sfft.fftn(reduce_marginal(state, 1).matrix)
+    if marginal is None:
+        marginal = reduce_marginal(state, 1)
+    elif (marginal.grid, marginal.k, marginal.t) != (grid, 1, state.t):
+        raise ValueError("marginal is not the one-body marginal of this state")
+    spec = sfft.fftn(marginal.matrix)
     j = np.arange(m)
     kinetic = float(grid.wavenumbers**2 @ spec[j, -j].real) * n * grid.dx / m
     if n < 2:

@@ -1,6 +1,7 @@
 """Configuration, record handling, rate fits, the pipeline driver, and the CLI."""
 
 import json
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import meanfieldlab.cli as cli
 import meanfieldlab.harness as hn
+import meanfieldlab.nbody as nb
 
 
 def tiny_dict():
@@ -352,6 +354,18 @@ def test_rerun_writes_bitwise_identical_records(tiny_config, tiny_run):
     assert hn.records_csv(tiny_run.records) == hn.records_csv(again.records)
 
 
+def test_convergence_takes_one_marginal_per_state(tiny_config, tiny_run, monkeypatch):
+    # one at t = 0 for the reference energy, then one per sample time that the
+    # record and the energy share
+    calls = []
+    original = nb.reduce_marginal
+    monkeypatch.setattr(nb, "reduce_marginal", lambda state, k=1: calls.append(state.t) or original(state, k))
+    again = hn.run_convergence(tiny_config, quiet=True)
+    assert hn.records_csv(again.records) == hn.records_csv(tiny_run.records)
+    per_count = [0.0, *tiny_config.sample_times]
+    assert calls == pytest.approx(per_count * len(tiny_config.particle_counts), abs=1e-12)
+
+
 # ---------------------------------------------------------------- lattice battery
 
 
@@ -524,6 +538,20 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
+    # N = 5 would run its step on two workers; N = 7 is refused before any N runs
+    monkeypatch.setattr(nb, "_pool_size", lambda: 2)
+    pools = []
+    monkeypatch.setattr(nb, "ThreadPoolExecutor", lambda *a: pools.append(a))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"particle_counts": [5, 7]}))
+    threads = threading.active_count()
+    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert pools == []
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ for the trace distance.  None of them share code with the implementations under 
 import functools
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -164,6 +166,34 @@ def test_sweep_peak_stays_inside_the_admitted_working_set():
     # the model leaves out the one-body operators: the step's two kinetic
     # propagators, the two a slab folds them into, and room for two more
     assert peak <= working_set_bytes(g.points, n) + 6 * 16 * g.points**2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_sweep_peak_stays_inside_the_admitted_working_set(monkeypatch, workers):
+    # each worker holds its own buffers and the model charges them per worker
+    monkeypatch.setattr(nbody, "_pool_size", lambda: workers)
+    test_sweep_peak_stays_inside_the_admitted_working_set()
+
+
+@pytest.mark.parametrize(
+    "blas, cpus, want",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),  # OpenBLAS reads its own first
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 4),  # and skips a count below one
+        ({"OMP_NUM_THREADS": " 2 "}, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 4, 1),  # BLAS then uses every core
+        ({}, 4, 1),
+    ],
+)
+def test_pool_size_is_the_cpus_over_the_blas_threads(monkeypatch, blas, cpus, want):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(nbody.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert nbody._pool_size() == want
 
 
 def test_marginal_of_product_state_is_projection(small):
@@ -374,6 +404,52 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
     assert powers == powers[:1] * 5
 
 
+def test_blocked_step_is_bitwise_independent_of_the_worker_count(monkeypatch):
+    pools = []
+
+    class Pool(nbody.ThreadPoolExecutor):
+        def __init__(self, threads):
+            pools.append(threads)
+            super().__init__(threads)
+
+    monkeypatch.setattr(nbody, "ThreadPoolExecutor", Pool)
+
+    def assert_independent(g, vs, packets, span):
+        psi = functools.reduce(np.multiply.outer, packets)
+        step = split_step(g, vs, len(packets), 1e-3)
+        states = []
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(nbody, "_pool_size", lambda: workers)
+            threads = threading.active_count()
+            states.append(evolve_nbody(NBodyState(g, len(packets), psi.copy(), 0.0), step, span).psi)
+            assert threading.active_count() == threads  # the pool is gone with the call
+        for got in states[1:]:
+            assert np.array_equal(got, states[0])
+
+    # 4, 16, 64 and 256 slabs: 3 workers divide none of them, 5 outnumber the
+    # 4 slabs at one leading axis and the 4 column blocks at four
+    g = GridSpec(4, 4.0)
+    packets = [gaussian_packet(g, 0.5 + 0.7 * j, 0.5 + 0.1 * j, 1.0 - 0.6 * j) for j in range(5)]
+    for lead in range(1, 5):
+        monkeypatch.setattr(nbody, "SLAB", 4 ** (5 - lead))
+        assert_independent(g, np.array([0.8, 0.5, -0.3, 0.1]), packets, 0.05)
+    # the caller is one of the workers, and 5 workers on 4 slabs are 4
+    assert pools == [1, 2, 3, 1, 2, 4, 1, 2, 4, 1, 2, 4]
+    # Products on slabs of 4^k amplitudes are too short for the workers to
+    # overlap.  On 16 points at N = 5 the 16 slabs are 1 MB each, numpy
+    # releases the GIL and they do: a buffer two workers shared would show.
+    # A short switch interval hands the interpreter lock around more often.
+    monkeypatch.setattr(nbody, "SLAB", 2**16)
+    g = GridSpec(16, 16.0)
+    packets = [gaussian_packet(g, 6.0 + j, 1.0, 0.5 - 0.2 * j) for j in range(5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_independent(g, sample_potential(PotentialSpec(0.5, 1.0), g), packets, 3e-3)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_reused_step_equals_a_fresh_step_per_span(small):
     g, vs, phi = small
     step = split_step(g, vs, 3, 2e-3)
@@ -423,6 +499,16 @@ def test_energy_of_symmetrized_state_matches_dense_quadratic_form():
     h = dense_hamiltonian(g, vs, 3)
     want = float(np.vdot(psi.ravel(), h @ psi.ravel()).real * g.dx**3)
     assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-12)
+
+
+def test_energy_reuses_the_marginal_it_is_given(small):
+    g, vs, phi = small
+    st = evolve_nbody(product_state(phi, 3, g), split_step(g, vs, 3, 2e-3), 0.1)
+    gamma = reduce_marginal(st, 1)
+    assert nbody_energy(st, vs, gamma) == nbody_energy(st, vs)
+    for other in (reduce_marginal(st, 2), replace(gamma, t=0.0)):
+        with pytest.raises(ValueError, match="not the one-body marginal"):
+            nbody_energy(st, vs, other)
 
 
 def test_conservation_and_symmetry(small):
