@@ -375,7 +375,10 @@ class GeneratorSet:
         return c
 
     def matrix(self, phi, which: str = "full", n_field: float = 1.0) -> sparse.csr_matrix:
-        data = self._bank.T @ self.coefficients(phi, which, n_field)
+        # the real bank times the (re, im) columns of the weights, viewed as
+        # complex, so the bank is never converted to complex
+        c = self.coefficients(phi, which, n_field)
+        data = (self._bank.T @ c.view(float).reshape(-1, 2)).view(complex).ravel()
         return sparse.csr_matrix(
             (data, self._indices.copy(), self._indptr.copy()),
             shape=(self.space.dimension, self.space.dimension),

@@ -10,12 +10,13 @@ works in buffers of at most SLAB amplitudes, and ``admit_sweep`` refuses an
 Propagation is Strang splitting with the kinetic half steps fused across
 consecutive steps, blocked for the cache.  The N axes split into L leading
 and k trailing ones, k the most with M^k <= SLAB, so the state is M^L slabs
-of at most SLAB amplitudes.  ``split_step`` builds the operators of one step
-once per (N, dt): the M x M position-space kinetic propagators and three
-tables of pair phases exp(-i dt V(x_i - x_j) / N), none of them state-size.
-``evolve_nbody`` advances a state in place in two passes per step.  Slab by
-slab, it applies the phase and the kinetic factor on the trailing axes, with
-the pair phases of the slab's leading index folded into the propagator.
+of at most SLAB amplitudes.  ``evolve_nbody`` builds the operators of its
+step at the top of each call, in milliseconds: the M x M position-space
+kinetic propagators and three tables of pair phases
+exp(-i dt V(x_i - x_j) / N), none of them state-size.  It advances a state
+in place in two passes per step.  Slab by slab, it applies the phase and
+the kinetic factor on the trailing axes, with the pair phases of the slab's
+leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
 axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  When
 there are several slabs, both passes are shared among a few threads
@@ -61,9 +62,6 @@ class NBodyState:
             raise ValueError(
                 f"state tensor has shape {self.psi.shape}, expected {(self.grid.points,) * self.n}"
             )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi.ravel()) * self.grid.dx ** (self.n / 2.0))
 
 
 @dataclass
@@ -121,7 +119,7 @@ def _blocking(rows: int, cols: int) -> tuple[int, int]:
 def working_set_bytes(points: int, n: int) -> int:
     """Bytes a sweep over (points,)*n holds at its peak: the state, the step's tables and scratch.
 
-    The step's tables hold points**k + points**(n-k) (points + 1) amplitudes.
+    evolve_nbody's tables hold points**k + points**(n-k) (points + 1) amplitudes.
     Each of evolve_nbody's workers (``_blocking``) holds a slab buffer,
     three M x M buffers for folding a slab's pair phases into the propagator
     and two blocks of columns, and each worker beside the caller a thread,
@@ -175,7 +173,7 @@ def interaction_tensor(grid: GridSpec, potential_samples: np.ndarray, n: int) ->
     """W(x_1..x_n) = (1/n) sum_{i<j} V(x_i - x_j) as a dense real tensor.
 
     No pipeline calls it: the propagator builds exp(-i dt W) from pair phases
-    (``split_step``) and the energy reads the pair density.  It stays as the
+    (``_pair_tables``) and the energy reads the pair density.  It stays as the
     tests' oracle and because the benchmark's tracer wraps it by name.
     """
     m = grid.points
@@ -205,52 +203,6 @@ def _pair_tables(pair: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         phase = phase[..., None] * column
         column = column[..., None, :] * pair
     return phase, column
-
-
-@dataclass(frozen=True)
-class SplitStep:
-    """The operators of one Strang step of dt for N particles on one grid.
-
-    The N axes split into L leading and k trailing ones (``_trailing_axes``),
-    and the state into M^L slabs of M^k amplitudes, one per leading index
-    i = (a_1..a_L).  The pair phase exp(-i dt W) of a slab is the product of
-    ``phase`` (pairs among the trailing axes), ``cross[i]`` on each trailing
-    axis (pairs of a leading and a trailing axis) and the scalar ``lead[i]``
-    (pairs among the leading axes), so no table is state-size.
-    """
-
-    dt: float
-    shape: tuple  # (grid.points,) * N, the state shape it is built for
-    phase: np.ndarray  # complex, shape (grid.points,) * k
-    cross: np.ndarray  # (M^L, M): prod_l P[a_l, y] per leading index
-    lead: np.ndarray  # (M^L,): prod_{l<l'} P[a_l, a_l'] per leading index
-    # Kinetic propagators of dt/2 and dt, transposed, so that evolve_nbody's
-    # slab products apply the propagators themselves.
-    half: np.ndarray
-    full: np.ndarray
-
-
-def split_step(grid: GridSpec, potential_samples: np.ndarray, n: int, dt: float) -> SplitStep:
-    """Build the step once per (N, dt); every span of a sweep reuses it.
-
-    Its tables multiply the pair phases P = exp(-i dt V / N) one axis at a
-    time (``_pair_tables``).  Together they hold M^k + M^L (M + 1)
-    amplitudes, so at N = 6 on 16 points the build takes milliseconds.
-    """
-    m = grid.points
-    k = _trailing_axes(m, n)
-    pair = np.exp((-1j * dt / n) * potential_matrix(potential_samples, grid))
-    lead, cross = _pair_tables(pair, n - k)
-    inner, column = _pair_tables(pair, k - 1)  # the last trailing axis closes its pairs in the phase
-    return SplitStep(
-        dt,
-        (m,) * n,
-        inner[..., None] * column,
-        cross.reshape(-1, m),
-        lead.reshape(-1),
-        multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T,
-        multiplier_matrix(grid, kinetic_phase(grid, dt)).T,
-    )
 
 
 def _rotate(x: np.ndarray, y: np.ndarray, props: list) -> np.ndarray:
@@ -288,11 +240,18 @@ def _share(pool, workers: int, count: int, work) -> None:
         done.result()
 
 
-def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
-    """Advance the state in place over ``span``, a whole number of steps of step.dt.
+def evolve_nbody(state: NBodyState, potential_samples: np.ndarray, span: float, dt: float) -> NBodyState:
+    """Advance the state in place over ``span``, a whole number of steps of dt.
+
+    The call first builds its step.  Its tables multiply the pair phases
+    P = exp(-i dt V / N) one axis at a time (``_pair_tables``): the phase of
+    the pairs among the k trailing axes, and per leading index i = (a_1..a_L)
+    the column cross[i] = prod_l P[a_l, y] and the scalar
+    lead[i] = prod_{l<l'} P[a_l, a_l'].  Together they hold M^k + M^L (M + 1)
+    amplitudes, so at N = 6 on 16 points the build takes milliseconds.
 
     Each Strang step is two passes over the state, and only the state is
-    state-size.  The trailing pass multiplies each slab by the step's pair
+    state-size.  The trailing pass multiplies each slab by the pair
     phase and applies the kinetic propagator on its k axes: k products that
     alternate between the slab and a slab buffer, with the leading-trailing
     pairs folded into the propagator as diag(cross[i]) K and the leading
@@ -315,14 +274,22 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     are not C-contiguous) and the same state is returned, so a caller that
     needs the start afterwards evolves a copy.
     """
-    n_steps, _ = step_schedule(span, step.dt)
-    if step.shape != state.psi.shape:
-        raise ValueError(f"step is built for shape {step.shape}, the state has shape {state.psi.shape}")
-    m, k = state.grid.points, step.phase.ndim
+    n_steps, _ = step_schedule(span, dt)
+    grid, n = state.grid, state.n
+    m, k = grid.points, _trailing_axes(grid.points, n)
+    pair = np.exp((-1j * dt / n) * potential_matrix(potential_samples, grid))
+    lead, cross = _pair_tables(pair, n - k)
+    inner, column = _pair_tables(pair, k - 1)  # the last trailing axis closes its pairs in the phase
+    phase = (inner[..., None] * column).reshape(-1)
+    del inner, column  # column is as large as the phase, and the passes need neither
+    lead, cross = lead.reshape(-1), cross.reshape(-1, m)
+    # Kinetic propagators of dt/2 and dt, transposed, so that the slab
+    # products apply the propagators themselves.
+    half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt)).T
+    full = multiplier_matrix(grid, kinetic_phase(grid, dt)).T
     psi = np.ascontiguousarray(state.psi, dtype=complex)
     slabs = psi.reshape(-1, m**k)
     rows, cols = slabs.shape
-    phase = step.phase.reshape(-1)
     workers, width = _blocking(rows, cols)
     spares = np.empty((workers, cols), complex)
     if rows > 1:
@@ -342,9 +309,9 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
                 # needs no broadcast buffer, and the results are column-major
                 # like K
                 diag, rest, first = folds[w]
-                np.copyto(diag, step.cross[i])
+                np.copyto(diag, cross[i])
                 np.multiply(diag, prop.T, out=rest)
-                np.multiply(step.lead[i], rest, out=first)
+                np.multiply(lead[i], rest, out=first)
                 prop, first = rest.T, first.T
         elif k % 2:
             np.copyto(x, slab)
@@ -356,7 +323,7 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
         block = slabs[:, b * width : (b + 1) * width]
         x, y = (buf[: block.size] for buf in blocks[w])
         np.copyto(x.reshape(block.shape), block)
-        x = _rotate(x, y, [prop] * (state.n - k))
+        x = _rotate(x, y, [prop] * (n - k))
         np.copyto(block, x.reshape(block.shape[::-1]).T)
 
     def kinetic(prop, phased):
@@ -367,11 +334,11 @@ def evolve_nbody(state: NBodyState, step: SplitStep, span: float) -> NBodyState:
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
     with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
-        kinetic(step.half, False)
+        kinetic(half, False)
         for s in range(n_steps):
-            kinetic(step.full if s < n_steps - 1 else step.half, True)
+            kinetic(full if s < n_steps - 1 else half, True)
     state.psi = psi
-    state.t += n_steps * step.dt
+    state.t += n_steps * dt
     return state
 
 
@@ -384,9 +351,7 @@ def _column_blocks(a: np.ndarray):
         yield block, buf[: block.size].reshape(block.shape)
 
 
-def nbody_energy(
-    state: NBodyState, potential_samples: np.ndarray, marginal: MarginalDensity | None = None
-) -> float:
+def nbody_energy(state: NBodyState, potential_samples: np.ndarray, marginal: MarginalDensity) -> float:
     """<psi, H psi> of a symmetric state, from its one-body marginal and its pair density.
 
     For a state symmetric under particle exchange
@@ -397,14 +362,12 @@ def nbody_energy(
     rho_2 the position density |psi|^2 summed over every axis but the first
     two.  The trace is a k^2 sum over the transform of gamma: the (j, -j)
     entries of F gamma F are the diagonal of F gamma F^dagger.  The formula
-    assumes the symmetry; the harness measures it as ``sym_defect``.  A
-    caller that has taken ``reduce_marginal(state, 1)`` already passes it as
-    ``marginal``, so the marginal is not taken twice.
+    assumes the symmetry; the harness measures it as ``sym_defect``.
+    ``marginal`` is ``reduce_marginal(state, 1)``, which the caller has
+    taken already, so the marginal is not taken twice.
     """
     grid, n, m = state.grid, state.n, state.grid.points
-    if marginal is None:
-        marginal = reduce_marginal(state, 1)
-    elif (marginal.grid, marginal.k, marginal.t) != (grid, 1, state.t):
+    if (marginal.grid, marginal.k, marginal.t) != (grid, 1, state.t):
         raise ValueError("marginal is not the one-body marginal of this state")
     spec = sfft.fftn(marginal.matrix)
     j = np.arange(m)
@@ -470,6 +433,8 @@ def symmetry_defect(state: NBodyState) -> float:
     ||psi - psi swapped||^2 = 2 sum_{i<j} ||psi[i, j] - psi[j, i]||^2, read
     in blocks of at most SLAB amplitudes (rows psi[i, j] of several j, or
     pieces of one longer row), so each pair is read once, in contiguous runs.
+    Each block's squares are summed by numpy in the block's own buffer, not
+    by BLAS, so the sum does not depend on the BLAS thread count.
     """
     if state.n < 2:
         return 0.0
@@ -482,7 +447,7 @@ def symmetry_defect(state: NBodyState) -> float:
         for j, c in itertools.product(range(i + 1, m, rows), range(0, a.shape[2], cols)):
             upper = a[i, j : j + rows, c : c + cols]
             d = np.subtract(upper, a[j : j + rows, i, c : c + cols], out=diff[: upper.size].reshape(upper.shape))
-            total += np.vdot(d, d).real
+            total += np.square(d.view(float), out=d.view(float)).sum()
     return float(np.sqrt(2.0 * total) * state.grid.dx ** (state.n / 2.0))
 
 

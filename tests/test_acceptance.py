@@ -267,13 +267,12 @@ def test_solver_hygiene(convergence, config, main_grid, potential_samples, phi0)
     energy_slope = -hn.fit_rate([(1.0 / dt, d) for dt, d in drifts]).slope
 
     start = nb.product_state(phi0, 3, main_grid)
-    step = nb.split_step(main_grid, potential_samples, 3, config.dt)
     residuals = []
     for h in (8e-3, 4e-3, 2e-3):
-        samples = [nb.evolve_nbody(replace(start, psi=start.psi.copy()), step, 0.5 - h)]
+        samples = [nb.evolve_nbody(replace(start, psi=start.psi.copy()), potential_samples, 0.5 - h, config.dt)]
         for _ in range(2):
             last = samples[-1]
-            samples.append(nb.evolve_nbody(replace(last, psi=last.psi.copy()), step, h))
+            samples.append(nb.evolve_nbody(replace(last, psi=last.psi.copy()), potential_samples, h, config.dt))
         residuals.append((h, nb.bbgky_residual(samples, potential_samples)))
     bbgky_slope = hn.fit_rate(residuals).slope
 

@@ -1,6 +1,9 @@
 """Configuration, record handling, rate fits, the pipeline driver, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import asdict, replace
@@ -487,6 +490,26 @@ def test_cli_rerun_is_bitwise_identical(tmp_path, cfg_file, command):
         cli.main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"])
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_rate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same bytes at one and at two BLAS threads, in fresh processes.
+
+    N = 5 on 16 points is several slabs, so the step's worker count changes
+    with the BLAS threads too.
+    """
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"particle_counts": [2, 5], "time": {"horizon": 0.008, "sample_times": [0.004, 0.008]}}))
+    src = str(Path(hn.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "meanfieldlab.cli", "rate", "--config", str(cfg), "--out", str(out), "--quiet"]
+        subprocess.run(argv, env=env, check=True, timeout=300)
+        outputs.append({name: (out / name).read_bytes() for name in ("records.csv", "manifest.json")})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_looks_up_the_checks_when_it_runs(tmp_path, cfg_file, monkeypatch):

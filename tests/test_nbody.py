@@ -41,7 +41,6 @@ from meanfieldlab.nbody import (
     product_state,
     projection_marginal,
     reduce_marginal,
-    split_step,
     symmetry_defect,
     trace_distance,
     working_set_bytes,
@@ -112,7 +111,7 @@ def test_jacobi_oracle_self_consistency():
 def test_product_state_properties(small):
     g, _, phi = small
     st = product_state(phi, 3, g)
-    assert st.norm() == pytest.approx(1.0, rel=1e-12)
+    assert reduce_marginal(st, 1).trace() == pytest.approx(1.0, rel=1e-12)
     assert st.psi.shape == (8, 8, 8)
     # factorized: psi(x,y,z) = phi(x) phi(y) phi(z)
     want = np.einsum("i,j,k->ijk", phi, phi, phi)
@@ -146,12 +145,10 @@ def test_sweep_peak_stays_inside_the_admitted_working_set():
     def sweep(n):
         # run_convergence's sequence for one N, with two sample times
         st = product_state(phi, n, g)
-        nbody_energy(st, vs)
-        step = split_step(g, vs, n, 4e-3)
+        nbody_energy(st, vs, reduce_marginal(st, 1))
         for _ in range(2):
-            evolve_nbody(st, step, 8e-3)
-            reduce_marginal(st, 1)
-            nbody_energy(st, vs)
+            evolve_nbody(st, vs, 8e-3, 4e-3)
+            nbody_energy(st, vs, reduce_marginal(st, 1))
             symmetry_defect(st)
         return st.psi.nbytes
 
@@ -210,7 +207,7 @@ def test_marginal_tower_property(small):
     # tracing the two-body marginal down one slot reproduces the one-body one
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    st = evolve_nbody(st, split_step(g, vs, 3, 2e-3), 0.2)
+    st = evolve_nbody(st, vs, 0.2, 2e-3)
     g1 = reduce_marginal(st, 1)
     g2 = reduce_marginal(st, 2).matrix.reshape(8, 8, 8, 8)
     traced = np.einsum("xzyz->xy", g2) * g.dx
@@ -251,7 +248,7 @@ def test_trace_distance_orthogonal_pure_states(small):
 def test_trace_distance_against_jacobi_oracle(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    st = evolve_nbody(st, split_step(g, vs, 2, 2e-3), 0.3)
+    st = evolve_nbody(st, vs, 0.3, 2e-3)
     gamma = reduce_marginal(st, 1)
     proj = projection_marginal(phi, g)
     diff = gamma.matrix - proj.matrix
@@ -297,7 +294,10 @@ def test_pair_phase_product_matches_the_interaction_tensor(n):
     vs = sample_potential(PotentialSpec(0.5, 1.0), g)
     dt = 4e-3
     angle = -dt * interaction_tensor(g, vs, n)
-    phase = split_step(g, vs, n, dt).phase  # 6^n <= SLAB, so the phase spans every axis
+    # evolve_nbody's phase on 6^n <= SLAB amplitudes, where it spans every axis
+    pair = np.exp((-1j * dt / n) * potential_matrix(vs, g))
+    inner, column = nbody._pair_tables(pair, n - 1)
+    phase = inner[..., None] * column
     assert phase.shape == (6,) * n
     assert np.max(np.abs(phase - (np.cos(angle) + 1j * np.sin(angle)))) <= 1e-14
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-14
@@ -324,11 +324,11 @@ def test_two_body_evolution_matches_dense_exponential(small):
     st = product_state(phi, 2, g)
     h = dense_hamiltonian(g, vs, 2)
     want = expm(-1j * h * 0.25) @ st.psi.ravel()
-    got = evolve_nbody(replace(st, psi=st.psi.copy()), split_step(g, vs, 2, 1e-3), 0.25)
+    got = evolve_nbody(replace(st, psi=st.psi.copy()), vs, 0.25, 1e-3)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx
     assert err < 1e-6
     # and the splitting error shrinks at second order
-    got2 = evolve_nbody(st, split_step(g, vs, 2, 5e-4), 0.25)
+    got2 = evolve_nbody(st, vs, 0.25, 5e-4)
     err2 = np.linalg.norm(got2.psi.ravel() - want) * g.dx
     assert 3.0 <= err / err2 <= 5.0
 
@@ -349,7 +349,7 @@ def test_asymmetric_three_body_evolution_keeps_each_axis_in_place():
     st = NBodyState(g, 3, psi, 0.0)
     assert symmetry_defect(st) > 0.1
     want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
-    got = evolve_nbody(st, split_step(g, vs, 3, 1e-3), 0.25)
+    got = evolve_nbody(st, vs, 0.25, 1e-3)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
     assert err < 1e-6
 
@@ -360,7 +360,7 @@ def test_non_contiguous_state_matches_dense_exponential():
     psi = np.swapaxes(np.einsum("i,j,k->ijk", *three_packets(g)), 0, 1)
     assert not psi.flags.c_contiguous
     want = expm(-1j * dense_hamiltonian(g, vs, 3) * 0.25) @ psi.ravel()
-    got = evolve_nbody(NBodyState(g, 3, psi, 0.0), split_step(g, vs, 3, 1e-3), 0.25)
+    got = evolve_nbody(NBodyState(g, 3, psi, 0.0), vs, 0.25, 1e-3)
     err = np.linalg.norm(got.psi.ravel() - want) * g.dx ** 1.5
     assert err < 1e-6
 
@@ -382,9 +382,8 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
     for lead in range(5):
         # a slab of 4^(5 - lead) amplitudes leaves `lead` leading axes
         monkeypatch.setattr(nbody, "SLAB", 4 ** (5 - lead))
-        step = split_step(g, vs, 5, 1e-3)
-        assert step.phase.ndim == 5 - lead
-        st = evolve_nbody(NBodyState(g, 5, psi.copy(), 0.0), step, 0.25)
+        assert nbody._trailing_axes(4, 5) == 5 - lead
+        st = evolve_nbody(NBodyState(g, 5, psi.copy(), 0.0), vs, 0.25, 1e-3)
         assert np.linalg.norm(st.psi.ravel() - want) * g.dx**2.5 < 1e-6
         runs.append(
             (
@@ -392,7 +391,7 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
                 reduce_marginal(st, 1).matrix,
                 reduce_marginal(st, 2).matrix,
                 symmetry_defect(st),
-                nbody_energy(st, vs),
+                nbody_energy(st, vs, reduce_marginal(st, 1)),
             )
         )
         powers.append(product_state(packets[1], 5, g).psi.tobytes())
@@ -416,12 +415,11 @@ def test_blocked_step_is_bitwise_independent_of_the_worker_count(monkeypatch):
 
     def assert_independent(g, vs, packets, span):
         psi = functools.reduce(np.multiply.outer, packets)
-        step = split_step(g, vs, len(packets), 1e-3)
         states = []
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(nbody, "_pool_size", lambda: workers)
             threads = threading.active_count()
-            states.append(evolve_nbody(NBodyState(g, len(packets), psi.copy(), 0.0), step, span).psi)
+            states.append(evolve_nbody(NBodyState(g, len(packets), psi.copy(), 0.0), vs, span, 1e-3).psi)
             assert threading.active_count() == threads  # the pool is gone with the call
         for got in states[1:]:
             assert np.array_equal(got, states[0])
@@ -450,15 +448,15 @@ def test_blocked_step_is_bitwise_independent_of_the_worker_count(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_reused_step_equals_a_fresh_step_per_span(small):
+def test_chained_spans_agree_with_one_span_over_their_sum(small):
+    # the harness reaches each sample time by one call per span from the last one
     g, vs, phi = small
-    step = split_step(g, vs, 3, 2e-3)
-    reused, fresh = product_state(phi, 3, g), product_state(phi, 3, g)
+    chained, whole = product_state(phi, 3, g), product_state(phi, 3, g)
     for span in (0.05, 0.1):
-        evolve_nbody(reused, step, span)
-        evolve_nbody(fresh, split_step(g, vs, 3, 2e-3), span)
-        assert reused.t == fresh.t
-        assert np.array_equal(reused.psi, fresh.psi)
+        evolve_nbody(chained, vs, span, 2e-3)
+    evolve_nbody(whole, vs, 0.15, 2e-3)
+    assert chained.t == pytest.approx(whole.t, abs=1e-15)
+    assert np.max(np.abs(chained.psi - whole.psi)) <= 1e-12
 
 
 def test_energy_matches_dense_quadratic_form(small):
@@ -466,7 +464,7 @@ def test_energy_matches_dense_quadratic_form(small):
     st = product_state(phi, 2, g)
     h = dense_hamiltonian(g, vs, 2)
     want = float(np.vdot(st.psi.ravel(), h @ st.psi.ravel()).real * g.dx**2)
-    assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-11)
+    assert nbody_energy(st, vs, reduce_marginal(st, 1)) == pytest.approx(want, rel=1e-11)
 
 
 def test_energy_of_product_state_matches_one_body_closed_form():
@@ -482,7 +480,8 @@ def test_energy_of_product_state_matches_one_body_closed_form():
     density = np.abs(phi).astype(ld) ** 2
     pair = density @ potential_matrix(vs, g).astype(ld) @ density * ld(g.dx) ** 2
     want = n * one_body + ld(n - 1) / 2 * pair
-    got = nbody_energy(product_state(phi, n, g), vs)
+    st = product_state(phi, n, g)
+    got = nbody_energy(st, vs, reduce_marginal(st, 1))
     assert abs(float((ld(got) - want) / want)) <= 2e-14
 
 
@@ -498,14 +497,14 @@ def test_energy_of_symmetrized_state_matches_dense_quadratic_form():
     assert np.linalg.matrix_rank(psi.reshape(6, 36)) > 1
     h = dense_hamiltonian(g, vs, 3)
     want = float(np.vdot(psi.ravel(), h @ psi.ravel()).real * g.dx**3)
-    assert nbody_energy(st, vs) == pytest.approx(want, rel=1e-12)
+    assert nbody_energy(st, vs, reduce_marginal(st, 1)) == pytest.approx(want, rel=1e-12)
 
 
 def test_energy_reuses_the_marginal_it_is_given(small):
     g, vs, phi = small
-    st = evolve_nbody(product_state(phi, 3, g), split_step(g, vs, 3, 2e-3), 0.1)
+    st = evolve_nbody(product_state(phi, 3, g), vs, 0.1, 2e-3)
     gamma = reduce_marginal(st, 1)
-    assert nbody_energy(st, vs, gamma) == nbody_energy(st, vs)
+    assert nbody_energy(st, vs, gamma) == nbody_energy(st, vs, reduce_marginal(st, 1))
     for other in (reduce_marginal(st, 2), replace(gamma, t=0.0)):
         with pytest.raises(ValueError, match="not the one-body marginal"):
             nbody_energy(st, vs, other)
@@ -514,10 +513,11 @@ def test_energy_reuses_the_marginal_it_is_given(small):
 def test_conservation_and_symmetry(small):
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    e0 = nbody_energy(st, vs)
-    fin = evolve_nbody(st, split_step(g, vs, 3, 2e-3), 0.5)
-    assert abs(fin.norm() ** 2 - 1.0) < 1e-12
-    assert abs(nbody_energy(fin, vs) - e0) < 1e-6
+    e0 = nbody_energy(st, vs, reduce_marginal(st, 1))
+    fin = evolve_nbody(st, vs, 0.5, 2e-3)
+    gamma = reduce_marginal(fin, 1)
+    assert abs(gamma.trace() - 1.0) < 1e-12
+    assert abs(nbody_energy(fin, vs, gamma) - e0) < 1e-6
     assert symmetry_defect(fin) < 1e-12
 
 
@@ -532,13 +532,10 @@ def test_symmetry_defect_detects_asymmetry(small):
 def test_evolution_validation(small):
     g, vs, phi = small
     st = product_state(phi, 2, g)
-    step = split_step(g, vs, 2, 1e-3)
     with pytest.raises(ValueError):
-        evolve_nbody(st, step, 0.1003)
+        evolve_nbody(st, vs, 0.1003, 1e-3)
     with pytest.raises(ValueError):
-        evolve_nbody(st, step, 0.0)
-    with pytest.raises(ValueError, match="built for shape"):
-        evolve_nbody(st, split_step(g, vs, 3, 1e-3), 0.1)
+        evolve_nbody(st, vs, 0.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +545,12 @@ def test_evolution_validation(small):
 def test_bbgky_residual_shrinks_at_second_order(small):
     g, vs, phi = small
     st = product_state(phi, 3, g)
-    step = split_step(g, vs, 3, 5e-4)
     resid = {}
     for spacing in (8e-3, 4e-3):
-        samples = [evolve_nbody(replace(st, psi=st.psi.copy()), step, 0.1 - spacing)]
+        samples = [evolve_nbody(replace(st, psi=st.psi.copy()), vs, 0.1 - spacing, 5e-4)]
         for _ in range(2):
             last = samples[-1]
-            samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), step, spacing))
+            samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), vs, spacing, 5e-4))
         resid[spacing] = bbgky_residual(samples, vs)
     order = math.log2(resid[8e-3] / resid[4e-3])
     assert 1.7 <= order <= 2.3
@@ -562,10 +558,9 @@ def test_bbgky_residual_shrinks_at_second_order(small):
 
 def test_bbgky_residual_validation(small):
     g, vs, phi = small
-    step = split_step(g, vs, 2, 1e-3)
-    samples = [evolve_nbody(product_state(phi, 2, g), step, 0.1)]
+    samples = [evolve_nbody(product_state(phi, 2, g), vs, 0.1, 1e-3)]
     for _ in range(2):
         last = samples[-1]
-        samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), step, 0.1))
+        samples.append(evolve_nbody(replace(last, psi=last.psi.copy()), vs, 0.1, 1e-3))
     with pytest.raises(ValueError):
         bbgky_residual(samples[:2], vs)
