@@ -5,9 +5,10 @@ its harness check, which returns a report and its output files as text;
 ``main`` writes those files only after the check returns, so a refused run
 writes none.  It then prints one line per check item and exits with 0 on
 pass, 1 on failure, 2 when a check was inconclusive because a diagnostic
-limit (truncation, tolerance sweep) was hit.  A rejected configuration or a
-run refused for its memory footprint exits with 1 and an ``error:`` line on
-stderr.
+limit (truncation, tolerance sweep) was hit.  A rejected configuration exits
+with 1 and an ``error:`` line on stderr; a run refused before it allocates,
+because its working set would exceed the budget (``grid.CapacityError``),
+exits with 3 ("refused") and an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import sys
 from pathlib import Path
 
 from . import harness as hn
+from .grid import CapacityError
 
-EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
+EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2, "refused": 3}
 
 
 # Each entry looks its check up in ``hn`` when it runs, so a wrapper installed
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
             (out / name).write_text(text)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES["fail"]
+        return EXIT_CODES["refused" if isinstance(exc, CapacityError) else "fail"]
     if not args.quiet:
         for item in report.items:
             print(f"  {item.name}: {item.status} (measured {item.measured:.3e}, "

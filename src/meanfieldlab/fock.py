@@ -20,6 +20,17 @@ assembled per time step from precomputed sparse skeletons of the
 coefficients; the step itself is the exponential action of
 the midpoint generator, a Chebyshev expansion whose truncation error is
 bounded before the first matvec (``expm_multiply``).
+
+The quadratic and quartic parts change the particle number by 0 or 2, so
+they never mix the even and odd sectors; only the cubic part does.  A step
+whose assembled generator has every parity-changing entry exactly zero, on
+a state whose every column lies in one parity class, runs on that class's
+rows and columns only (``GeneratorSet.parity_half``).  It takes the whole
+generator's Gershgorin interval, so its Chebyshev degree and weights are
+those of the full-basis step, and the terms it skips are exact zeros: it
+gives the full-basis step's numbers.  Any other step (a ``full`` or
+``cubic`` generator, a state with mass in both classes) runs on the whole
+basis.
 """
 
 from __future__ import annotations
@@ -33,7 +44,14 @@ from scipy import sparse
 from scipy.special import jv
 
 from .bogoliubov import coupling_kernels
-from .grid import WORKING_SET_BUDGET, GridSpec, kinetic_matrix, potential_matrix, step_schedule
+from .grid import (
+    WORKING_SET_BUDGET,
+    CapacityError,
+    GridSpec,
+    kinetic_matrix,
+    potential_matrix,
+    step_schedule,
+)
 from .hartree import HartreeTrajectory
 
 # Chebyshev truncation bound of one exponential step, relative to ||x||.
@@ -57,24 +75,32 @@ def _chebyshev_weights(rho: float) -> np.ndarray:
     return weights
 
 
-def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i tau h) x for a Hermitian CSR matrix h; x is one vector or a (dim, k) block.
-
-    Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984)) on the Gershgorin interval [a, b] of h: with c = (a + b) / 2 and
-    r = (b - a) / 2,
-
-        exp(-i tau h) = exp(-i tau c) sum_k w_k(tau r) T_k((h - c) / r),
-
-    summed by the three-term recurrence over the whole block.  The degree
-    follows from tau r alone (``_chebyshev_weights``), so the truncation
-    error is at most STEP_TAIL_BOUND ||x|| before rounding, every column
-    takes the same path, and the result is deterministic.
-    """
+def gershgorin_interval(h: sparse.csr_matrix) -> tuple[float, float]:
+    """Gershgorin interval [a, b] of a Hermitian CSR matrix h; it holds every eigenvalue."""
     diag = h.diagonal().real
     row_sums = sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape) @ np.ones(h.shape[1])
     radii = row_sums - np.abs(diag)
-    lo, hi = np.min(diag - radii), np.max(diag + radii)
+    return np.min(diag - radii), np.max(diag + radii)
+
+
+def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None) -> np.ndarray:
+    """exp(-i tau h) x for a Hermitian CSR matrix h; x is one vector or a (dim, k) block.
+
+    Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)) on an interval [a, b] that holds the spectrum of h: with
+    c = (a + b) / 2 and r = (b - a) / 2,
+
+        exp(-i tau h) = exp(-i tau c) sum_k w_k(tau r) T_k((h - c) / r),
+
+    summed by the three-term recurrence over the whole block.  The interval
+    is h's Gershgorin interval unless a known ``interval`` (a, b) is given,
+    such as the Gershgorin interval of a larger matrix of which h is a
+    direct summand.  The degree follows from tau r alone
+    (``_chebyshev_weights``), so the truncation error is at most
+    STEP_TAIL_BOUND ||x|| before rounding, every column takes the same path,
+    and the result is deterministic.
+    """
+    lo, hi = gershgorin_interval(h) if interval is None else interval
     centre, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phase = np.exp(-1j * tau * centre)
     if half_width == 0.0:
@@ -102,13 +128,14 @@ def admit_lattice(sites: int, cutoff: int) -> int:
 
     Each of the (sites + 1)(2 sites + 1) generator skeletons maps a basis column to
     at most one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
-    (tracemalloc: 77-103 B at one site, 36-64 B at four).  Above WORKING_SET_BUDGET
-    that is a ``MemoryError``; keys that would overflow int64 are a ``ValueError``.
+    (tracemalloc: 47-51 B at one site and cutoffs 200-5000, 25-37 B at four sites
+    and cutoffs 6-20).  Above WORKING_SET_BUDGET that is a ``CapacityError``; keys
+    that would overflow int64 are a ``ValueError``.
     """
     dim = comb(cutoff + sites, sites)
     need = 112 * (sites + 1) * (2 * sites + 1) * dim
     if need > WORKING_SET_BUDGET:
-        raise MemoryError(
+        raise CapacityError(
             f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generators "
             f"need {need} bytes, which exceeds the budget of {WORKING_SET_BUDGET} bytes"
         )
@@ -288,6 +315,48 @@ def one_particle_values(vec: FockVector) -> np.ndarray:
 # generators
 
 
+def _frozen(values) -> np.ndarray:
+    """An int32 copy of ``values``, marked read-only."""
+    out = np.array(values, dtype=np.int32)
+    out.setflags(write=False)
+    return out
+
+
+class ParityHalf(NamedTuple):
+    """One parity class of the basis and the diagonal block of a generator on it."""
+
+    members: np.ndarray  # basis positions of the class, ascending
+    positions: np.ndarray  # union-pattern positions of the block's entries, in CSR order
+    indices: np.ndarray  # the block's column indices, as positions in the class
+    indptr: np.ndarray  # the block's row pointers
+
+
+def _skeletons(space: LatticeFockSpace, vmat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Entries (rows, cols, data) of each generator skeleton, in the order of the bank's rows."""
+    m = space.grid.points
+    n = space.occupations.astype(float)
+    e = np.eye(m, dtype=np.int64)
+    room = space.cutoff - space.totals
+
+    def skeleton(values, shift):
+        """Entries (rows, cols, data): column s goes to occupations[s] + shift."""
+        (cols,) = np.nonzero(values)
+        return space.hop(cols, shift).astype(np.int32), cols.astype(np.int32), values[cols]
+
+    transfers = [
+        skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), e[i] - e[j]) for i in range(m) for j in range(m)
+    ]
+    raisers = [
+        skeleton(np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), e[i] + e[j])
+        for i, j in zip(*np.triu_indices(m))
+    ]
+    mean = n @ vmat  # sum_i n_i V_ij
+    raisers += [skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), e[j]) for j in range(m)]
+    lowers = [(cols, rows, data) for rows, cols, data in raisers]
+    quart = 0.5 * (np.einsum("si,si->s", n, mean) - n @ np.diag(vmat))
+    return transfers + raisers + lowers + [skeleton(quart, np.zeros(m, np.int64))]
+
+
 class GeneratorSet:
     """Fluctuation generators on a lattice Fock space for one pair potential.
 
@@ -299,7 +368,9 @@ class GeneratorSet:
     bank is sparse (row alpha holds skeleton alpha on the union of their
     supports, one contiguous slice per group), so ``matrix`` costs one sparse
     matvec over the stored skeleton entries; the one-body weights carry the
-    kinetic term.
+    kinetic term.  The set also keeps, per parity class of the particle
+    number, the int32 tables that cut a matrix's diagonal block on that
+    class out of its entries (``parity_half``).
     """
 
     def __init__(self, space: LatticeFockSpace, potential_samples: np.ndarray):
@@ -307,49 +378,52 @@ class GeneratorSet:
         self.grid = space.grid
         self.potential_samples = np.asarray(potential_samples, dtype=float)
         self.tmat = kinetic_matrix(self.grid)
-        vmat = potential_matrix(self.potential_samples, self.grid)
-        m = self.grid.points
         dim = space.dimension
-        n = space.occupations.astype(float)
-        e = np.eye(m, dtype=np.int64)
-        room = space.cutoff - space.totals
-
-        def skeleton(values, shift):
-            """Entries (rows, cols, data): column s goes to occupations[s] + shift."""
-            (cols,) = np.nonzero(values)
-            return space.hop(cols, shift), cols, values[cols]
-
-        transfers = [
-            skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), e[i] - e[j])
-            for i in range(m)
-            for j in range(m)
-        ]
-        raisers = [
-            skeleton(np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), e[i] + e[j])
-            for i, j in zip(*np.triu_indices(m))
-        ]
-        mean = n @ vmat  # sum_i n_i V_ij
-        raisers += [skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), e[j]) for j in range(m)]
-        lowers = [(cols, rows, data) for rows, cols, data in raisers]
-        quart = 0.5 * (np.einsum("si,si->s", n, mean) - n @ np.diag(vmat))
-        skeletons = transfers + raisers + lowers + [skeleton(quart, np.zeros(m, np.int64))]
+        skeletons = _skeletons(space, potential_matrix(self.potential_samples, self.grid))
         self.n_terms = len(skeletons)
 
-        # shared sparsity pattern: the sorted union of the keys row * dim + col, and
-        # each skeleton entry's position in it; admission keeps every count below 2^31
-        union, position = np.unique(
-            np.concatenate([rows * dim + cols for rows, cols, _ in skeletons]), return_inverse=True
-        )
-        self._indptr = np.searchsorted(union, np.arange(dim + 1) * dim).astype(np.int32)
-        self._indices = (union % dim).astype(np.int32)
+        # shared sparsity pattern: the union of the supports as one canonical CSR
+        # pattern (rows in order, sorted columns; the (data, (row, col)) constructor
+        # merges duplicates by sum_duplicates), and each skeleton entry's position
+        # in it, read off the pattern with its entries numbered; admission keeps
+        # every count below 2^31
+        rows = np.concatenate([rows for rows, _, _ in skeletons], dtype=np.int32)
+        cols = np.concatenate([cols for _, cols, _ in skeletons], dtype=np.int32)
+        pattern = sparse.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(dim, dim))
+        indptr = self._indptr = _frozen(pattern.indptr)
+        indices = self._indices = _frozen(pattern.indices)
+        numbered = sparse.csr_matrix((np.arange(len(indices), dtype=float), indices, indptr), shape=(dim, dim))
+        position = np.asarray(numbered[rows, cols], dtype=np.int32).ravel()
+        del pattern, numbered, rows, cols
         self._bank = sparse.csr_matrix(
             (
                 np.concatenate([data for _, _, data in skeletons]),
                 position,
                 np.cumsum([0] + [len(data) for _, _, data in skeletons]),
             ),
-            shape=(self.n_terms, len(union)),
+            shape=(self.n_terms, len(indices)),
         )
+
+        # per parity class of the total occupation: the basis positions of the
+        # class, the union positions of its diagonal block with that block's own
+        # indices and indptr, and the union positions that change the parity
+        odd = space.totals % 2 == 1
+        odd_rows = np.repeat(odd, np.diff(indptr))
+        changing = odd_rows != odd[indices]
+        self._parity_changing = _frozen(np.flatnonzero(changing))
+        self._halves = []
+        for side in (False, True):
+            members = np.flatnonzero(odd == side)
+            keep = np.flatnonzero(~changing & (odd_rows == side))
+            local = np.cumsum(odd == side) - 1  # position in the class of each member
+            self._halves.append(
+                ParityHalf(
+                    _frozen(members),
+                    _frozen(keep),
+                    _frozen(local[indices[keep]]),
+                    _frozen(np.searchsorted(keep, indptr[np.append(members, dim)])),
+                )
+            )
 
     def coefficients(self, phi, which: str, n_field: float) -> np.ndarray:
         """Complex weight per skeleton for the generator at Hartree state phi."""
@@ -376,13 +450,49 @@ class GeneratorSet:
 
     def matrix(self, phi, which: str = "full", n_field: float = 1.0) -> sparse.csr_matrix:
         # the real bank times the (re, im) columns of the weights, viewed as
-        # complex, so the bank is never converted to complex
+        # complex, so the bank is never converted to complex; every matrix shares
+        # the read-only pattern arrays, so an in-place scipy operation fails loudly
         c = self.coefficients(phi, which, n_field)
         data = (self._bank.T @ c.view(float).reshape(-1, 2)).view(complex).ravel()
         return sparse.csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()),
-            shape=(self.space.dimension, self.space.dimension),
+            (data, self._indices, self._indptr), shape=(self.space.dimension, self.space.dimension)
         )
+
+    def parity_half(self, h: sparse.csr_matrix, coeffs: np.ndarray):
+        """(basis positions, diagonal block of h) of the parity class that holds coeffs, or None.
+
+        ``h`` is a ``matrix`` of this set.  When every parity-changing entry
+        of h is exactly zero, h is the direct sum of its two diagonal blocks;
+        when, besides, every column of ``coeffs`` is exactly zero on the other
+        class, exp(-i tau h) coeffs is that class's block acting on that
+        class's rows.  Otherwise (a generator that breaks parity, a state with
+        mass in both classes) the answer is None.
+        """
+        if np.any(h.data[self._parity_changing]):
+            return None
+        for half, other in zip(self._halves, self._halves[::-1]):
+            if not np.any(coeffs[other.members]):
+                size = len(half.members)
+                block = sparse.csr_matrix((h.data[half.positions], half.indices, half.indptr), shape=(size, size))
+                return half.members, block
+        return None
+
+
+def _step(gens: GeneratorSet, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i tau h) coeffs, on one parity half of the basis when ``gens.parity_half`` finds one.
+
+    The half's block is a direct summand of h, so h's Gershgorin interval
+    holds its spectrum and gives the step the weights of the full-basis step;
+    the terms left out are exact zeros.  That path writes the result into
+    ``coeffs`` in place.  The block lives only inside this call: kept until
+    the next step, it raised the peak RSS of a fock-check run by about 1.3 MB.
+    """
+    half = gens.parity_half(h, coeffs)
+    if half is None:
+        return expm_multiply(h, coeffs, tau)
+    members, block = half
+    coeffs[members] = expm_multiply(block, coeffs[members], tau, gershgorin_interval(h))
+    return coeffs
 
 
 class FockEvolution(NamedTuple):
@@ -406,7 +516,12 @@ def evolve_fock(
 
     The generator is assembled at each step midpoint from the Hartree
     trajectory and applied through the exponential action, to one state or
-    to a block of states at once.  ``top_mass`` is the largest mass seen in
+    to a block of states at once.  A step runs on one parity half of the
+    basis when the generator keeps parity exactly (every parity-changing
+    entry zero) and every column lies in that half; otherwise, as for a
+    ``full`` generator or a state in both halves, it runs on the whole
+    basis (``_step``).  Either way it is the same step, so the result does
+    not depend on which path ran.  ``top_mass`` is the largest mass seen in
     the top two sectors of any column, the truncation monitor.
     """
     sign = 1.0 if t1 > t0 else -1.0
@@ -423,8 +538,11 @@ def evolve_fock(
         snaps[want[0]] = FockVector(space, coeffs.copy())
     for step in range(n_steps):
         mid = t0 + sign * (step + 0.5) * dt
+        # h stays bound until the next generator replaces it: freed before the next
+        # assembly, its pages went back to the system and the assembly faulted them
+        # in again, which made the bank product four times slower
         h = gens.matrix(trajectory.interpolate(mid), which, n_field)
-        coeffs = expm_multiply(h, coeffs, sign * dt)
+        coeffs = _step(gens, h, coeffs, sign * dt)
         vec = FockVector(space, coeffs)
         top = max(top, top_sector_mass(vec))
         if step + 1 in want:

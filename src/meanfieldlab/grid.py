@@ -21,6 +21,10 @@ from scipy import fft as sfft
 WORKING_SET_BUDGET = 4 * 2**30
 
 
+class CapacityError(MemoryError):
+    """A run refused before it allocates, because its working set exceeds WORKING_SET_BUDGET."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid with ``points`` sites on [0, length)."""

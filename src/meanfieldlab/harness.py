@@ -28,7 +28,7 @@ from . import combinatorics as comb_mod
 from . import fock as fk
 from . import hartree as ha
 from . import nbody as nb
-from .grid import GridSpec, PotentialSpec, gaussian_packet, sample_potential, step_schedule
+from .grid import CapacityError, GridSpec, PotentialSpec, gaussian_packet, sample_potential, step_schedule
 
 
 class ConfigError(ValueError):
@@ -47,8 +47,8 @@ def _admit_flow(key: str, grid: GridSpec, span: float, dt: float) -> None:
     """Refuse, naming ``key``, a Hartree trajectory that ``hartree.admit_trajectory`` refuses."""
     try:
         ha.admit_trajectory(grid.points, span, dt)
-    except MemoryError as exc:
-        raise MemoryError(f"{key}: {exc}") from exc
+    except CapacityError as exc:
+        raise CapacityError(f"{key}: {exc}") from exc
 
 
 def _in_section(section: str, key: str, default):
@@ -435,8 +435,8 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     for n in config.particle_counts:
         try:
             nb.admit_sweep(config.grid_points, n)
-        except MemoryError as exc:
-            raise MemoryError(f"particle_counts {list(config.particle_counts)}: {exc}") from exc
+        except CapacityError as exc:
+            raise CapacityError(f"particle_counts {list(config.particle_counts)}: {exc}") from exc
     for start, end in zip((0.0,) + sample_times, sample_times):
         _on_steps("time.sample_times on the time.nbody_dt steps", end - start, config.nbody_dt, ())
 

@@ -20,6 +20,7 @@ from scipy import fft as sfft
 
 from .grid import (
     WORKING_SET_BUDGET,
+    CapacityError,
     GridSpec,
     edge_mass,
     kinetic_phase,
@@ -74,7 +75,7 @@ class HartreeTrajectory:
 
 
 def admit_trajectory(points: int, t_final: float, dt: float) -> None:
-    """Refuse, with ``MemoryError``, a trajectory whose stored states exceed WORKING_SET_BUDGET.
+    """Refuse, with ``CapacityError``, a trajectory whose stored states exceed WORKING_SET_BUDGET.
 
     A trajectory stores t_final/dt + 1 states of ``points`` amplitudes, 16 B
     each; a t_final that ``step_schedule`` refuses is a ``ValueError``.
@@ -82,7 +83,7 @@ def admit_trajectory(points: int, t_final: float, dt: float) -> None:
     n_steps, _ = step_schedule(t_final, dt)
     need = 16 * points * (n_steps + 1)
     if need > WORKING_SET_BUDGET:
-        raise MemoryError(
+        raise CapacityError(
             f"a Hartree trajectory of {n_steps + 1} states of {points} amplitudes needs {need} bytes, "
             f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
         )

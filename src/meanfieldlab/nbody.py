@@ -41,6 +41,7 @@ from scipy import fft as sfft
 
 from .grid import (
     WORKING_SET_BUDGET,
+    CapacityError,
     GridSpec,
     edge_mass,
     kinetic_matrix,
@@ -137,10 +138,10 @@ def working_set_bytes(points: int, n: int) -> int:
 
 
 def admit_sweep(points: int, n: int) -> None:
-    """Refuse, with ``MemoryError``, a sweep whose working set exceeds WORKING_SET_BUDGET."""
+    """Refuse, with ``CapacityError``, a sweep whose working set exceeds WORKING_SET_BUDGET."""
     need = working_set_bytes(points, n)
     if need > WORKING_SET_BUDGET:
-        raise MemoryError(
+        raise CapacityError(
             f"a sweep over {points}^{n} amplitudes needs {need} bytes, "
             f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
         )

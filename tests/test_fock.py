@@ -25,6 +25,7 @@ from meanfieldlab.grid import (
     gaussian_packet,
     kinetic_matrix,
     normalize,
+    potential_matrix,
     sample_potential,
 )
 from meanfieldlab.hartree import evolve_hartree
@@ -227,6 +228,41 @@ def test_block_diagnostics_are_per_column():
         fk.FockVector(space, np.zeros((space.dimension, 3, 1)))
 
 
+@pytest.mark.parametrize("sites, cutoff", [(1, 40), (2, 9), (4, 6)])
+def test_generator_pattern_matches_the_sorted_union_of_its_skeletons(sites, cutoff):
+    """The canonical-pattern build gives the bank of np.unique over the keys row * dim + col."""
+    space = fk.LatticeFockSpace(GridSpec(sites, float(sites)), cutoff)
+    vs = sample_potential(PotentialSpec(1.0, 1.0), space.grid)
+    gens = fk.GeneratorSet(space, vs)
+    dim = space.dimension
+    skeletons = fk._skeletons(space, potential_matrix(vs, space.grid))
+    union, position = np.unique(
+        np.concatenate([rows.astype(np.int64) * dim + cols for rows, cols, _ in skeletons]),
+        return_inverse=True,
+    )
+    bank = sparse.csr_matrix(
+        (
+            np.concatenate([data for _, _, data in skeletons]),
+            position,
+            np.cumsum([0] + [len(data) for _, _, data in skeletons]),
+        ),
+        shape=(len(skeletons), len(union)),
+    )
+    assert np.array_equal(gens._indptr, np.searchsorted(union, np.arange(dim + 1) * dim))
+    assert np.array_equal(gens._indices, union % dim)
+    assert gens._bank.shape == bank.shape
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(gens._bank, attr), getattr(bank, attr))
+
+
+def test_generator_matrices_share_the_read_only_pattern(lattice):
+    _, _, phi0, _, gens = lattice
+    h = gens.matrix(phi0, "full", 4.0)
+    assert np.shares_memory(h.indices, gens._indices) and np.shares_memory(h.indptr, gens._indptr)
+    with pytest.raises(ValueError, match="read-only"):
+        h.indices[0] = 0
+
+
 # ---------------------------------------------------------------------------
 # exponential step
 
@@ -278,6 +314,19 @@ def test_step_on_diagonal_generators():
         got = fk.expm_multiply(sparse.diags(np.full(5, 2.5), format="csr"), x, tau)
         assert np.array_equal(got, np.exp(-2.5j * tau) * x)
         assert np.array_equal(fk.expm_multiply(sparse.csr_matrix((5, 5)), x, tau), x)
+
+
+def test_step_on_a_known_interval():
+    """The Gershgorin interval passed in is the step without one; a wider one is still exact."""
+    h = random_hermitian(30, 8)
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+    lo, hi = fk.gershgorin_interval(h)
+    for tau in (0.7, -1.9):
+        want = expm(-1j * tau * h.toarray()) @ block
+        assert np.array_equal(fk.expm_multiply(h, block, tau, (lo, hi)), fk.expm_multiply(h, block, tau))
+        wide = fk.expm_multiply(h, block, tau, (lo - 3.5, hi + 7.25))
+        assert np.linalg.norm(wide - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +555,89 @@ def test_quadratic_flow_preserves_parity(lattice):
     run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.5, 2e-3, "quadratic")
     assert fk.odd_sector_mass(run.state) == 0.0
     assert run.top_mass < 1e-4
+
+
+FULL_BASIS_EXPM = fk.expm_multiply
+
+
+def full_basis_flow(gens, start, traj, t0, t1, dt, which, n_field=1.0):
+    """The step loop on the whole basis: one generator and one exponential per step."""
+    sign = 1.0 if t1 > t0 else -1.0
+    coeffs = start.coeffs.copy()
+    for step in range(int(round(abs(t1 - t0) / dt))):
+        h = gens.matrix(traj.interpolate(t0 + sign * (step + 0.5) * dt), which, n_field)
+        coeffs = FULL_BASIS_EXPM(h, coeffs, sign * dt)
+    return coeffs
+
+
+@pytest.fixture
+def step_sizes(monkeypatch):
+    """The basis size of every exponential step taken while the test runs."""
+    sizes = []
+
+    def counted(h, x, tau, interval=None):
+        sizes.append(h.shape[0])
+        return FULL_BASIS_EXPM(h, x, tau, interval)
+
+    monkeypatch.setattr(fk, "expm_multiply", counted)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def four_sites():
+    """Four sites at cutoff 6: 210 basis states, 130 of them even."""
+    space = fk.LatticeFockSpace(GridSpec(4, 4.0), 6)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), space.grid)
+    phi0 = normalize(np.array([1.0, 0.6 + 0.3j, 0.2, 0.5 - 0.1j]), space.grid)
+    traj = evolve_hartree(phi0, vs, space.grid, 0.2, 1e-2)
+    return space, phi0, traj, fk.GeneratorSet(space, vs)
+
+
+def test_parity_path_is_the_full_basis_step(four_sites, step_sizes):
+    """Each flow that keeps parity runs on its half and equals the full-basis loop bit for bit."""
+    space, phi0, traj, gens = four_sites
+    even = int(np.sum(space.totals % 2 == 0))
+    forward = fk.vacuum(space)
+    ahead = fk.FockVector(space, full_basis_flow(gens, forward, traj, 0.0, 0.2, 1e-2, "quadratic"))
+    a_y = fk.FockVector(
+        space, np.stack([space.annihilators[y] @ ahead.coeffs for y in range(4)], axis=1)
+    )
+    cases = [
+        # (start, t0, t1, generator, N, size of the class that carries the flow)
+        (forward, 0.0, 0.2, "quadratic", 1.0, even),
+        (a_y, 0.2, 0.0, "quadratic", 1.0, space.dimension - even),
+        (fk.product_state_fock(space, phi0, 3), 0.0, 0.1, "quartic", 4.0, space.dimension - even),
+    ]
+    for start, t0, t1, which, n_field, size in cases:
+        step_sizes.clear()
+        got = fk.evolve_fock(gens, start, traj, t0, t1, 1e-2, which, n_field).state.coeffs
+        assert step_sizes == [size] * int(round(abs(t1 - t0) / 1e-2))
+        assert np.array_equal(got, full_basis_flow(gens, start, traj, t0, t1, 1e-2, which, n_field))
+        masses = fk.sector_masses(fk.FockVector(space, got))
+        assert not np.any(masses[1::2] if size == even else masses[0::2])
+
+
+def test_parity_guard_keeps_a_parity_breaking_step_on_the_full_basis(four_sites, step_sizes, monkeypatch):
+    """A full generator, or a cubic weight slipped into a quadratic one, runs on the whole basis."""
+    space, _, traj, gens = four_sites
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, "full", 4.0)
+    assert step_sizes == [space.dimension] * 20
+    assert fk.odd_sector_mass(run.state) > 0.0
+
+    quadratic = gens.coefficients
+    cubic = 16 + 10  # the cubic raiser of site 0, after the 16 transfers and the 10 pair raisers
+    adjoint = cubic + 14  # its adjoint, 14 raisers further on
+
+    def broken(phi, which, n_field):
+        c = quadratic(phi, which, n_field)
+        c[cubic], c[adjoint] = 0.05, 0.05
+        return c
+
+    monkeypatch.setattr(gens, "coefficients", broken)
+    step_sizes.clear()
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, "quadratic")
+    assert step_sizes == [space.dimension] * 20
+    assert fk.odd_sector_mass(run.state) > 0.0
 
 
 def test_snapshots_and_span_validation(lattice):

@@ -544,21 +544,21 @@ BIG = {"grid": {"points": 17}, "particle_counts": [7]}
 
 
 @pytest.mark.parametrize(
-    "command, fragment, raw",
+    "command, fragment, raw, exit_code",
     [
-        # refused before allocating: a sweep at 17^7 or 16^7 needs four 4 GiB arrays
-        pytest.param("nbody", "exceeds the budget", BIG, id="nbody-exceeds the budget"),
-        pytest.param("rate", "two particle counts", BIG, id="rate-two particle counts"),
+        # refused before allocating (exit 3): a sweep at 17^7 or 16^7 needs four 4 GiB arrays
+        pytest.param("nbody", "exceeds the budget", BIG, 3, id="nbody-exceeds the budget"),
+        pytest.param("rate", "two particle counts", BIG, 1, id="rate-two particle counts"),
         pytest.param(
-            "nbody", "exceeds the budget", {"particle_counts": [7]}, id="nbody-default grid at N=7"
+            "nbody", "exceeds the budget", {"particle_counts": [7]}, 3, id="nbody-default grid at N=7"
         ),
     ],
 )
-def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw):
+def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw, exit_code):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(raw))
     code = cli.main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"])
-    assert code == 1
+    assert code == exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
 
@@ -571,7 +571,7 @@ def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"particle_counts": [5, 7]}))
     threads = threading.active_count()
-    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
     assert "exceeds the budget" in capsys.readouterr().err
     assert threading.active_count() == threads
     assert pools == []
@@ -595,7 +595,7 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 1
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds the budget" in err
     assert not (out / "fock_check.json").exists()
@@ -668,7 +668,7 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 1
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fragment}") and "exceeds the budget" in err
     assert not any(out.iterdir())
@@ -761,7 +761,8 @@ def test_cli_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, command, 
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     code = cli.main([command, "--config", str(path), "--out", str(out), "--quiet"])
-    assert code == 1
+    # a sweep over the byte budget is refused with exit 3, every other setting with exit 1
+    assert code == (3 if "a sweep over" in fragment else 1)
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not any(out.iterdir())
