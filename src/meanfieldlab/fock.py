@@ -45,9 +45,8 @@ from scipy.special import jv
 
 from .bogoliubov import coupling_kernels
 from .grid import (
-    WORKING_SET_BUDGET,
-    CapacityError,
     GridSpec,
+    admit,
     kinetic_matrix,
     potential_matrix,
     step_schedule,
@@ -129,16 +128,14 @@ def admit_lattice(sites: int, cutoff: int) -> int:
     Each of the (sites + 1)(2 sites + 1) generator skeletons maps a basis column to
     at most one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
     (tracemalloc: 47-51 B at one site and cutoffs 200-5000, 25-37 B at four sites
-    and cutoffs 6-20).  Above WORKING_SET_BUDGET that is a ``CapacityError``; keys
+    and cutoffs 6-20).  ``grid.admit`` refuses that charge above the budget; keys
     that would overflow int64 are a ``ValueError``.
     """
     dim = comb(cutoff + sites, sites)
-    need = 112 * (sites + 1) * (2 * sites + 1) * dim
-    if need > WORKING_SET_BUDGET:
-        raise CapacityError(
-            f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generators "
-            f"need {need} bytes, which exceeds the budget of {WORKING_SET_BUDGET} bytes"
-        )
+    admit(
+        f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generator bank",
+        112 * (sites + 1) * (2 * sites + 1) * dim,
+    )
     if (cutoff + 1) ** (sites + 1) > 2**63:
         raise ValueError(f"basis keys of {sites} sites at cutoff {cutoff} overflow int64")
     return dim

@@ -25,6 +25,15 @@ class CapacityError(MemoryError):
     """A run refused before it allocates, because its working set exceeds WORKING_SET_BUDGET."""
 
 
+def admit(what: str, need: int) -> None:
+    """Refuse ``what``, with ``CapacityError``, when its ``need`` bytes exceed WORKING_SET_BUDGET.
+
+    This is the one comparison against the budget: every engine's admission calls it.
+    """
+    if need > WORKING_SET_BUDGET:
+        raise CapacityError(f"{what} needs {need} bytes, which exceeds the budget of {WORKING_SET_BUDGET} bytes")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid with ``points`` sites on [0, length)."""

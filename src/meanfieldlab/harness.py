@@ -35,20 +35,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _on_steps(key: str, span: float, dt: float, offsets) -> None:
-    """Refuse, naming ``key``, a span or offsets that ``step_schedule`` refuses."""
-    try:
-        step_schedule(span, dt, offsets)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _named(key: str, check, /, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a refusal re-raised as the refusal of config ``key``.
 
-
-def _admit_flow(key: str, grid: GridSpec, span: float, dt: float) -> None:
-    """Refuse, naming ``key``, a Hartree trajectory that ``hartree.admit_trajectory`` refuses."""
+    A ``CapacityError`` stays one, so the run still exits as refused; any
+    other ``ValueError`` becomes a ``ConfigError``.
+    """
     try:
-        ha.admit_trajectory(grid.points, span, dt)
+        return check(*args, **kwargs)
     except CapacityError as exc:
         raise CapacityError(f"{key}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _in_section(section: str, key: str, default):
@@ -87,10 +85,7 @@ def _merge(default, raw, where: str):
         name: _convert(getattr(default, name), value, path)
         for name, value, path in _entries(raw, layout, where)
     }
-    try:
-        return replace(default, **changes)
-    except ValueError as exc:  # a section that checks itself, such as the potential
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _named(where, replace, default, **changes)  # a section may check itself, as the potential does
 
 
 # The JSON values each scalar field type accepts; bools are refused separately.
@@ -207,14 +202,6 @@ class Thresholds:
 THRESHOLDS = Thresholds()
 
 
-def _grid_spec(points_key: str, length_key: str, points: int, length: float) -> GridSpec:
-    """``GridSpec(points, length)``, refused by the config key at fault."""
-    try:
-        return GridSpec(points, length)
-    except ValueError as exc:
-        raise ConfigError(f"{points_key if points < 1 else length_key}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of an experiment; ``from_dict`` reads the JSON layout.
@@ -238,10 +225,12 @@ class ExperimentConfig:
     krasikov_grid: tuple = _in_section("combinatorics", "krasikov_grid", (10, 50, 200))
 
     def grid(self) -> GridSpec:
-        return _grid_spec("grid.points", "grid.length", self.grid_points, self.grid_length)
+        key = "grid.points" if self.grid_points < 1 else "grid.length"
+        return _named(key, GridSpec, self.grid_points, self.grid_length)
 
     def fock_grid(self) -> GridSpec:
-        return _grid_spec("fock.sites", "fock.length", self.fock.sites, self.fock.length)
+        key = "fock.sites" if self.fock.sites < 1 else "fock.length"
+        return _named(key, GridSpec, self.fock.sites, self.fock.length)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -298,13 +287,16 @@ def records_csv(records) -> str:
 
 
 def load_records(path) -> list[RunRecord]:
+    """The records of ``records_csv`` text; a malformed file is a ``ValueError`` naming it."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != ",".join(RECORD_COLUMNS):
+    if not lines or lines[0] != ",".join(RECORD_COLUMNS):
         raise ValueError(f"unexpected header in {path}")
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != len(RECORD_COLUMNS):
+            raise ValueError(f"row {ln!r} in {path} has {len(parts)} fields, not {len(RECORD_COLUMNS)}")
         out.append(RunRecord(int(parts[0]), *(float(p) for p in parts[1:])))
     return out
 
@@ -386,7 +378,7 @@ class Report:
 def _hartree_flow(config: ExperimentConfig):
     """Grid, potential samples, initial orbital and its Hartree trajectory."""
     grid = config.grid()
-    _admit_flow("time.horizon over time.dt", grid, config.horizon, config.dt)
+    _named("time.horizon over time.dt", ha.admit_trajectory, grid.points, config.horizon, config.dt)
     vsamp = sample_potential(config.potential, grid)
     phi0 = _packet("initial_state", config.initial_state, grid)
     return grid, vsamp, phi0, ha.evolve_hartree(phi0, vsamp, grid, config.horizon, config.dt)
@@ -407,8 +399,8 @@ def _sample_times(config: ExperimentConfig) -> tuple:
         raise ConfigError("time.sample_times is empty: need at least one sample time")
     if sample_times[-1] > config.horizon + 1e-9:
         raise ConfigError("time.sample_times must lie within time.horizon")
-    _on_steps("time.horizon on the time.dt steps", config.horizon, config.dt, ())
-    _on_steps("time.sample_times on the time.dt steps", config.horizon, config.dt, sample_times)
+    _named("time.horizon on the time.dt steps", step_schedule, config.horizon, config.dt)
+    _named("time.sample_times on the time.dt steps", step_schedule, config.horizon, config.dt, sample_times)
     return sample_times
 
 
@@ -433,12 +425,9 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     _refuse_bad_counts(config)
     config.grid()  # a bad grid is refused by its key, not as a sweep over its points
     for n in config.particle_counts:
-        try:
-            nb.admit_sweep(config.grid_points, n)
-        except CapacityError as exc:
-            raise CapacityError(f"particle_counts {list(config.particle_counts)}: {exc}") from exc
+        _named(f"particle_counts {list(config.particle_counts)}", nb.admit_sweep, config.grid_points, n)
     for start, end in zip((0.0,) + sample_times, sample_times):
-        _on_steps("time.sample_times on the time.nbody_dt steps", end - start, config.nbody_dt, ())
+        _named("time.sample_times on the time.nbody_dt steps", step_schedule, end - start, config.nbody_dt)
 
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, sample_times)
@@ -549,7 +538,7 @@ def convergence_check(
 
 def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
     """Mass and energy drift of the Hartree flow, and its monitor table as ``hartree.csv``."""
-    _on_steps("time.horizon on the time.dt steps", config.horizon, config.dt, ())
+    _named("time.horizon on the time.dt steps", step_schedule, config.horizon, config.dt)
     grid, vsamp, _, traj = _hartree_flow(config)
     e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
     rows = []
@@ -708,10 +697,12 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     than failed.  Vacuous settings (fewer than one site, a cutoff or a sweep
     step below one, no coupling pair (a, 2a), a coupling value below one, a
     repeated coupling value or identity time, no identity time), a fock.dt
-    that is not positive or times off its steps, a swept lattice refused by
-    ``fock.admit_lattice``, a lattice horizon whose Hartree trajectory
+    that is not positive or times off its steps, a swept lattice that
+    ``fock.admit_lattice`` refuses (over the budget, or with keys that
+    overflow int64), a lattice horizon whose Hartree trajectory
     ``hartree.admit_trajectory`` refuses, and a bad lattice length or packet
-    are refused up front.  The file is ``fock_check.json``, the report itself.
+    are refused up front, each naming its config key.  The file is
+    ``fock_check.json``, the report itself.
     """
     tol = THRESHOLDS
     fsec = config.fock
@@ -731,14 +722,15 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     if not fsec.identity_times:
         raise ConfigError("fock.identity_times is empty: need at least one identity time")
     _refuse_repeats("fock.identity_times", fsec.identity_times)
-    _on_steps("fock.dt (against the lattice horizon)", fsec.horizon(), fsec.dt, ())
+    _named("fock.dt (against the lattice horizon)", step_schedule, fsec.horizon(), fsec.dt)
     # the backward flows start at the residual time and the last identity time
-    _on_steps("fock.residual_time", fsec.residual_time, fsec.dt, ())
-    _on_steps("fock.identity_times", max(fsec.identity_times), fsec.dt, fsec.identity_times)
-    fk.admit_lattice(fsec.sites, fsec.cutoff + fsec.cutoff_step)
+    _named("fock.residual_time", step_schedule, fsec.residual_time, fsec.dt)
+    _named("fock.identity_times", step_schedule, max(fsec.identity_times), fsec.dt, fsec.identity_times)
+    swept_cutoff = fsec.cutoff + fsec.cutoff_step
+    _named("fock.sites at fock.cutoff + fock.cutoff_step", fk.admit_lattice, fsec.sites, swept_cutoff)
 
     grid = config.fock_grid()
-    _admit_flow("fock.dt (against the lattice horizon)", grid, fsec.horizon(), fsec.dt)
+    _named("fock.dt (against the lattice horizon)", ha.admit_trajectory, grid.points, fsec.horizon(), fsec.dt)
     vsamp = sample_potential(config.potential, grid)
     phi0 = _packet("fock.initial_state", fsec.initial_state, grid)
     traj = ha.evolve_hartree(phi0, vsamp, grid, fsec.horizon(), fsec.dt)
@@ -762,7 +754,7 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
         print("[fock-check] base cutoff done", file=sys.stderr)
     n_probe = min(fsec.coupling_values)
     worst_site = max(lo_errs, key=lo_errs.get)
-    hi, hi_errs = battery(fsec.cutoff + fsec.cutoff_step, (n_probe,), (worst_site,))
+    hi, hi_errs = battery(swept_cutoff, (n_probe,), (worst_site,))
 
     items: list[CheckItem] = []
 

@@ -19,9 +19,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from .grid import (
-    WORKING_SET_BUDGET,
-    CapacityError,
     GridSpec,
+    admit,
     edge_mass,
     kinetic_phase,
     l2_norm,
@@ -75,18 +74,13 @@ class HartreeTrajectory:
 
 
 def admit_trajectory(points: int, t_final: float, dt: float) -> None:
-    """Refuse, with ``CapacityError``, a trajectory whose stored states exceed WORKING_SET_BUDGET.
+    """Refuse, through ``grid.admit``, a trajectory whose stored states exceed the budget.
 
     A trajectory stores t_final/dt + 1 states of ``points`` amplitudes, 16 B
     each; a t_final that ``step_schedule`` refuses is a ``ValueError``.
     """
     n_steps, _ = step_schedule(t_final, dt)
-    need = 16 * points * (n_steps + 1)
-    if need > WORKING_SET_BUDGET:
-        raise CapacityError(
-            f"a Hartree trajectory of {n_steps + 1} states of {points} amplitudes needs {need} bytes, "
-            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
-        )
+    admit(f"a Hartree trajectory of {n_steps + 1} states of {points} amplitudes", 16 * points * (n_steps + 1))
 
 
 def evolve_hartree(

@@ -40,9 +40,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from .grid import (
-    WORKING_SET_BUDGET,
-    CapacityError,
     GridSpec,
+    admit,
     edge_mass,
     kinetic_matrix,
     kinetic_phase,
@@ -138,13 +137,8 @@ def working_set_bytes(points: int, n: int) -> int:
 
 
 def admit_sweep(points: int, n: int) -> None:
-    """Refuse, with ``CapacityError``, a sweep whose working set exceeds WORKING_SET_BUDGET."""
-    need = working_set_bytes(points, n)
-    if need > WORKING_SET_BUDGET:
-        raise CapacityError(
-            f"a sweep over {points}^{n} amplitudes needs {need} bytes, "
-            f"which exceeds the budget of {WORKING_SET_BUDGET} bytes"
-        )
+    """Refuse, through ``grid.admit``, a sweep whose ``working_set_bytes`` exceed the budget."""
+    admit(f"a sweep over {points}^{n} amplitudes", working_set_bytes(points, n))
 
 
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:

@@ -5,13 +5,17 @@ image sums, and dense matrix identities, so the FFT paths are checked
 against independent constructions.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from meanfieldlab import fock, grid, hartree, nbody
 from meanfieldlab.grid import (
+    CapacityError,
     GridSpec,
     PotentialSpec,
     free_gaussian_exact,
@@ -54,6 +58,25 @@ def test_grid_validation():
         GridSpec(8, 0.0)
     with pytest.raises(ValueError):
         GridSpec(8, float("inf"))
+
+
+@pytest.mark.parametrize(
+    "admit, args, need",
+    [
+        pytest.param(nbody.admit_sweep, (8, 3), nbody.working_set_bytes(8, 3), id="sweep"),
+        # 1001 stored states of 16 amplitudes, 16 B each
+        pytest.param(hartree.admit_trajectory, (16, 1.0, 1e-3), 16 * 16 * 1001, id="trajectory"),
+        # 112 B for each of 5 x 9 skeletons over C(17, 4) basis states
+        pytest.param(fock.admit_lattice, (4, 13), 112 * 45 * comb(17, 4), id="lattice"),
+    ],
+)
+def test_every_admission_compares_with_the_one_budget(monkeypatch, admit, args, need):
+    # a tiny budget set on the grid module alone reaches every engine, and nothing is allocated
+    monkeypatch.setattr(grid, "WORKING_SET_BUDGET", need)
+    admit(*args)
+    monkeypatch.setattr(grid, "WORKING_SET_BUDGET", need - 1)
+    with pytest.raises(CapacityError, match=f"needs {need} bytes, which exceeds the budget of {need - 1} bytes"):
+        admit(*args)
 
 
 def test_single_point_grid_degenerates_cleanly():

@@ -271,10 +271,13 @@ def test_records_round_trip_exactly(tmp_path):
 
 
 def test_load_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        hn.load_records(path)
+    header = ",".join(hn.RECORD_COLUMNS)
+    # a foreign header, an empty file, and a row with too few fields
+    for text in ("a,b,c\n1,2,3\n", "", f"{header}\n2,0.5,0.1\n"):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            hn.load_records(path)
 
 
 def test_fit_recovers_a_synthetic_power_law():
@@ -577,15 +580,22 @@ def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
     assert pools == []
 
 
+LATTICE_KEYS = "fock.sites at fock.cutoff + fock.cutoff_step"
+
+
 @pytest.mark.parametrize(
-    "fock",
+    "fock, fragment, exit_code",
     [
-        pytest.param({"sites": 16}, id="C(29,16) basis states"),
+        pytest.param({"sites": 16}, "exceeds the budget", 3, id="C(29,16) basis states"),
         # the base lattice fits; the swept one is refused before the base battery runs
-        pytest.param({"cutoff": 60, "cutoff_step": 6}, id="swept cutoff"),
+        pytest.param({"cutoff": 60, "cutoff_step": 6}, "exceeds the budget", 3, id="swept cutoff"),
+        # a bank of 320 MB, but keys up to 3^41 that overflow int64
+        pytest.param({"sites": 40, "cutoff": 1, "cutoff_step": 1}, "overflow int64", 1, id="int64 keys"),
     ],
 )
-def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path, capsys, fock):
+def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(
+    tmp_path, capsys, hartree_flows, fock, fragment, exit_code
+):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"fock": fock}))
     out = tmp_path / "out"
@@ -595,10 +605,11 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(tmp_path,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 3
+    assert code == exit_code
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds the budget" in err
+    assert err.startswith(f"error: {LATTICE_KEYS}: ") and fragment in err
     assert not (out / "fock_check.json").exists()
+    assert hartree_flows == []
     assert peak < 2**20
 
 
