@@ -541,7 +541,7 @@ def evolve_fock(
         h = gens.matrix(trajectory.interpolate(mid), which, n_field)
         coeffs = _step(gens, h, coeffs, sign * dt)
         vec = FockVector(space, coeffs)
-        top = max(top, top_sector_mass(vec))
+        top = np.maximum(top, top_sector_mass(vec))  # a NaN mass stays NaN
         if step + 1 in want:
             snaps[want[step + 1]] = vec.copy()
     return FockEvolution(FockVector(space, coeffs), snaps, top)

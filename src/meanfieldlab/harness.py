@@ -9,7 +9,8 @@ Each check behind a subcommand returns its Report and its output files as a
 dict from file name to text; it writes nothing itself.  A convergence run's
 files are a CSV of per-(N, t) records and a JSON manifest carrying the config
 (in the layout ``from_dict`` reads), its hash, the verdict thresholds
-(``THRESHOLDS``, fixed in code), library versions and diagnostic outcomes.
+(``THRESHOLDS``, fixed in code), library versions, the rate fits and the
+run's report.
 """
 
 from __future__ import annotations
@@ -350,11 +351,16 @@ class CheckItem:
     details: dict = field(default_factory=dict)
 
 
-def _check(name: str, measured, threshold, ok=None) -> CheckItem:
-    """A pass-or-fail item; ``ok`` defaults to ``measured <= threshold``."""
+def _check(name: str, values, threshold, ok=None) -> CheckItem:
+    """A pass-or-fail item on the worst of ``values``, a scalar or a sequence.
+
+    ``ok`` defaults to ``measured <= threshold``.  The worst value is taken
+    with np.max, which, unlike max, carries a NaN through to a failed item.
+    """
+    measured = float(np.max(values))
     if ok is None:
         ok = measured <= threshold
-    return CheckItem(name, "pass" if ok else "fail", float(measured), float(threshold))
+    return CheckItem(name, "pass" if ok else "fail", measured, float(threshold))
 
 
 @dataclass
@@ -388,7 +394,7 @@ def _hartree_flow(config: ExperimentConfig):
 class ConvergenceRun:
     config: ExperimentConfig
     records: list
-    diagnostics: dict
+    mass_drifts: list  # |Tr gamma - 1| of each record
     fits: dict
 
 
@@ -397,6 +403,7 @@ def _sample_times(config: ExperimentConfig) -> tuple:
     sample_times = tuple(sorted(config.sample_times))
     if not sample_times:
         raise ConfigError("time.sample_times is empty: need at least one sample time")
+    _refuse_repeats("time.sample_times", config.sample_times)
     if sample_times[-1] > config.horizon + 1e-9:
         raise ConfigError("time.sample_times must lie within time.horizon")
     _named("time.horizon on the time.dt steps", step_schedule, config.horizon, config.dt)
@@ -432,8 +439,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, pair_snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, sample_times)
 
-    records = []
-    worst = {"mass_drift": 0.0, "sym_defect": 0.0, "boundary_mass": 0.0, "energy_drift": 0.0}
+    records, mass_drifts = [], []
     for n in config.particle_counts:
         if not quiet:
             print(f"[nbody] N={n}", file=sys.stderr)
@@ -448,7 +454,7 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
             proj = nb.projection_marginal(phi_t, grid, ts)
             corr = bg.correction_kernel(pair_snaps[ts], phi0, phi_t, n)
             e_mat = gamma.matrix - proj.matrix
-            rec = RunRecord(
+            records.append(RunRecord(
                 N=n,
                 t=ts,
                 trace_err=nb.trace_distance(gamma, proj),
@@ -458,29 +464,15 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
                 energy_drift=abs(nb.nbody_energy(state, vsamp, gamma) - e0),
                 sym_defect=nb.symmetry_defect(state),
                 boundary_mass=nb.marginal_boundary_mass(gamma),
-            )
-            records.append(rec)
-            worst["mass_drift"] = max(worst["mass_drift"], abs(gamma.trace() - 1.0))
-            worst["sym_defect"] = max(worst["sym_defect"], rec.sym_defect)
-            worst["boundary_mass"] = max(worst["boundary_mass"], rec.boundary_mass)
-            worst["energy_drift"] = max(worst["energy_drift"], rec.energy_drift)
-
-    tol = THRESHOLDS
-    diagnostics = {
-        "worst": worst,
-        "ok": {
-            "mass_drift": worst["mass_drift"] <= tol.mass_drift,
-            "sym_defect": worst["sym_defect"] <= tol.sym_defect,
-            "boundary_mass": worst["boundary_mass"] <= tol.boundary_mass,
-        },
-    }
+            ))
+            mass_drifts.append(abs(gamma.trace() - 1.0))
 
     fits = {}
     if len(config.particle_counts) >= 2:
         for ts in sample_times:
             fit = fit_rate(records_for_fit(records, ts))
             fits[repr(float(ts))] = asdict(fit)
-    return ConvergenceRun(config, records, diagnostics, fits)
+    return ConvergenceRun(config, records, mass_drifts, fits)
 
 
 def library_versions() -> dict:
@@ -496,14 +488,14 @@ def library_versions() -> dict:
     }
 
 
-def manifest_json(run: ConvergenceRun) -> str:
+def manifest_json(run: ConvergenceRun, report: Report) -> str:
     return json_text({
         "config": run.config.to_dict(),
         "config_hash": run.config.config_hash(),
         "thresholds": _to_json(THRESHOLDS),
         "versions": library_versions(),
         "n_records": len(run.records),
-        "diagnostics": run.diagnostics,
+        "report": report.to_dict(),
         "rate_fits": run.fits,
     })
 
@@ -513,7 +505,7 @@ def convergence_check(
 ) -> tuple[Report, dict]:
     """The N-body sweep, its diagnostics as items, and with ``fit`` the rate band.
 
-    An exceeded diagnostic makes the run inconclusive rather than failed.
+    A diagnostic that does not pass makes the run inconclusive rather than failed.
     The files are ``records.csv`` and ``manifest.json``.
     """
     if fit and len(config.particle_counts) < 2:
@@ -521,11 +513,14 @@ def convergence_check(
         raise ConfigError(f"a rate fit needs at least two particle counts, got particle_counts {counts}")
     run = run_convergence(config, quiet)
     tol = THRESHOLDS
-    worst = run.diagnostics["worst"]
     items = [
-        CheckItem(name, "pass" if ok else "inconclusive", float(worst[name]), getattr(tol, name))
-        for name, ok in run.diagnostics["ok"].items()
+        _check("mass_drift", run.mass_drifts, tol.mass_drift),
+        _check("sym_defect", [r.sym_defect for r in run.records], tol.sym_defect),
+        _check("boundary_mass", [r.boundary_mass for r in run.records], tol.boundary_mass),
     ]
+    for item in items:
+        if item.status != "pass":
+            item.status = "inconclusive"
     if fit:
         final = run.fits[repr(float(max(config.sample_times)))]
         lo, hi = tol.rate_band
@@ -533,7 +528,8 @@ def convergence_check(
         slope.details = {"band": [lo, hi]}
         items += [slope, _check("r_squared", final["r_squared"], tol.r_squared_min,
                                 ok=final["r_squared"] >= tol.r_squared_min)]
-    return Report(items), {"records.csv": records_csv(run.records), "manifest.json": manifest_json(run)}
+    report = Report(items)
+    return report, {"records.csv": records_csv(run.records), "manifest.json": manifest_json(run, report)}
 
 
 def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
@@ -542,19 +538,17 @@ def hartree_check(config: ExperimentConfig) -> tuple[Report, dict]:
     grid, vsamp, _, traj = _hartree_flow(config)
     e0 = ha.hartree_energy(traj.states[0], vsamp, grid)
     rows = []
-    worst_mass = worst_energy = 0.0
     stride = max(1, len(traj.times) // 64)
     for i in range(0, len(traj.times), stride):
         phi = traj.states[i]
         md = abs(ha.mass(phi, grid) - 1.0)
         ed = abs(ha.hartree_energy(phi, vsamp, grid) - e0)
-        worst_mass = max(worst_mass, md)
-        worst_energy = max(worst_energy, ed)
         rows.append((traj.times[i], md, ed, ha.boundary_mass(phi, grid)))
+    _, mass_drifts, energy_drifts, _ = zip(*rows)
     tol = THRESHOLDS
     report = Report([
-        _check("mass_drift", worst_mass, tol.mass_drift),
-        _check("energy_drift", worst_energy, tol.energy_drift * max(abs(e0), 1.0)),
+        _check("mass_drift", mass_drifts, tol.mass_drift),
+        _check("energy_drift", energy_drifts, tol.energy_drift * max(abs(e0), 1.0)),
     ])
     return report, {"hartree.csv": csv_table(("t", "mass_drift", "energy_drift", "boundary_mass"), rows)}
 
@@ -567,16 +561,14 @@ def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
     defects, norms = [], []
-    worst = 0.0
     for ts in sorted(snaps):
         d1, d2 = bg.symplectic_defect(snaps[ts])
-        worst = max(worst, d1, d2)
         defects.append((ts, bg.depletion(snaps[ts]), d1, d2))
     for n in config.particle_counts:
         for ts in sorted(snaps):
             corr = bg.correction_kernel(snaps[ts], phi0, traj.state_at(ts), n)
             norms.append((n, ts, corr.norm()))
-    report = Report([_check("pair_relation_defect", worst, THRESHOLDS.defect)])
+    report = Report([_check("pair_relation_defect", [row[2:] for row in defects], THRESHOLDS.defect)])
     table = (csv_table(("t", "depletion", "identity_defect", "symmetry_defect"), defects) + "\n"
              + csv_table(("N", "t", "correction_norm"), norms))
     return report, {"bogoliubov.csv": table}
@@ -612,13 +604,12 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
         for m in range(1, n):
             check = comb_mod.krasikov_check(table, m)
             margins.append(check.log_value - check.log_bound)
-    # np.max, unlike max, carries a NaN through to a failed item
-    margin = np.max(margins, initial=-np.inf)
+    margin = np.max(margins)
     report = Report([
-        _check("leading_value", np.max(lead_gaps), THRESHOLDS.leading_value),
-        _check("total_mass", np.max(masses), THRESHOLDS.total_mass),
+        _check("leading_value", lead_gaps, THRESHOLDS.leading_value),
+        _check("total_mass", masses, THRESHOLDS.total_mass),
         _check("envelope_log_margin", margin, 0.0, ok=margin < 0.0),
-        _check("weighted_sum_spread", max(scaled) / min(scaled), THRESHOLDS.weighted_sum_spread),
+        _check("weighted_sum_spread", np.max(scaled) / np.min(scaled), THRESHOLDS.weighted_sum_spread),
     ])
     header = ("n", "first_overlap", "sum_sq", "weighted_sum", "scaled_weighted_sum")
     return report, {"laguerre.csv": csv_table(header, rows)}
@@ -676,8 +667,8 @@ def _lattice_battery(
         residuals[n] = fk.residual_aggregates(full_backs, quad_backs)[1]
         tops += [full.top_mass, fb_top]
     return LatticeBattery(
-        leakage=max(tops),
-        parity_odd=max(fk.odd_sector_mass(s) for s in quad.snapshots.values()),
+        leakage=np.max(tops),
+        parity_odd=np.max([fk.odd_sector_mass(s) for s in quad.snapshots.values()]),
         identity_moments={ts: fk.number_moment(quad.snapshots[ts], 1) for ts in fsec.identity_times},
         columns=fk.one_particle_values(col_backs),
         moments=moments,
@@ -753,13 +744,13 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     if not quiet:
         print("[fock-check] base cutoff done", file=sys.stderr)
     n_probe = min(fsec.coupling_values)
-    worst_site = max(lo_errs, key=lo_errs.get)
+    worst_site = list(lo_errs)[np.argmax(list(lo_errs.values()))]  # a NaN column counts as the worst
     hi, hi_errs = battery(swept_cutoff, (n_probe,), (worst_site,))
 
     items: list[CheckItem] = []
 
-    def add(name, measured, threshold, swept_pair, ok=None):
-        item = _check(name, measured, threshold, ok)
+    def add(name, values, threshold, swept_pair, ok=None):
+        item = _check(name, values, threshold, ok)
         a, b = swept_pair
         item.details = {"base": a, "swept": b}
         if not abs(a - b) <= tol.cutoff_agreement * (1.0 + abs(a)):
@@ -778,14 +769,14 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
 
     # v-kernel columns reproduced by the engine
     col_pair = (lo_errs[worst_site], hi_errs[worst_site])
-    add("kernel_columns", max(lo_errs.values()), tol.identity_match, col_pair)
+    add("kernel_columns", list(lo_errs.values()), tol.identity_match, col_pair)
 
     # parity conservation of the quadratic flow
     add("parity_odd_mass", lo.parity_odd, tol.parity_odd_mass, (lo.parity_odd, hi.parity_odd))
 
     # number moments of the full flow stay order one across coupling values
     moments = [lo.moments[n] for n in fsec.coupling_values]
-    ratio = max(moments) / min(moments)
+    ratio = np.max(moments) / np.min(moments)
     add("moment_stability", ratio, tol.moment_stability, (lo.moments[n_probe], hi.moments[n_probe]))
 
     # residual aggregates halve when N doubles

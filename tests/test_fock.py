@@ -660,6 +660,20 @@ def test_snapshots_and_span_validation(lattice):
         fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, snapshot_times=(0.3,))
 
 
+def test_truncation_monitor_carries_a_nan(lattice, monkeypatch):
+    """One NaN top-sector mass along the flow makes ``top_mass`` NaN, not the worst finite mass."""
+    space, _, _, traj, gens = lattice
+    calls = []
+
+    def nan_once(vec, _original=fk.top_sector_mass):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else _original(vec)
+
+    monkeypatch.setattr(fk, "top_sector_mass", nan_once)
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.1, 2e-3, "quadratic")
+    assert len(calls) == 51 and np.isnan(run.top_mass)
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg residual field
 

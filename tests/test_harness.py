@@ -313,7 +313,9 @@ def test_pipeline_produces_one_record_per_count_and_time(tiny_run, tiny_config):
     seen = {(r.N, r.t) for r in tiny_run.records}
     assert seen == {(n, t) for n in (2, 3) for t in (0.1, 0.2)}
     assert set(tiny_run.fits) == {"0.1", "0.2"}
-    assert all(tiny_run.diagnostics["ok"].values())
+    assert len(tiny_run.mass_drifts) == 4 and np.max(tiny_run.mass_drifts) <= hn.THRESHOLDS.mass_drift
+    assert all(r.sym_defect <= hn.THRESHOLDS.sym_defect for r in tiny_run.records)
+    assert all(r.boundary_mass <= hn.THRESHOLDS.boundary_mass for r in tiny_run.records)
     for fit in tiny_run.fits.values():
         assert -1.1 < fit["slope"] < -0.9
 
@@ -343,8 +345,29 @@ def test_exceeded_diagnostic_is_inconclusive_and_rate_band_miss_fails(tiny_confi
     assert report.status == "fail"
 
 
-def test_manifest_is_deterministic(tiny_run, tiny_config):
-    a, b = hn.manifest_json(tiny_run), hn.manifest_json(tiny_run)
+@pytest.fixture(scope="module")
+def tiny_rate(tiny_config):
+    return hn.convergence_check(tiny_config, fit=True)
+
+
+def test_a_nan_diagnostic_reads_inconclusive(tiny_config, monkeypatch):
+    """One NaN symmetry defect is the worst one, not skipped by the reduction."""
+    calls = []
+
+    def nan_once(state, _original=nb.symmetry_defect):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else _original(state)
+
+    monkeypatch.setattr(nb, "symmetry_defect", nan_once)
+    report, _ = hn.convergence_check(tiny_config, fit=False)
+    item = {i.name: i for i in report.items}["sym_defect"]
+    assert len(calls) == 4
+    assert item.status == "inconclusive" and np.isnan(item.measured)
+
+
+def test_manifest_is_deterministic(tiny_run, tiny_config, tiny_rate):
+    report, files = tiny_rate
+    a, b = hn.manifest_json(tiny_run, report), hn.manifest_json(tiny_run, report)
     blob = json.loads(a)
     assert blob["config_hash"] == tiny_config.config_hash()
     assert blob["n_records"] == 4
@@ -353,6 +376,16 @@ def test_manifest_is_deterministic(tiny_run, tiny_config):
     assert a == b
     # the config block is a valid config file for a rerun
     assert hn.ExperimentConfig.from_dict(blob["config"]) == tiny_config
+    # the manifest of a rate run carries the report that run returned
+    assert json.loads(files["manifest.json"])["report"] == report.to_dict()
+    assert [i["name"] for i in blob["report"]["items"]][-2:] == ["slope", "r_squared"]
+
+
+def test_readme_names_every_manifest_key(tiny_rate):
+    _, files = tiny_rate
+    section = _readme().split("## Manifest\n", 1)[1].split("\n## ", 1)[0]
+    named = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    assert named == set(json.loads(files["manifest.json"]))
 
 
 def test_rerun_writes_bitwise_identical_records(tiny_config, tiny_run):
@@ -482,6 +515,18 @@ def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
     blob = json.loads((tmp_path / "fock_check.json").read_text())
     assert blob["status"] == "inconclusive"
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command, item", [("hartree", "mass_drift"), ("bogoliubov", "pair_relation_defect")])
+def test_cli_fails_a_flow_that_turns_to_nan(tmp_path, capsys, command, item):
+    """On a grid of length 1e-300 every value after t = 0 is NaN, and a NaN fails its item."""
+    raw = tiny_dict()
+    raw["grid"]["length"] = 1e-300
+    path = tmp_path / "tiny_grid.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"  {item}: fail (measured nan," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -757,6 +802,14 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
         pytest.param("hartree", {"grid": {"length": -1.0}}, "grid.length", id="hartree-negative length"),
         pytest.param(
             "laguerre", {"combinatorics": {"counts": [0, 4]}}, "combinatorics.counts", id="laguerre-count below 1"
+        ),
+        pytest.param(
+            "rate", {"time": {"sample_times": [0.1, 0.1, 0.2]}}, "time.sample_times [0.1, 0.1, 0.2] repeats",
+            id="rate-repeated sample time",
+        ),
+        pytest.param(
+            "bogoliubov", {"time": {"sample_times": [0.2, 0.1, 0.2]}}, "time.sample_times [0.2, 0.1, 0.2] repeats",
+            id="bogoliubov-repeated sample time",
         ),
     ],
 )
