@@ -65,8 +65,9 @@ def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
 
     The step dt must be positive and finite, the span a positive whole number
     of steps, and each offset (a snapshot time measured from the start) must
-    lie within 1e-9 of a step in [0, span].  A span or offset that is no
-    finite number of steps (1e308 over 1e-3, 1 over 1e-320) is refused too.
+    lie within 1e-9 of a step in [0, span], no two of them on one step.  A
+    span or offset that is no finite number of steps (1e308 over 1e-3, 1
+    over 1e-320) is refused too.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"step dt={dt} must be positive and finite")
@@ -75,13 +76,15 @@ def step_schedule(span: float, dt: float, offsets=()) -> tuple[int, list[int]]:
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9:
         raise ValueError(f"span {span} is not a whole number of steps of dt={dt}")
-    indices = []
+    taken = {}  # step index -> the offset that landed on it
     for offset in offsets:
         i = int(round(offset / dt)) if np.isfinite(offset / dt) else -1
         if not 0 <= i <= n_steps or abs(i * dt - offset) > 1e-9:
             raise ValueError(f"snapshot offset {offset} does not land on a step of dt={dt}")
-        indices.append(i)
-    return n_steps, indices
+        if i in taken:
+            raise ValueError(f"snapshot offsets {taken[i]} and {offset} land on one step of dt={dt}")
+        taken[i] = offset
+    return n_steps, list(taken)
 
 
 def l2_norm(f, grid: GridSpec) -> float:

@@ -50,6 +50,17 @@ def _named(key: str, check, /, *args, **kwargs):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _refuse_list(key: str, values, least=None) -> None:
+    """Refuse the listed setting ``key`` when it is empty, repeats a value, or holds one below ``least``."""
+    values = list(values)
+    if not values:
+        raise ConfigError(f"{key} is empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} {values} repeats a value")
+    if least is not None and min(values) < least:
+        raise ConfigError(f"{key} {values} must all be at least {least}")
+
+
 def _in_section(section: str, key: str, default):
     """A flat config field that the JSON config keeps at ``section.key``."""
     return field(default=default, metadata={"section": section, "key": key})
@@ -172,9 +183,13 @@ class FockSectionConfig:
         default_factory=lambda: InitialStateConfig(center=1.7, width=0.8)
     )
 
+    def snapshot_times(self) -> tuple:
+        """The battery's snapshot times: the identity times and the residual time, an equal time once."""
+        return tuple(sorted(set(self.identity_times) | {self.residual_time}))
+
     def horizon(self) -> float:
-        """End of the lattice flows: the last identity or residual time, and at least 1."""
-        return max(max(self.identity_times), self.residual_time, 1.0)
+        """End of the lattice flows: the last snapshot time, and at least 1."""
+        return max(*self.snapshot_times(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -399,37 +414,17 @@ class ConvergenceRun:
 
 
 def _sample_times(config: ExperimentConfig) -> tuple:
-    """The sample times in ascending order, refused when empty, past the horizon or off its steps."""
-    sample_times = tuple(sorted(config.sample_times))
-    if not sample_times:
-        raise ConfigError("time.sample_times is empty: need at least one sample time")
-    _refuse_repeats("time.sample_times", config.sample_times)
-    if sample_times[-1] > config.horizon + 1e-9:
-        raise ConfigError("time.sample_times must lie within time.horizon")
+    """The sample times in ascending order, refused when empty, repeated, or not each on its own step."""
+    _refuse_list("time.sample_times", config.sample_times)
     _named("time.horizon on the time.dt steps", step_schedule, config.horizon, config.dt)
-    _named("time.sample_times on the time.dt steps", step_schedule, config.horizon, config.dt, sample_times)
-    return sample_times
-
-
-def _refuse_repeats(key: str, values) -> None:
-    values = list(values)
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{key} {values} repeats a value")
-
-
-def _refuse_bad_counts(config: ExperimentConfig) -> None:
-    counts = list(config.particle_counts)
-    _refuse_repeats("particle_counts", counts)
-    if min(counts, default=1) < 1:
-        raise ConfigError(f"particle_counts {counts} must all be at least 1")
+    _named("time.sample_times on the time.dt steps", step_schedule, config.horizon, config.dt, config.sample_times)
+    return tuple(sorted(config.sample_times))
 
 
 def run_convergence(config: ExperimentConfig, quiet: bool = True) -> ConvergenceRun:
     """Full pipeline: Hartree, Bogoliubov correction, exact N-body sweep."""
     sample_times = _sample_times(config)
-    if not config.particle_counts:
-        raise ConfigError("particle_counts is empty: need at least one particle count")
-    _refuse_bad_counts(config)
+    _refuse_list("particle_counts", config.particle_counts, 1)
     config.grid()  # a bad grid is refused by its key, not as a sweep over its points
     for n in config.particle_counts:
         _named(f"particle_counts {list(config.particle_counts)}", nb.admit_sweep, config.grid_points, n)
@@ -557,7 +552,7 @@ def bogoliubov_check(config: ExperimentConfig) -> tuple[Report, dict]:
     """Pair-relation defect of the kernel flow, and ``bogoliubov.csv``: the
     defects, a blank line, then the correction norms."""
     _sample_times(config)
-    _refuse_bad_counts(config)
+    _refuse_list("particle_counts", config.particle_counts, 1)
     grid, vsamp, phi0, traj = _hartree_flow(config)
     _, snaps = bg.evolve_pair(grid, vsamp, traj, config.horizon, config.dt, config.sample_times)
     defects, norms = [], []
@@ -581,14 +576,8 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
     total squared mass, the Krasikov envelope (worst log margin, which must
     stay strictly negative), and the spread of the scaled weighted sums.
     """
-    counts = list(config.combinatorics_counts)
-    if not counts or min(counts) < 1:
-        raise ConfigError(f"combinatorics.counts {counts} needs at least one count, each at least 1")
-    if not config.krasikov_grid or min(config.krasikov_grid) < 2:
-        raise ConfigError(
-            f"combinatorics.krasikov_grid {list(config.krasikov_grid)} needs at least one "
-            "entry, each at least 2, for an envelope check"
-        )
+    _refuse_list("combinatorics.counts", config.combinatorics_counts, 1)
+    _refuse_list("combinatorics.krasikov_grid", config.krasikov_grid, 2)  # no envelope order below 2
     rows = []
     lead_gaps, masses, scaled, margins = [], [], [], []
     for n in config.combinatorics_counts:
@@ -643,9 +632,8 @@ def _lattice_battery(
     """
     space = gens.space
     horizon = fsec.horizon()
-    snap_times = tuple(sorted(set(fsec.identity_times) | {fsec.residual_time}))
     quad = fk.evolve_fock(
-        gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "quadratic", 1.0, snap_times
+        gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "quadratic", 1.0, fsec.snapshot_times()
     )
     t_k = max(fsec.identity_times)
     col_backs, col_top = fk.site_backs(
@@ -685,21 +673,17 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     smallest coupling value (strongest cubic and quartic parts) and the worst
     kernel column.  Each item carries a base/swept scalar pair; disagreement
     beyond the cutoff_agreement threshold marks the item inconclusive rather
-    than failed.  Vacuous settings (fewer than one site, a cutoff or a sweep
-    step below one, no coupling pair (a, 2a), a coupling value below one, a
-    repeated coupling value or identity time, no identity time), a fock.dt
-    that is not positive or times off its steps, a swept lattice that
-    ``fock.admit_lattice`` refuses (over the budget, or with keys that
-    overflow int64), a lattice horizon whose Hartree trajectory
-    ``hartree.admit_trajectory`` refuses, and a bad lattice length or packet
-    are refused up front, each naming its config key.  The file is
-    ``fock_check.json``, the report itself.
+    than failed.  Every setting the README's refusal table names for
+    ``fock-check`` is refused up front, before any flow, naming its config
+    key.  The file is ``fock_check.json``, the report itself.
     """
     tol = THRESHOLDS
     fsec = config.fock
     for key in ("sites", "cutoff", "cutoff_step"):
         if getattr(fsec, key) < 1:
             raise ConfigError(f"fock.{key} must be at least 1, got {getattr(fsec, key)}")
+    _refuse_list("fock.coupling_values", fsec.coupling_values, 1)
+    _refuse_list("fock.identity_times", fsec.identity_times)
     counts = sorted(fsec.coupling_values)
     pairs = [(a, b) for a, b in zip(counts, counts[1:]) if b == 2 * a]
     if not pairs:
@@ -707,16 +691,13 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
             f"fock.coupling_values {list(fsec.coupling_values)} need two neighbouring "
             "values a and 2a for a residual ratio"
         )
-    if counts[0] < 1:
-        raise ConfigError(f"fock.coupling_values {list(fsec.coupling_values)} must all be at least 1")
-    _refuse_repeats("fock.coupling_values", fsec.coupling_values)
-    if not fsec.identity_times:
-        raise ConfigError("fock.identity_times is empty: need at least one identity time")
-    _refuse_repeats("fock.identity_times", fsec.identity_times)
     _named("fock.dt (against the lattice horizon)", step_schedule, fsec.horizon(), fsec.dt)
     # the backward flows start at the residual time and the last identity time
     _named("fock.residual_time", step_schedule, fsec.residual_time, fsec.dt)
-    _named("fock.identity_times", step_schedule, max(fsec.identity_times), fsec.dt, fsec.identity_times)
+    _named("fock.identity_times", step_schedule, max(fsec.identity_times), fsec.dt)
+    _named(
+        "fock.identity_times and fock.residual_time", step_schedule, fsec.horizon(), fsec.dt, fsec.snapshot_times()
+    )
     swept_cutoff = fsec.cutoff + fsec.cutoff_step
     _named("fock.sites at fock.cutoff + fock.cutoff_step", fk.admit_lattice, fsec.sites, swept_cutoff)
 

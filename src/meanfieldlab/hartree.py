@@ -73,14 +73,15 @@ class HartreeTrajectory:
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
 
-def admit_trajectory(points: int, t_final: float, dt: float) -> None:
-    """Refuse, through ``grid.admit``, a trajectory whose stored states exceed the budget.
+def admit_trajectory(points: int, t_final: float, dt: float) -> int:
+    """The step count of a trajectory to t_final, refused through ``grid.admit`` over the budget.
 
     A trajectory stores t_final/dt + 1 states of ``points`` amplitudes, 16 B
     each; a t_final that ``step_schedule`` refuses is a ``ValueError``.
     """
     n_steps, _ = step_schedule(t_final, dt)
     admit(f"a Hartree trajectory of {n_steps + 1} states of {points} amplitudes", 16 * points * (n_steps + 1))
+    return n_steps
 
 
 def evolve_hartree(
@@ -97,8 +98,7 @@ def evolve_hartree(
     phi = np.asarray(phi0, dtype=complex)
     if phi.shape != (grid.points,):
         raise ValueError(f"initial state has shape {phi.shape}, expected ({grid.points},)")
-    admit_trajectory(grid.points, t_final, dt)
-    n_steps, _ = step_schedule(t_final, dt)
+    n_steps = admit_trajectory(grid.points, t_final, dt)
 
     half = multiplier_matrix(grid, kinetic_phase(grid, 0.5 * dt))
     convolve = grid.dx * potential_matrix(np.asarray(potential_samples, dtype=float), grid)

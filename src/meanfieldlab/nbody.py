@@ -468,8 +468,6 @@ def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray) -> 
     if len(samples) < 3:
         raise ValueError("need at least three snapshots")
     mid = len(samples) // 2
-    if mid + 1 >= len(samples):
-        mid = len(samples) - 2
     before, now, after = samples[mid - 1], samples[mid], samples[mid + 1]
     spacing = now.t - before.t
     if abs((after.t - now.t) - spacing) > 1e-9 or spacing <= 0:

@@ -19,6 +19,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import meanfieldlab.fock as fk
+from meanfieldlab.bogoliubov import evolve_pair
 from meanfieldlab.grid import (
     GridSpec,
     PotentialSpec,
@@ -658,6 +659,16 @@ def test_snapshots_and_span_validation(lattice):
         fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, snapshot_times=(0.05001,))
     with pytest.raises(ValueError):
         fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, snapshot_times=(0.3,))
+
+
+@pytest.mark.parametrize("times", [(0.1, 0.1), (0.1, 0.1 + 5e-10)])
+def test_snapshot_times_on_one_step_are_refused(lattice, times):
+    # each engine keys its snapshots by step, so it would keep one of the two
+    space, vs, _, traj, gens = lattice
+    with pytest.raises(ValueError, match="land on one step"):
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic", snapshot_times=times)
+    with pytest.raises(ValueError, match="land on one step"):
+        evolve_pair(space.grid, vs, traj, 0.2, 2e-3, times)
 
 
 def test_truncation_monitor_carries_a_nan(lattice, monkeypatch):

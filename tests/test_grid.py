@@ -113,6 +113,9 @@ def test_step_schedule():
     for span, dt in ((1e308, 1e-3), (0.2, 1e-320), (float("nan"), 1e-3)):  # no finite number of steps
         with pytest.raises(ValueError, match="finite number of steps"):
             step_schedule(span, dt)
+    for offsets in ((0.1, 0.2, 0.1), (0.1, 0.2, 0.1 + 5e-10)):  # an exact repeat; two offsets on step 50
+        with pytest.raises(ValueError, match=f"offsets 0.1 and {offsets[2]} land on one step"):
+            step_schedule(0.4, 2e-3, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,20 @@ def test_manifest_is_deterministic(tiny_run, tiny_config, tiny_rate):
     assert [i["name"] for i in blob["report"]["items"]][-2:] == ["slope", "r_squared"]
 
 
+def _key_paths(blob, prefix=""):
+    """Every key path and section of a JSON config, as ``fock.initial_state.width``."""
+    for key, value in blob.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+def test_readme_refusal_table_names_only_config_keys():
+    section = _readme().split("| key | subcommands | refused when |\n", 1)[1].split("\n\n", 1)[0]
+    named = {key for line in section.splitlines()[1:] for key in line.split("|")[1].split("`")[1::2]}
+    assert named and named <= set(_key_paths(hn.ExperimentConfig().to_dict()))
+
+
 def test_readme_names_every_manifest_key(tiny_rate):
     _, files = tiny_rate
     section = _readme().split("## Manifest\n", 1)[1].split("\n## ", 1)[0]
@@ -683,6 +697,9 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(
         ({"length": 0}, "fock.length"),
         ({"initial_state": {"width": 0}}, "fock.initial_state.width"),
         ({"dt": 1e-320}, "fock.dt"),  # the lattice horizon is no finite number of steps
+        # two snapshots on one fock.dt step: the battery would keep one of them
+        ({"identity_times": [0.25, 0.2500000001, 0.5]}, "fock.identity_times"),
+        ({"residual_time": 0.2500000001}, "fock.residual_time"),
     ],
 )
 def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, fock, fragment):
@@ -810,6 +827,25 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
         pytest.param(
             "bogoliubov", {"time": {"sample_times": [0.2, 0.1, 0.2]}}, "time.sample_times [0.2, 0.1, 0.2] repeats",
             id="bogoliubov-repeated sample time",
+        ),
+        pytest.param(
+            "bogoliubov", {"time": {"sample_times": [0.1, 0.1000000001, 0.2]}},
+            "time.sample_times on the time.dt steps: snapshot offsets 0.1 and 0.1000000001 land on one step",
+            id="bogoliubov-two sample times on one step",
+        ),
+        pytest.param(
+            "rate", {"time": {"sample_times": [0.1, 0.1000000001, 0.2]}},
+            "time.sample_times on the time.dt steps: snapshot offsets 0.1 and 0.1000000001 land on one step",
+            id="rate-two sample times on one step",
+        ),
+        pytest.param("bogoliubov", {"particle_counts": []}, "particle_counts is empty", id="bogoliubov-no particle count"),
+        pytest.param(
+            "laguerre", {"combinatorics": {"counts": [4, 16, 4]}}, "combinatorics.counts [4, 16, 4] repeats",
+            id="laguerre-repeated count",
+        ),
+        pytest.param(
+            "laguerre", {"combinatorics": {"krasikov_grid": [10, 10]}}, "combinatorics.krasikov_grid [10, 10] repeats",
+            id="laguerre-repeated envelope count",
         ),
     ],
 )
