@@ -41,6 +41,7 @@ from .grid import (
     step_schedule,
 )
 from .hartree import HartreeTrajectory
+from .nbody import MarginalDensity
 
 
 @dataclass
@@ -180,26 +181,14 @@ def symplectic_defect(pair: BogoliubovPair) -> tuple[float, float]:
     eye = np.eye(m) / grid.dx
     d1 = grid.dx * (pair.u @ pair.u.conj().T - pair.v @ pair.v.conj().T) - eye
     d2 = grid.dx * (pair.u @ pair.v.T - pair.v @ pair.u.T)
-    return float(np.linalg.norm(d1) * grid.dx), float(np.linalg.norm(d2) * grid.dx)
+    return MarginalDensity(grid, 1, d1).norm(), MarginalDensity(grid, 1, d2).norm()
 
 
-@dataclass
-class MarginalCorrection:
-    """Explicit O(1/N) correction kernel to the one-body marginal."""
+def correction_kernel(pair: BogoliubovPair, phi0, phi_t, n: int) -> MarginalDensity:
+    """The next-order marginal correction E2 from the v kernel, as an ``nbody.MarginalDensity``.
 
-    grid: GridSpec
-    n: int
-    t: float
-    matrix: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix) * self.grid.dx)
-
-
-def correction_kernel(pair: BogoliubovPair, phi0, phi_t, n: int) -> MarginalCorrection:
-    """Assemble the next-order marginal correction from the v kernel.
-
-    With b(x) = dx sum_z v(x,z) conj(phi0(z)) the kernel is
+    The kernel is one-body (k = 1), at the pair's time.  With
+    b(x) = dx sum_z v(x,z) conj(phi0(z)) it is
 
         (n-1)/n^2 dx (v v*)  - (n-2)/n^2 b b*
         - (1/n) [ b conj(phi_t)^T + phi_t conj(b)^T ],
@@ -221,4 +210,4 @@ def correction_kernel(pair: BogoliubovPair, phi0, phi_t, n: int) -> MarginalCorr
     mat -= (n - 2) / n**2 * np.outer(b, b.conj())
     mat -= np.outer(b, phi_t.conj()) / n
     mat -= np.outer(phi_t, b.conj()) / n
-    return MarginalCorrection(grid, n, pair.t, mat)
+    return MarginalDensity(grid, 1, mat, pair.t)

@@ -29,6 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
+from .grid import admit
+
 
 def log_coherent_norm(n: int) -> float:
     """ln of sqrt(n!) / (n^{n/2} e^{-n/2}).
@@ -58,6 +60,15 @@ class SectorOverlapTable:
     @property
     def sum_sq(self) -> float:
         return float(self.cumulative_sq[-1])
+
+
+def admit_overlaps(n: int) -> None:
+    """Refuse, through ``grid.admit``, a table of ``n`` entries before it is built.
+
+    A table and ``weighted_sector_sum`` over it peak at 48 B per entry, the
+    table's build alone at 32 B (tracemalloc, n = 10^4 to 10^6).
+    """
+    admit(f"a sector-overlap table of {n} entries", 48 * n)
 
 
 def sector_overlaps(n: int) -> SectorOverlapTable:

@@ -128,17 +128,21 @@ def admit_lattice(sites: int, cutoff: int) -> int:
     Each of the (sites + 1)(2 sites + 1) generator skeletons maps a basis column to
     at most one row, and a ``GeneratorSet`` build peaks below 112 B per such entry
     (tracemalloc: 47-51 B at one site and cutoffs 200-5000, 25-37 B at four sites
-    and cutoffs 6-20).  ``grid.admit`` refuses that charge above the budget; keys
-    that would overflow int64 are a ``ValueError``.
+    and cutoffs 6-20).  ``grid.admit`` refuses that charge above the budget,
+    on its own or on the lower bound C(n, k) >= (n/k)^k with k = min(sites,
+    cutoff), so a lattice far past the budget is refused before its count is
+    built; keys that would overflow int64 are a ``ValueError``.
     """
-    dim = comb(cutoff + sites, sites)
+    bank = 112 * (sites + 1) * (2 * sites + 1)
+    k = min(sites, cutoff)
     admit(
-        f"{sites} sites at cutoff {cutoff} give {dim} basis states, whose generator bank",
-        112 * (sites + 1) * (2 * sites + 1) * dim,
+        f"the generator bank of {sites} sites at cutoff {cutoff}",
+        lambda: bank * comb(cutoff + sites, sites),
+        bank.bit_length() - 1 + k * (((cutoff + sites) // max(k, 1)).bit_length() - 1),
     )
     if (cutoff + 1) ** (sites + 1) > 2**63:
         raise ValueError(f"basis keys of {sites} sites at cutoff {cutoff} overflow int64")
-    return dim
+    return comb(cutoff + sites, sites)
 
 
 class LatticeFockSpace:

@@ -25,13 +25,25 @@ class CapacityError(MemoryError):
     """A run refused before it allocates, because its working set exceeds WORKING_SET_BUDGET."""
 
 
-def admit(what: str, need: int) -> None:
+def admit(what: str, need, least_bits: int = 0) -> None:
     """Refuse ``what``, with ``CapacityError``, when its ``need`` bytes exceed WORKING_SET_BUDGET.
 
-    This is the one comparison against the budget: every engine's admission calls it.
+    This is the one comparison against the budget: every engine's admission
+    calls it.  ``need`` is the byte count, or a function that returns it.  An
+    admission whose count can be a huge integer passes the function with
+    ``least_bits``, an exponent b with need >= 2^b; when 2^b alone exceeds
+    the budget, the refusal rests on it and the count is never built.
+    A need of 2^64 bytes or more is stated as the power of two below it, as
+    Python prints no integer of more than 4300 digits.
     """
-    if need > WORKING_SET_BUDGET:
-        raise CapacityError(f"{what} needs {need} bytes, which exceeds the budget of {WORKING_SET_BUDGET} bytes")
+    budget = WORKING_SET_BUDGET
+    if least_bits < budget.bit_length():  # 2^least_bits may fit: compare the need itself
+        need = need() if callable(need) else need
+        if need <= budget:
+            return
+        least_bits = need.bit_length() - 1
+    stated = f"at least 2^{least_bits}" if callable(need) or least_bits >= 64 else need
+    raise CapacityError(f"{what} needs {stated} bytes, which exceeds the budget of {budget} bytes")
 
 
 @dataclass(frozen=True)

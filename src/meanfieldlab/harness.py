@@ -29,7 +29,7 @@ from . import combinatorics as comb_mod
 from . import fock as fk
 from . import hartree as ha
 from . import nbody as nb
-from .grid import CapacityError, GridSpec, PotentialSpec, gaussian_packet, sample_potential, step_schedule
+from .grid import CapacityError, GridSpec, PotentialSpec, gaussian_packet, l2_norm, sample_potential, step_schedule
 
 
 class ConfigError(ValueError):
@@ -448,14 +448,14 @@ def run_convergence(config: ExperimentConfig, quiet: bool = True) -> Convergence
             phi_t = traj.state_at(ts)
             proj = nb.projection_marginal(phi_t, grid, ts)
             corr = bg.correction_kernel(pair_snaps[ts], phi0, phi_t, n)
-            e_mat = gamma.matrix - proj.matrix
+            error = nb.MarginalDensity(grid, 1, gamma.matrix - proj.matrix, ts)
             records.append(RunRecord(
                 N=n,
                 t=ts,
                 trace_err=nb.trace_distance(gamma, proj),
                 hs_err=nb.hs_distance(gamma, proj),
                 e2_norm=corr.norm(),
-                e_minus_e2_norm=float(np.linalg.norm(e_mat - corr.matrix) * grid.dx),
+                e_minus_e2_norm=nb.hs_distance(error, corr),
                 energy_drift=abs(nb.nbody_energy(state, vsamp, gamma) - e0),
                 sym_defect=nb.symmetry_defect(state),
                 boundary_mass=nb.marginal_boundary_mass(gamma),
@@ -576,18 +576,21 @@ def laguerre_check(config: ExperimentConfig) -> tuple[Report, dict]:
     total squared mass, the Krasikov envelope (worst log margin, which must
     stay strictly negative), and the spread of the scaled weighted sums.
     """
-    _refuse_list("combinatorics.counts", config.combinatorics_counts, 1)
-    _refuse_list("combinatorics.krasikov_grid", config.krasikov_grid, 2)  # no envelope order below 2
-    rows = []
-    lead_gaps, masses, scaled, margins = [], [], [], []
+    for key, counts, least in (
+        ("combinatorics.counts", config.combinatorics_counts, 1),
+        ("combinatorics.krasikov_grid", config.krasikov_grid, 2),  # no envelope order below 2
+    ):
+        _refuse_list(key, counts, least)
+        for n in counts:
+            _named(f"{key} {list(counts)}", comb_mod.admit_overlaps, n)
+    rows, lead_gaps, margins = [], [], []
     for n in config.combinatorics_counts:
         table = comb_mod.sector_overlaps(n)
         ws = comb_mod.weighted_sector_sum(table)
         first = table.values[0]
         rows.append((n, first, table.sum_sq, ws.value, ws.scaled))
         lead_gaps.append(abs(first - np.exp(-comb_mod.log_coherent_norm(n))) / first)
-        masses.append(table.sum_sq)
-        scaled.append(ws.scaled)
+    _, _, masses, _, scaled = zip(*rows)
     for n in config.krasikov_grid:
         table = comb_mod.sector_overlaps(n)
         for m in range(1, n):
@@ -614,21 +617,22 @@ class LatticeBattery(NamedTuple):
     leakage: float  # worst top-sector mass over every evolution of the battery
     parity_odd: float  # worst odd-sector mass of the quadratic flow
     identity_moments: dict  # identity time -> <N> of the quadratic flow
-    columns: np.ndarray  # one-particle values of each back-evolved a_y vacuum, one column per site
+    column_errors: dict  # site y -> L2 distance of the back-evolved a_y vacuum's one-particle values to v[y]
     moments: dict  # coupling value -> <N> of the full flow at the horizon
     residuals: dict  # coupling value -> the j = 1 residual aggregate
 
 
 def _lattice_battery(
-    gens: fk.GeneratorSet, traj: ha.HartreeTrajectory, fsec: FockSectionConfig, couplings, sites
+    gens: fk.GeneratorSet, traj: ha.HartreeTrajectory, fsec: FockSectionConfig, couplings, sites, kernel_v
 ) -> LatticeBattery:
     """Every lattice flow the cross checks need, on one generator set.
 
     One quadratic evolution serves the depletion identity, the parity
-    monitor and the kernel columns (the back-evolved a_y of ``sites``), and
-    its site backs serve every residual; each coupling value gets a single
-    full evolution whose final state carries the number moment and whose
-    residual-time snapshot seeds the residual.
+    monitor and the kernel columns (the back-evolved a_y of ``sites``, each
+    against its row of the v kernel ``kernel_v``), and its site backs serve
+    every residual; each coupling value gets a single full evolution whose
+    final state carries the number moment and whose residual-time snapshot
+    seeds the residual.
     """
     space = gens.space
     horizon = fsec.horizon()
@@ -639,6 +643,8 @@ def _lattice_battery(
     col_backs, col_top = fk.site_backs(
         gens, traj, quad.snapshots[t_k], t_k, fsec.dt, "quadratic", 1.0, sites
     )
+    columns = fk.one_particle_values(col_backs)
+    column_errors = {site: l2_norm(columns[:, k] - kernel_v[site], space.grid) for k, site in enumerate(sites)}
     quad_backs, qb_top = fk.site_backs(
         gens, traj, quad.snapshots[fsec.residual_time], fsec.residual_time, fsec.dt, "quadratic", 1.0
     )
@@ -658,7 +664,7 @@ def _lattice_battery(
         leakage=np.max(tops),
         parity_odd=np.max([fk.odd_sector_mass(s) for s in quad.snapshots.values()]),
         identity_moments={ts: fk.number_moment(quad.snapshots[ts], 1) for ts in fsec.identity_times},
-        columns=fk.one_particle_values(col_backs),
+        column_errors=column_errors,
         moments=moments,
         residuals=residuals,
     )
@@ -711,22 +717,16 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     kernel_v = pair_snaps[max(fsec.identity_times)].v
 
     def battery(cutoff, couplings, sites):
-        """The battery at one cutoff, and the distance of each site's column to its v-kernel row."""
-        run = _lattice_battery(
-            fk.GeneratorSet(fk.LatticeFockSpace(grid, cutoff), vsamp), traj, fsec, couplings, sites
-        )
-        errs = {
-            site: float(np.sqrt(np.sum(np.abs(run.columns[:, k] - kernel_v[site]) ** 2) * grid.dx))
-            for k, site in enumerate(sites)
-        }
-        return run, errs
+        gens = fk.GeneratorSet(fk.LatticeFockSpace(grid, cutoff), vsamp)
+        return _lattice_battery(gens, traj, fsec, couplings, sites, kernel_v)
 
-    lo, lo_errs = battery(fsec.cutoff, fsec.coupling_values, range(grid.points))
+    lo = battery(fsec.cutoff, fsec.coupling_values, range(grid.points))
     if not quiet:
         print("[fock-check] base cutoff done", file=sys.stderr)
     n_probe = min(fsec.coupling_values)
-    worst_site = list(lo_errs)[np.argmax(list(lo_errs.values()))]  # a NaN column counts as the worst
-    hi, hi_errs = battery(swept_cutoff, (n_probe,), (worst_site,))
+    errs = lo.column_errors
+    worst_site = list(errs)[np.argmax(list(errs.values()))]  # a NaN column counts as the worst
+    hi = battery(swept_cutoff, (n_probe,), (worst_site,))
 
     items: list[CheckItem] = []
 
@@ -749,8 +749,8 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
         add(f"depletion_identity_t{ts}", gap, thr, swept)
 
     # v-kernel columns reproduced by the engine
-    col_pair = (lo_errs[worst_site], hi_errs[worst_site])
-    add("kernel_columns", list(lo_errs.values()), tol.identity_match, col_pair)
+    col_pair = (errs[worst_site], hi.column_errors[worst_site])
+    add("kernel_columns", list(errs.values()), tol.identity_match, col_pair)
 
     # parity conservation of the quadratic flow
     add("parity_odd_mass", lo.parity_odd, tol.parity_odd_mass, (lo.parity_odd, hi.parity_odd))

@@ -66,7 +66,7 @@ class NBodyState:
 
 @dataclass
 class MarginalDensity:
-    """k-particle reduced density matrix, stored as an (M^k, M^k) kernel."""
+    """k-particle kernel as an (M^k, M^k) matrix: a reduced density matrix, or a difference or correction."""
 
     grid: GridSpec
     k: int
@@ -75,6 +75,10 @@ class MarginalDensity:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real * self.grid.dx**self.k)
+
+    def norm(self) -> float:
+        """Hilbert-Schmidt norm, dx-weighted."""
+        return float(np.linalg.norm(self.matrix) * self.grid.dx**self.k)
 
 
 # A slab of 2**16 complex amplitudes is 1 MB; with its 1 MB buffer it fills
@@ -137,28 +141,35 @@ def working_set_bytes(points: int, n: int) -> int:
 
 
 def admit_sweep(points: int, n: int) -> None:
-    """Refuse, through ``grid.admit``, a sweep whose ``working_set_bytes`` exceed the budget."""
-    admit(f"a sweep over {points}^{n} amplitudes", working_set_bytes(points, n))
+    """Refuse, through ``grid.admit``, a sweep whose ``working_set_bytes`` exceed the budget.
+
+    The state alone holds 16 points^n >= 2^(4 + n floor(log2 points)) bytes, so
+    a sweep far past the budget is refused on that bound before points^n is built.
+    """
+    admit(
+        f"a sweep over {points}^{n} amplitudes",
+        lambda: working_set_bytes(points, n),
+        4 + n * (points.bit_length() - 1),
+    )
 
 
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:
     """Tensor power phi^(x) n, the factorized N-body initial state.
 
     Refused by ``admit_sweep`` before anything is allocated.  Written slab by
-    slab (``_trailing_axes``), each amplitude phi(x_1) phi(x_2) ... phi(x_N)
+    slab (``_trailing_axes``), each amplitude 1 phi(x_1) phi(x_2) ... phi(x_N)
     multiplied left to right, so the tensor does not depend on SLAB.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
     admit_sweep(grid.points, n)
     m, k = grid.points, _trailing_axes(grid.points, n)
-    phi = lead = np.asarray(phi, dtype=complex)
-    for _ in range(n - k - 1):
+    phi, lead = np.asarray(phi, dtype=complex), np.ones((), dtype=complex)
+    for _ in range(n - k):
         lead = lead[..., None] * phi
     psi = np.empty((m,) * n, complex)
-    # a slab starts at its leading product, or at phi itself when there are no leading axes
-    for slab, head in zip(psi.reshape(-1, m**k), lead.reshape(-1, 1) if n > k else phi[None]):
-        for _ in range(k if n > k else k - 1):
+    for slab, head in zip(psi.reshape(-1, m**k), lead.reshape(-1, 1)):
+        for _ in range(k):
             head = head[..., None] * phi
         slab[:] = head.ravel()
     return NBodyState(grid, n, psi, t)
@@ -419,7 +430,7 @@ def trace_distance(a: MarginalDensity, b: MarginalDensity) -> float:
 def hs_distance(a: MarginalDensity, b: MarginalDensity) -> float:
     """Hilbert-Schmidt norm of the difference, dx-weighted."""
     _check_compatible(a, b)
-    return float(np.linalg.norm(a.matrix - b.matrix) * a.grid.dx**a.k)
+    return MarginalDensity(a.grid, a.k, a.matrix - b.matrix).norm()
 
 
 def symmetry_defect(state: NBodyState) -> float:
@@ -490,5 +501,4 @@ def bbgky_residual(samples: list[NBodyState], potential_samples: np.ndarray) -> 
         coll = np.einsum("xz,xyz->xy", vmat, diag) - np.einsum("yz,xyz->xy", vmat, diag)
         rhs = rhs + (n - 1) / n * grid.dx * coll
 
-    resid = 1j * dgdt - rhs
-    return float(np.linalg.norm(resid) * grid.dx)
+    return MarginalDensity(grid, 1, 1j * dgdt - rhs).norm()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from meanfieldlab import bogoliubov
+from meanfieldlab import bogoliubov, harness
 from meanfieldlab.bogoliubov import (
     BogoliubovPair,
     correction_kernel,
@@ -219,7 +219,7 @@ def test_correction_kernel_structure(setup):
     corr = correction_kernel(pair, phi, traj.final, 12)
     # Hermitian, traceless in leading order is not required, but symmetry is
     assert np.linalg.norm(corr.matrix - corr.matrix.conj().T) < 1e-13 * np.linalg.norm(corr.matrix)
-    assert corr.n == 12 and corr.t == pytest.approx(0.5)
+    assert corr.k == 1 and corr.t == pytest.approx(0.5)
     with pytest.raises(ValueError):
         correction_kernel(pair, phi, traj.final, 0)
 
@@ -254,3 +254,27 @@ def test_correction_norm_decays_like_inverse_count(setup):
     pair, _ = evolve_pair(g, vs, traj, 0.5, 1e-3)
     scaled = [n * correction_kernel(pair, phi, traj.final, n).norm() for n in (8, 32, 128)]
     assert max(scaled) / min(scaled) < 1.25
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 6, 100])
+def test_correction_trace_has_its_closed_form(setup, n, t):
+    """dx Tr E2 = (n-1)/n^2 D - (n-2)/n^2 ||b||^2 - (2/n) dx Re<phi_t, b>, with b = dx v conj(phi0)."""
+    g, vs, phi = setup
+    traj = evolve_hartree(phi, vs, g, t, 1e-3)
+    pair, _ = evolve_pair(g, vs, traj, t, 1e-3)
+    b = g.dx * (pair.v @ phi.conj())
+    want = (
+        (n - 1) / n**2 * depletion(pair)
+        - (n - 2) / n**2 * g.dx * np.sum(np.abs(b) ** 2)
+        - 2 / n * g.dx * np.vdot(traj.final, b).real
+    )
+    assert correction_kernel(pair, phi, traj.final, n).trace() == pytest.approx(want, rel=1e-12)
+
+
+def test_correction_trace_at_the_default_config():
+    """N dx Tr E2 at N = 6 on the default config: 7.31e-3 at t = 0.5 and 2.27e-2 at t = 1."""
+    g, vs, phi0, traj = harness._hartree_flow(harness.ExperimentConfig())
+    _, snaps = evolve_pair(g, vs, traj, 1.0, 1e-3, (0.5, 1.0))
+    scaled = [6 * correction_kernel(snaps[t], phi0, traj.state_at(t), 6).trace() for t in (0.5, 1.0)]
+    assert scaled == pytest.approx([7.31e-3, 2.27e-2], rel=2e-3)

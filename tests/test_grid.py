@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
-from meanfieldlab import fock, grid, hartree, nbody
+from meanfieldlab import combinatorics, fock, grid, hartree, nbody
 from meanfieldlab.grid import (
     CapacityError,
     GridSpec,
@@ -68,6 +68,8 @@ def test_grid_validation():
         pytest.param(hartree.admit_trajectory, (16, 1.0, 1e-3), 16 * 16 * 1001, id="trajectory"),
         # 112 B for each of 5 x 9 skeletons over C(17, 4) basis states
         pytest.param(fock.admit_lattice, (4, 13), 112 * 45 * comb(17, 4), id="lattice"),
+        # 48 B for each of 64 sector overlaps
+        pytest.param(combinatorics.admit_overlaps, (64,), 48 * 64, id="sector table"),
     ],
 )
 def test_every_admission_compares_with_the_one_budget(monkeypatch, admit, args, need):
@@ -77,6 +79,12 @@ def test_every_admission_compares_with_the_one_budget(monkeypatch, admit, args, 
     monkeypatch.setattr(grid, "WORKING_SET_BUDGET", need - 1)
     with pytest.raises(CapacityError, match=f"needs {need} bytes, which exceeds the budget of {need - 1} bytes"):
         admit(*args)
+
+
+def test_a_need_too_long_to_print_is_refused_as_a_power_of_two():
+    # 10^5000 has more digits than Python converts to a string
+    with pytest.raises(CapacityError, match=r"x needs at least 2\^16609 bytes, which exceeds the budget"):
+        grid.admit("x", 10**5000)
 
 
 def test_single_point_grid_degenerates_cleanly():

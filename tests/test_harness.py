@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -614,6 +615,19 @@ BIG = {"grid": {"points": 17}, "particle_counts": [7]}
         pytest.param(
             "nbody", "exceeds the budget", {"particle_counts": [7]}, 3, id="nbody-default grid at N=7"
         ),
+        # 16^4000 has more digits than Python converts to a string
+        pytest.param(
+            "rate", "particle_counts [2, 4000]: a sweep over 16^4000 amplitudes needs at least 2^16004 bytes",
+            {"particle_counts": [2, 4000]}, 3, id="rate-count of 4000",
+        ),
+        pytest.param(
+            "laguerre", "combinatorics.counts [4, 1000000000000]: a sector-overlap table of 1000000000000 entries",
+            {"combinatorics": {"counts": [4, 10**12]}}, 3, id="laguerre-count of 10^12",
+        ),
+        pytest.param(
+            "laguerre", "combinatorics.krasikov_grid [10, 1000000000000]: a sector-overlap table",
+            {"combinatorics": {"krasikov_grid": [10, 10**12]}}, 3, id="laguerre-envelope count of 10^12",
+        ),
     ],
 )
 def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw, exit_code):
@@ -623,6 +637,17 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw,
     assert code == exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+def test_a_count_of_a_billion_is_refused_within_a_second(tmp_path, capsys):
+    # 16^(10^9) is never built: the refusal rests on the bound 2^(4 + 4 * 10^9)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"particle_counts": [2, 10**9]}))
+    start = time.perf_counter()
+    code = cli.main(["rate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "particle_counts [2, 1000000000]: a sweep over 16^1000000000" in capsys.readouterr().err
 
 
 def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
@@ -650,6 +675,8 @@ LATTICE_KEYS = "fock.sites at fock.cutoff + fock.cutoff_step"
         pytest.param({"cutoff": 60, "cutoff_step": 6}, "exceeds the budget", 3, id="swept cutoff"),
         # a bank of 320 MB, but keys up to 3^41 that overflow int64
         pytest.param({"sites": 40, "cutoff": 1, "cutoff_step": 1}, "overflow int64", 1, id="int64 keys"),
+        # C(10^1200 + 6, 4) has more digits than Python converts to a string
+        pytest.param({"cutoff": 10**1200}, "exceeds the budget", 3, id="cutoff of 10^1200"),
     ],
 )
 def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(
