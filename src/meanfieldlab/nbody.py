@@ -145,12 +145,17 @@ def admit_sweep(points: int, n: int) -> None:
 
     The state alone holds 16 points^n >= 2^(4 + n floor(log2 points)) bytes, so
     a sweep far past the budget is refused on that bound before points^n is built.
+    A sweep that may fit but needs more axes than numpy's 64 is refused with
+    ``ValueError``: on one point the state stays one amplitude at any n.
     """
-    admit(
-        f"a sweep over {points}^{n} amplitudes",
-        lambda: working_set_bytes(points, n),
-        4 + n * (points.bit_length() - 1),
-    )
+    what = f"a sweep over {points}^{n} amplitudes"
+
+    def need() -> int:
+        if n > 64:
+            raise ValueError(f"{what} needs {n} axes, and numpy holds at most 64")
+        return working_set_bytes(points, n)
+
+    admit(what, need, 4 + n * (points.bit_length() - 1))
 
 
 def product_state(phi, n: int, grid: GridSpec, t: float = 0.0) -> NBodyState:

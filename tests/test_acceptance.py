@@ -225,12 +225,11 @@ def test_sector_overlap_table_honors_its_bounds(config):
     first_ok = mass_ok = True
     for n in counts:
         table = cb.sector_overlaps(n)
-        first_ok &= abs(table.values[0] - np.exp(-cb.log_coherent_norm(n))) <= 1e-12 * abs(table.values[0])
-        mass_ok &= table.sum_sq <= 1.0
-        scaled.append(cb.weighted_sector_sum(table).scaled)
+        first_ok &= abs(table[0] - np.exp(-cb.log_coherent_norm(n))) <= 1e-12 * abs(table[0])
+        mass_ok &= np.cumsum(table**2)[-1] <= 1.0
+        scaled.append(np.sqrt(n) * cb.weighted_sector_sum(table))
     spread = max(scaled) / min(scaled)
-    kras_tables = {n: cb.sector_overlaps(n) for n in config.krasikov_grid}
-    kras_ok = all(cb.krasikov_check(kras_tables[n], m).ok for n in kras_tables for m in range(1, n))
+    kras_ok = all(np.all(np.less(*cb.krasikov_check(cb.sector_overlaps(n)))) for n in config.krasikov_grid)
 
     # independent realization of the same numbers on a one-site lattice:
     # shift the (count-1)-fold condensate and read off the sector amplitudes
@@ -239,7 +238,7 @@ def test_sector_overlap_table_honors_its_bounds(config):
     one = np.array([1.0 + 0.0j])
     shifted, _ = fk.weyl_apply(space, -np.sqrt(n_cross) * one, fk.product_state_fock(space, one, n_cross - 1))
     got = shifted.coeffs[space.locate(np.arange(n_cross)[:, None])].real
-    cross_err = float(np.max(np.abs(got - np.asarray(cb.sector_overlaps(n_cross).values[:n_cross]))))
+    cross_err = float(np.max(np.abs(got - cb.sector_overlaps(n_cross))))
 
     ok = first_ok and mass_ok and spread <= 10.0 and kras_ok and cross_err <= 1e-8
     line = _verdict(

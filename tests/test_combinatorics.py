@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from meanfieldlab import combinatorics
 from meanfieldlab.combinatorics import (
     krasikov_check,
     log_coherent_norm,
@@ -68,7 +69,7 @@ def test_log_coherent_norm_growth():
 def test_first_coefficient_is_inverse_coherent_norm():
     for n in (1, 2, 4, 64, 1024):
         t = sector_overlaps(n)
-        assert t.values[0] == pytest.approx(math.exp(-log_coherent_norm(n)), rel=1e-12)
+        assert t[0] == pytest.approx(math.exp(-log_coherent_norm(n)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 20, 50])
@@ -76,28 +77,20 @@ def test_table_matches_closed_form_at_moderate_n(n):
     t = sector_overlaps(n)
     for m in range(n):
         want = mp_closed_form(n, m)
-        assert t.values[m] == pytest.approx(want, rel=1e-10, abs=1e-13)
+        assert t[m] == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [100, 400, 1024])
 def test_table_matches_high_precision_recurrence(n):
     t = sector_overlaps(n)
     want = mp_table(n)
-    err = np.max(np.abs(t.values - np.array(want)))
+    err = np.max(np.abs(t - np.array(want)))
     assert err < 5e-14
 
 
 def test_squared_norms_never_exceed_one():
     for n in (1, 2, 7, 64, 300, 1024):
-        t = sector_overlaps(n)
-        assert t.sum_sq <= 1.0 + 1e-12
-        assert np.all(np.diff(t.cumulative_sq) >= 0.0)
-
-
-def test_log_abs_and_signs_reconstruct_values():
-    t = sector_overlaps(40)
-    rebuilt = np.sign(t.values) * np.exp(t.log_abs)
-    assert np.allclose(rebuilt, t.values, rtol=1e-13)
+        assert np.sum(sector_overlaps(n) ** 2) <= 1.0 + 1e-12
 
 
 def test_count_validation():
@@ -113,29 +106,26 @@ def test_count_validation():
 
 @pytest.mark.parametrize("n", [10, 50, 200, 1024])
 def test_krasikov_bound_holds_strictly(n):
-    t = sector_overlaps(n)
-    for m in range(1, n):
-        chk = krasikov_check(t, m)
-        assert chk.ok
-        assert chk.log_value < chk.log_bound
+    log_value, log_bound = krasikov_check(sector_overlaps(n))
+    assert len(log_value) == len(log_bound) == n - 1
+    assert np.all(log_value < log_bound)
 
 
-def test_krasikov_bound_window():
-    t = sector_overlaps(10)
-    with pytest.raises(ValueError):
-        krasikov_check(t, 0)
-    with pytest.raises(ValueError):
-        krasikov_check(t, 10)
+def test_krasikov_blocks_do_not_change_the_envelope(monkeypatch):
+    t = sector_overlaps(1024)
+    whole = krasikov_check(t)
+    monkeypatch.setattr(combinatorics, "ENVELOPE_BLOCK", 100)
+    assert np.array_equal(krasikov_check(t), whole)
 
 
 def test_krasikov_log_value_is_the_laguerre_magnitude():
     # the log_value channel reconstructs |L_m^{(n-m-1)}(n)| itself
     n = 12
-    t = sector_overlaps(n)
+    log_value, _ = krasikov_check(sector_overlaps(n))
     for m in (1, 4, 9):
         with mp.workdps(40):
             want = float(mp.log(abs(mp.laguerre(m, n - m - 1, n))))
-        assert krasikov_check(t, m).log_value == pytest.approx(want, abs=1e-9)
+        assert log_value[m - 1] == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +135,11 @@ def test_krasikov_log_value_is_the_laguerre_magnitude():
 def test_weighted_sum_matches_direct_evaluation():
     for n in (4, 32, 256):
         t = sector_overlaps(n)
-        want = sum(t.values[m] ** 2 / (m + 1) for m in range(n))
-        got = weighted_sector_sum(t)
-        assert got.value == pytest.approx(want, rel=1e-12)
-        assert got.scaled == pytest.approx(math.sqrt(n) * want, rel=1e-12)
-        assert got.tail_bound == pytest.approx((1.0 - t.sum_sq) / n, rel=1e-9, abs=1e-15)
+        want = sum(t[m] ** 2 / (m + 1) for m in range(n))
+        assert weighted_sector_sum(t) == pytest.approx(want, rel=1e-12)
 
 
 def test_weighted_sum_scaled_stays_order_one():
-    scaled = [weighted_sector_sum(sector_overlaps(n)).scaled for n in (4, 16, 64, 256, 1024)]
+    scaled = [math.sqrt(n) * weighted_sector_sum(sector_overlaps(n)) for n in (4, 16, 64, 256, 1024)]
     assert max(scaled) / min(scaled) < 2.0
     assert 0.2 < min(scaled) and max(scaled) < 2.0

@@ -525,6 +525,22 @@ def test_cli_laguerre_csv_is_parseable(tmp_path, cfg_file):
     assert np.all(table[:, 2] <= 1.0 + 1e-10)
 
 
+@pytest.mark.parametrize(
+    "counts, krasikov_grid", [((10**5,), (2,)), ((1,), (10**5,))], ids=["table entry", "envelope entry"]
+)
+def test_laguerre_entry_peaks_within_its_admission_charge(counts, krasikov_grid):
+    config = replace(hn.ExperimentConfig(), combinatorics_counts=counts, krasikov_grid=krasikov_grid)
+    tracemalloc.start()
+    try:
+        report, _ = hn.laguerre_check(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    # admit_overlaps charges 48 B per entry
+    assert peak < 48 * 10**5
+
+
 def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
     code = cli.main(["fock-check", "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
     blob = json.loads((tmp_path / "fock_check.json").read_text())
@@ -603,6 +619,25 @@ def test_cli_bad_config_key_reports_error(tmp_path, capsys):
     assert "pointz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"particle_counts": [2, 1%s]}', "config.particle_counts"),
+        ('{"grid": {"length": 1%s}}', "config.grid.length"),
+    ],
+    ids=["particle_counts", "grid.length"],
+)
+def test_cli_rejects_an_integer_literal_longer_than_python_reads(tmp_path, capsys, text, key):
+    # 10^5000 has more digits than Python converts from a string
+    path = tmp_path / "long.json"
+    path.write_text(text % ("0" * 5000))
+    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: cannot read an integer literal of 5001 digits")
+    assert len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
 BIG = {"grid": {"points": 17}, "particle_counts": [7]}
 
 
@@ -627,6 +662,11 @@ BIG = {"grid": {"points": 17}, "particle_counts": [7]}
         pytest.param(
             "laguerre", "combinatorics.krasikov_grid [10, 1000000000000]: a sector-overlap table",
             {"combinatorics": {"krasikov_grid": [10, 10**12]}}, 3, id="laguerre-envelope count of 10^12",
+        ),
+        # 1^65 is one amplitude, but an array of 65 axes is more than numpy holds
+        pytest.param(
+            "rate", "particle_counts [2, 65]: a sweep over 1^65 amplitudes needs 65 axes",
+            {"grid": {"points": 1}, "particle_counts": [2, 65]}, 1, id="rate-one-point grid at N=65",
         ),
     ],
 )

@@ -4,7 +4,9 @@ The oracles: dense two- and three-particle Hamiltonians exponentiated
 directly, an explicit pair-sum loop for the interaction tensor, the
 one-body closed form of a product state's energy in extended precision, and
 a hand-rolled cyclic Jacobi eigensolver (checked against its own invariants)
-for the trace distance.  None of them share code with the implementations under test.
+for the trace distance; and, on the default grid, the lattice engine's
+N-particle sector, exponentiated exactly.  None of them share code with the
+implementations under test.
 """
 
 import functools
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from meanfieldlab import fock as fk
 from meanfieldlab import nbody
 from meanfieldlab.grid import (
     GridSpec,
@@ -457,6 +460,30 @@ def test_chained_spans_agree_with_one_span_over_their_sum(small):
     evolve_nbody(whole, vs, 0.15, 2e-3)
     assert chained.t == pytest.approx(whole.t, abs=1e-15)
     assert np.max(np.abs(chained.psi - whole.psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_default_grid_sweep_converges_to_the_lattice_engine_at_second_order(n, main_grid, potential_samples, phi0):
+    """The lattice engine's sector N, exponentiated exactly, as the dense engine's oracle.
+
+    At zero field with n_field = N the full generator acts on sector N as H_N
+    (tests/test_fock.py), so one exponential of the factorized state gives
+    the exact marginal <b_y* b_x> / (N dx) at t = 0.5.  The dense engine's
+    Strang step is second order: its relative gap to that marginal must fall
+    by 4 per halving of the step.
+    """
+    t = 0.5
+    space = fk.LatticeFockSpace(main_grid, n)
+    h = fk.GeneratorSet(space, potential_samples).matrix(np.zeros(main_grid.points), "full", n)
+    coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi0, n).coeffs, t)
+    lowered = np.stack([b @ coeffs for b in space.annihilators], axis=1)
+    oracle = MarginalDensity(main_grid, 1, lowered.T @ lowered.conj() / (n * main_grid.dx), t)
+    gaps = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        state = evolve_nbody(product_state(phi0, n, main_grid), potential_samples, t, dt)
+        gaps.append(hs_distance(reduce_marginal(state, 1), oracle) / oracle.norm())
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all(np.abs(ratios - 4.0) <= 0.2), (gaps, ratios)
 
 
 def test_energy_matches_dense_quadratic_form(small):

@@ -17,15 +17,21 @@ The lattice battery's items at the benchmark's fock-check-coarse config
 (seed 0) were recorded before its one-body flows were shared between the
 two cutoffs; the tolerance is 1e-12 relative, with an absolute floor for
 the exact zeros that stays below 1e-12 of every non-zero value.
+
+The ``laguerre`` table and envelope margin at the default config were
+recorded while the envelope was checked one order per call; the tolerance is
+1e-13 relative.
 """
 
+import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from meanfieldlab import bogoliubov as bg
 from meanfieldlab import hartree as ha
-from meanfieldlab.harness import ExperimentConfig, cross_validate, run_convergence
+from meanfieldlab.harness import ExperimentConfig, cross_validate, laguerre_check, run_convergence
 
 # t: {quantity: (recorded value, absolute tolerance)}
 RECORDED = {
@@ -104,3 +110,23 @@ def test_lattice_battery_keeps_its_recorded_items():
         got = (item.measured, item.details["base"], item.details["swept"])
         for what, value, want in zip(("measured", "base", "swept"), got, RECORDED_BATTERY[item.name]):
             assert value == pytest.approx(want, rel=BATTERY_REL_TOL, abs=BATTERY_ZERO_FLOOR), (item.name, what)
+
+
+# laguerre.csv rows: n, first_overlap, sum_sq, weighted_sum, scaled_weighted_sum
+RECORDED_LAGUERRE = [
+    (4, 0.44200318416631856, 0.36834784876232063, 0.2528575702139135, 0.505715140427827),
+    (16, 0.3149881452089196, 0.3305183876453287, 0.13938478584136843, 0.5575391433654737),
+    (64, 0.22316562419241626, 0.33301325550482275, 0.0740354005596455, 0.592283204477164),
+    (256, 0.15787899590711676, 0.333137621076237, 0.03809041634339589, 0.6094466614943342),
+    (1024, 0.11165093703668041, 0.33335853517776987, 0.019314095274668097, 0.6180510487893791),
+]
+RECORDED_ENVELOPE_MARGIN = -0.5849967382097461
+LAGUERRE_REL_TOL = 1e-13
+
+
+def test_laguerre_keeps_its_recorded_table_and_margin():
+    report, files = laguerre_check(ExperimentConfig())
+    rows = np.loadtxt(io.StringIO(files["laguerre.csv"]), delimiter=",", skiprows=1)
+    assert rows == pytest.approx(np.array(RECORDED_LAGUERRE), rel=LAGUERRE_REL_TOL, abs=0)
+    margin = next(item.measured for item in report.items if item.name == "envelope_log_margin")
+    assert margin == pytest.approx(RECORDED_ENVELOPE_MARGIN, rel=LAGUERRE_REL_TOL, abs=0)
