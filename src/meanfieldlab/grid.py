@@ -8,10 +8,15 @@ Conventions used throughout the package:
 * the kinetic operator is the spectral multiplier k**2 (units with
   hbar = 1, mass = 1/2), so free evolution multiplies mode k by
   exp(-1j * k**2 * t).
+
+It also holds the two rules every engine shares: the byte budget a run's
+arrays may hold (``admit``) and the number of threads a step may run on
+(``pool_size``).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,23 @@ def admit(what: str, need, least_bits: int = 0) -> None:
         least_bits = need.bit_length() - 1
     stated = f"at least 2^{least_bits}" if callable(need) or least_bits >= 64 else need
     raise CapacityError(f"{what} needs {stated} bytes, which exceeds the budget of {budget} bytes")
+
+
+def pool_size() -> int:
+    """Threads a shared step runs on: the CPUs this process may use over the BLAS threads.
+
+    BLAS reads its thread count from OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, and uses every core when neither holds a positive
+    count; the step then runs on one thread, since its BLAS products already
+    fill the cores.  The blocked N-body step and the Fock block step both
+    size their pools by this rule.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            return max(1, (cpus or 1) // int(value))
+    return 1
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
 axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  When
 there are several slabs, both passes are shared among a few threads
-(``_pool_size``): each takes the next slab or block when it is free, with
+(``grid.pool_size``): each takes the next slab or block when it is free, with
 buffers of its own, so the state does not depend on how many there are.
 ``product_state`` writes the state slab by slab; the marginals and the
 energy's pair density read it in blocks of whole columns of at most SLAB
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .grid import (
     kinetic_matrix,
     kinetic_phase,
     multiplier_matrix,
+    pool_size,
     potential_matrix,
     step_schedule,
 )
@@ -94,29 +94,13 @@ def _trailing_axes(points: int, n: int) -> int:
     return k
 
 
-def _pool_size() -> int:
-    """Threads a blocked step runs on: the CPUs this process may use over the BLAS threads.
-
-    BLAS reads its thread count from OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, and uses every core when neither holds a positive
-    count; the step then runs on one thread, since its BLAS products already
-    fill the cores.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            return max(1, (cpus or 1) // int(value))
-    return 1
-
-
 def _blocking(rows: int, cols: int) -> tuple[int, int]:
     """Workers and leading-pass block width for a state of ``rows`` slabs of ``cols`` amplitudes.
 
     No more workers than slabs; the blocks of all workers together hold
     about SLAB amplitudes, and each at least one column.
     """
-    workers = min(_pool_size(), rows)
+    workers = min(pool_size(), rows)
     return workers, min(cols, max(1, SLAB // rows // workers))
 
 

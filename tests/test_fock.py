@@ -8,7 +8,9 @@ generator, and the dense N-body Hamiltonian of the first-quantized engine.
 """
 
 import functools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -229,6 +231,26 @@ def test_block_diagnostics_are_per_column():
         fk.FockVector(space, np.zeros((space.dimension, 3, 1)))
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 5])
+def test_top_sector_mass_is_the_top_two_rows_of_the_sector_masses(cutoff):
+    """Bitwise the sum of the last two ``sector_masses`` rows, and a NaN there stays NaN."""
+    space = fk.LatticeFockSpace(GridSpec(3, 3.0), cutoff)
+    rng = np.random.default_rng(cutoff)
+
+    def formula(vec):
+        return float(np.max(np.sum(fk.sector_masses(vec)[-2:], axis=0)))
+
+    for shape in [(space.dimension,), (space.dimension, 1), (space.dimension, 4)]:
+        for _ in range(5):
+            vec = fk.FockVector(space, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            assert fk.top_sector_mass(vec) == formula(vec)
+    top = space.sector_slice(cutoff)
+    for row in (space.sector_offsets[-3], top.start, top.stop - 1):
+        vec = fk.FockVector(space, rng.standard_normal((space.dimension, 4)))
+        vec.coeffs[row, 2] = np.nan
+        assert np.isnan(fk.top_sector_mass(vec))
+
+
 @pytest.mark.parametrize("sites, cutoff", [(1, 40), (2, 9), (4, 6)])
 def test_generator_pattern_matches_the_sorted_union_of_its_skeletons(sites, cutoff):
     """The canonical-pattern build gives the bank of np.unique over the keys row * dim + col."""
@@ -328,6 +350,44 @@ def test_step_on_a_known_interval():
         assert np.array_equal(fk.expm_multiply(h, block, tau, (lo, hi)), fk.expm_multiply(h, block, tau))
         wide = fk.expm_multiply(h, block, tau, (lo - 3.5, hi + 7.25))
         assert np.linalg.norm(wide - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module", params=[13, 15])
+def default_lattice(request):
+    """The default four sites at the default cutoff and its swept one, and a field."""
+    space = fk.LatticeFockSpace(GridSpec(4, 4.0), request.param)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), space.grid)
+    phi = normalize(np.array([1.0, 0.6 + 0.3j, 0.2, 0.5 - 0.1j]), space.grid)
+    return fk.GeneratorSet(space, vs), phi
+
+
+@pytest.mark.parametrize("which", ["quadratic", "full"])
+def test_gershgorin_interval_from_the_stored_diagonal(default_lattice, which):
+    gens, phi = default_lattice
+    h = gens.matrix(phi, which, 8.0)
+    assert gens.interval(h) == fk.gershgorin_interval(h)
+
+
+def test_column_pool_gives_the_serial_bits(default_lattice):
+    """A (dim, 5) block: the same bits on pools of 2, 3 and 7 workers, serially, and column by column."""
+    gens, phi = default_lattice
+    h = gens.matrix(phi, "full", 8.0)
+    rng = np.random.default_rng(13)
+    block = rng.standard_normal((h.shape[0], 5)) + 1j * rng.standard_normal((h.shape[0], 5))
+    for tau in (0.025, -1e-3):
+        serial = fk.expm_multiply(h, block, tau)
+        columns = np.stack([fk.expm_multiply(h, block[:, k], tau) for k in range(5)], axis=1)
+        assert np.array_equal(serial, columns)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
+        try:
+            for threads in (1, 2, 6):  # the caller is a worker too, and 7 workers outnumber 5 columns
+                with ThreadPoolExecutor(threads) as pool:
+                    assert np.array_equal(fk.expm_multiply(h, block, tau, gens.interval(h), pool), serial)
+                    # one column never splits
+                    assert np.array_equal(fk.expm_multiply(h, block[:, 1], tau, pool=pool), columns[:, 1])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +636,9 @@ def step_sizes(monkeypatch):
     """The basis size of every exponential step taken while the test runs."""
     sizes = []
 
-    def counted(h, x, tau, interval=None):
+    def counted(h, x, tau, interval=None, pool=None):
         sizes.append(h.shape[0])
-        return FULL_BASIS_EXPM(h, x, tau, interval)
+        return FULL_BASIS_EXPM(h, x, tau, interval, pool)
 
     monkeypatch.setattr(fk, "expm_multiply", counted)
     return sizes

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanfieldlab.cli as cli
+import meanfieldlab.fock as fk
 import meanfieldlab.harness as hn
 import meanfieldlab.nbody as nb
 
@@ -591,6 +592,26 @@ def test_rate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_fock_check_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The coarse lattice battery writes the same bytes at one and at two BLAS threads, in fresh processes.
+
+    Its site backs are four-column blocks, so their worker count changes
+    with the BLAS threads.
+    """
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
+    src = str(Path(hn.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "meanfieldlab.cli", "fock-check", "--config", str(cfg), "--out", str(out), "--quiet"]
+        subprocess.run(argv, env=env, check=True, timeout=300)
+        outputs.append((out / "fock_check.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_looks_up_the_checks_when_it_runs(tmp_path, cfg_file, monkeypatch):
     """A wrapper installed on the harness module after import is the one the CLI calls."""
     calls = {}
@@ -692,13 +713,78 @@ def test_a_count_of_a_billion_is_refused_within_a_second(tmp_path, capsys):
 
 def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
     # N = 5 would run its step on two workers; N = 7 is refused before any N runs
-    monkeypatch.setattr(nb, "_pool_size", lambda: 2)
+    monkeypatch.setattr(nb, "pool_size", lambda: 2)
     pools = []
     monkeypatch.setattr(nb, "ThreadPoolExecutor", lambda *a: pools.append(a))
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"particle_counts": [5, 7]}))
     threads = threading.active_count()
     assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert pools == []
+
+
+def test_fock_column_pool_keeps_every_seam_on_the_calling_thread(tmp_path, monkeypatch):
+    """On two workers the assembly and every exponential call run on the main thread.
+
+    The pool of a block flow is gone when ``evolve_fock`` returns, and the
+    report has the bytes of a one-worker run.
+    """
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_dict()))
+    pools, off_main, submitted = [], [], []
+
+    class Pool(fk.ThreadPoolExecutor):
+        def __init__(self, threads):
+            pools.append(threads)
+            super().__init__(threads)
+
+        def submit(self, *args, **kwargs):
+            submitted.append(1)
+            return super().submit(*args, **kwargs)
+
+    def on_main(fn):
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def no_thread_outlives(*args, _original=fk.evolve_fock, **kwargs):
+        threads = threading.active_count()
+        run = _original(*args, **kwargs)
+        assert threading.active_count() == threads
+        return run
+
+    reports = []
+    for workers in (1, 2):
+        with monkeypatch.context() as patched:
+            patched.setattr(fk, "pool_size", lambda: workers)
+            patched.setattr(fk, "ThreadPoolExecutor", Pool)
+            patched.setattr(fk.GeneratorSet, "matrix", on_main(fk.GeneratorSet.matrix))
+            patched.setattr(fk, "expm_multiply", on_main(fk.expm_multiply))
+            patched.setattr(fk, "evolve_fock", no_thread_outlives)
+            out = tmp_path / str(workers)
+            code = cli.main(["fock-check", "--config", str(path), "--out", str(out), "--quiet"])
+            reports.append((code, (out / "fock_check.json").read_bytes()))
+    assert off_main == []
+    # two-site blocks: the kernel columns, the quadratic site backs and the site
+    # backs of each of two coupling values at the base cutoff; at the swept one,
+    # the one-column kernel block runs serially
+    assert pools == [1] * 6 and submitted
+    assert reports[0] == reports[1]
+
+
+def test_refused_lattice_starts_no_thread(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fk, "pool_size", lambda: 2)
+    pools = []
+    monkeypatch.setattr(fk, "ThreadPoolExecutor", lambda *a: pools.append(a))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"fock": {"cutoff": 60, "cutoff_step": 6}}))
+    threads = threading.active_count()
+    assert cli.main(["fock-check", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
     assert "exceeds the budget" in capsys.readouterr().err
     assert threading.active_count() == threads
     assert pools == []

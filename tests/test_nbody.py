@@ -22,7 +22,7 @@ import pytest
 from scipy.linalg import expm
 
 from meanfieldlab import fock as fk
-from meanfieldlab import nbody
+from meanfieldlab import grid, nbody
 from meanfieldlab.grid import (
     GridSpec,
     PotentialSpec,
@@ -171,7 +171,7 @@ def test_sweep_peak_stays_inside_the_admitted_working_set():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_threaded_sweep_peak_stays_inside_the_admitted_working_set(monkeypatch, workers):
     # each worker holds its own buffers and the model charges them per worker
-    monkeypatch.setattr(nbody, "_pool_size", lambda: workers)
+    monkeypatch.setattr(nbody, "pool_size", lambda: workers)
     test_sweep_peak_stays_inside_the_admitted_working_set()
 
 
@@ -192,8 +192,8 @@ def test_pool_size_is_the_cpus_over_the_blas_threads(monkeypatch, blas, cpus, wa
         monkeypatch.delenv(var, raising=False)
     for var, value in blas.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(nbody.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert nbody._pool_size() == want
+    monkeypatch.setattr(grid.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert grid.pool_size() == want
 
 
 def test_marginal_of_product_state_is_projection(small):
@@ -420,7 +420,7 @@ def test_blocked_step_is_bitwise_independent_of_the_worker_count(monkeypatch):
         psi = functools.reduce(np.multiply.outer, packets)
         states = []
         for workers in (1, 2, 3, 5):
-            monkeypatch.setattr(nbody, "_pool_size", lambda: workers)
+            monkeypatch.setattr(nbody, "pool_size", lambda: workers)
             threads = threading.active_count()
             states.append(evolve_nbody(NBodyState(g, len(packets), psi.copy(), 0.0), vs, span, 1e-3).psi)
             assert threading.active_count() == threads  # the pool is gone with the call
