@@ -33,18 +33,11 @@ gives the full-basis step's numbers.  Any other step (a ``full`` or
 basis.
 
 A flow of a block of states (the site backs) splits each step's recurrence
-over the block's columns, on a thread pool that lives for the flow and
-follows the N-body step's rule (``grid.pool_size``).  Only the recurrence
-runs on the pool: the assembly, the exponential call and the truncation
-monitor stay on the calling thread.  The Chebyshev recurrence does the
-same arithmetic on every column, so the result has the same bits at any
-worker count.
+over groups of the block's columns on ``grid.step_pool``.
 """
 
 from __future__ import annotations
 
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -60,6 +53,7 @@ from .grid import (
     kinetic_matrix,
     pool_size,
     potential_matrix,
+    step_pool,
     step_schedule,
 )
 from .hartree import HartreeTrajectory
@@ -111,7 +105,7 @@ def _chebyshev_sum(twice: sparse.csr_matrix, shift: float, weights: np.ndarray, 
     return total
 
 
-def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None, pool=None) -> np.ndarray:
+def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None, share=None) -> np.ndarray:
     """exp(-i tau h) x for a Hermitian CSR matrix h; x is one vector or a (dim, k) block.
 
     Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
@@ -128,12 +122,11 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None
     STEP_TAIL_BOUND ||x|| before rounding, every column takes the same path,
     and the result is deterministic.
 
-    With a thread ``pool`` (a ``ThreadPoolExecutor``) and a block of two or
-    more columns, the columns split into contiguous groups, one for each of
-    the pool's threads and one for the caller, which takes the first.  Each
-    group runs the recurrence on a C-contiguous copy of its columns.  The
+    With the ``share`` of a ``grid.step_pool`` and a block of two or more
+    columns, the columns split into contiguous groups, one per worker, and
+    each task runs the recurrence on a C-contiguous copy of its group.  The
     sparse product and the elementwise operations treat every column on its
-    own, so the result is bitwise the serial one at any pool size.
+    own, so the result is bitwise the serial one at any worker count.
     """
     lo, hi = gershgorin_interval(h) if interval is None else interval
     centre, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -146,21 +139,18 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None
     twice = sparse.csr_matrix((h.data * (2.0 / half_width), h.indices, h.indptr), shape=h.shape)
     shift = 2.0 * centre / half_width
     columns = 1 if x.ndim == 1 else x.shape[1]
-    groups = 1 if pool is None else min(pool._max_workers + 1, columns)
+    groups = 1 if share is None else min(share.workers, columns)
     if groups == 1:
         return phase * _chebyshev_sum(twice, shift, weights, x)
 
     out = np.empty(x.shape, complex)
-    edges = [g * columns // groups for g in range(groups + 1)]
 
-    def group(a, b):
+    def group(w, g):
+        a, b = g * columns // groups, (g + 1) * columns // groups
         total = _chebyshev_sum(twice, shift, weights, np.ascontiguousarray(x[:, a:b]))
         np.multiply(phase, total, out=out[:, a:b])
 
-    others = [pool.submit(group, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    group(edges[0], edges[1])
-    for done in others:
-        done.result()
+    share(groups, group)
     return out
 
 
@@ -541,7 +531,7 @@ class GeneratorSet:
         return None
 
 
-def _step(gens: GeneratorSet, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float, pool) -> np.ndarray:
+def _step(gens: GeneratorSet, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float, share) -> np.ndarray:
     """exp(-i tau h) coeffs, on one parity half of the basis when ``gens.parity_half`` finds one.
 
     The half's block is a direct summand of h, so h's Gershgorin interval
@@ -549,14 +539,14 @@ def _step(gens: GeneratorSet, h: sparse.csr_matrix, coeffs: np.ndarray, tau: flo
     the terms left out are exact zeros.  That path writes the result into
     ``coeffs`` in place.  The block lives only inside this call: kept until
     the next step, it raised the peak RSS of a fock-check run by about 1.3 MB.
-    Either path splits a block's columns over ``pool`` (``expm_multiply``).
+    Either path hands ``share`` to ``expm_multiply``.
     """
     interval = gens.interval(h)
     half = gens.parity_half(h, coeffs)
     if half is None:
-        return expm_multiply(h, coeffs, tau, interval, pool)
+        return expm_multiply(h, coeffs, tau, interval, share)
     members, block = half
-    coeffs[members] = expm_multiply(block, coeffs[members], tau, interval, pool)
+    coeffs[members] = expm_multiply(block, coeffs[members], tau, interval, share)
     return coeffs
 
 
@@ -589,12 +579,10 @@ def evolve_fock(
     not depend on which path ran.  ``top_mass`` is the largest mass seen in
     the top two sectors of any column, the truncation monitor.
 
-    A block of two or more columns is split over a thread pool that lives
-    for this call, of as many workers as ``grid.pool_size`` allows and no
-    more than the columns, the caller among them.  The pool runs only the
-    recurrence inside ``expm_multiply``; the assembly, the exponential call
-    and the monitor stay on the calling thread, and the result does not
-    depend on the worker count.
+    A block of two or more columns opens a ``grid.step_pool`` for this
+    call, of as many workers as ``grid.pool_size`` allows and no more than
+    the columns, and each step's ``expm_multiply`` splits its recurrence
+    over it.
     """
     sign = 1.0 if t1 > t0 else -1.0
     n_steps, indices = step_schedule(
@@ -609,14 +597,14 @@ def evolve_fock(
     if 0 in want:
         snaps[want[0]] = FockVector(space, coeffs.copy())
     workers = min(pool_size(), 1 if coeffs.ndim == 1 else coeffs.shape[1])
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+    with step_pool(workers) as share:
         for step in range(n_steps):
             mid = t0 + sign * (step + 0.5) * dt
             # h stays bound until the next generator replaces it: freed before the next
             # assembly, its pages went back to the system and the assembly faulted them
             # in again, which made the bank product four times slower
             h = gens.matrix(trajectory.interpolate(mid), which, n_field)
-            coeffs = _step(gens, h, coeffs, sign * dt, pool)
+            coeffs = _step(gens, h, coeffs, sign * dt, share)
             vec = FockVector(space, coeffs)
             top = np.maximum(top, top_sector_mass(vec))  # a NaN mass stays NaN
             if step + 1 in want:

@@ -9,14 +9,17 @@ Conventions used throughout the package:
   hbar = 1, mass = 1/2), so free evolution multiplies mode k by
   exp(-1j * k**2 * t).
 
-It also holds the two rules every engine shares: the byte budget a run's
-arrays may hold (``admit``) and the number of threads a step may run on
-(``pool_size``).
+It also holds the rules every engine shares: the byte budget a run's
+arrays may hold (``admit``), the number of threads a step may run on
+(``pool_size``) and how a step shares its work among them (``step_pool``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +60,7 @@ def pool_size() -> int:
     BLAS reads its thread count from OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS, and uses every core when neither holds a positive
     count; the step then runs on one thread, since its BLAS products already
-    fill the cores.  The blocked N-body step and the Fock block step both
-    size their pools by this rule.
+    fill the cores.  Both engines size their ``step_pool`` by this rule.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
@@ -66,6 +68,42 @@ def pool_size() -> int:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
             return max(1, (cpus or 1) // int(value))
     return 1
+
+
+@contextlib.contextmanager
+def step_pool(workers: int):
+    """Share a step's tasks among ``workers`` workers for the length of a ``with`` block.
+
+    The engines' one threading rule.  The block opens ``workers - 1``
+    threads, none for one worker, and none outlives it.  It yields ``share``,
+    whose worker count is ``share.workers``: share(count, work) calls
+    work(w, i) once for each i < count, worker w taking the next i when it
+    is free, and returns when every call has; an exception in one reaches
+    the caller.  The calling thread is worker 0, so the threads run only the
+    private tasks an engine hands them.  A task gives the same bits whichever
+    worker runs it, with buffers of that worker's own, so a step's result
+    does not depend on the worker count.
+    """
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+
+        def share(count: int, work) -> None:
+            todo, lock = iter(range(count)), threading.Lock()
+
+            def drain(w):
+                while True:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    work(w, i)
+
+            others = [pool.submit(drain, w) for w in range(1, workers)]
+            drain(0)
+            for done in others:
+                done.result()
+
+        share.workers = workers
+        yield share
 
 
 @dataclass(frozen=True)
@@ -149,11 +187,11 @@ def kinetic_matrix(grid: GridSpec) -> np.ndarray:
 
 
 def edge_mass(density, grid: GridSpec) -> float:
-    """Mass of a position density within an eighth of the box at each edge."""
+    """Mass of a position density within an eighth of the box at each edge, each point counted once."""
     m = grid.points
     edge = max(1, int(round(0.125 * m)))
     rho = density * grid.dx
-    return float(np.sum(rho[:edge]) + np.sum(rho[m - edge :]))
+    return float(np.sum(rho[:edge]) + np.sum(rho[max(edge, m - edge) :]))
 
 
 def periodic_convolve(f, g, grid: GridSpec) -> np.ndarray:

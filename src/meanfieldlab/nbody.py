@@ -19,9 +19,8 @@ the kinetic factor on the trailing axes, with the pair phases of the slab's
 leading index folded into the propagator.
 Block of columns by block, it applies the kinetic factor on the leading
 axes.  When M^N <= SLAB, L = 0 and the step is the unblocked one.  When
-there are several slabs, both passes are shared among a few threads
-(``grid.pool_size``): each takes the next slab or block when it is free, with
-buffers of its own, so the state does not depend on how many there are.
+there are several slabs, both passes run their slabs and blocks on
+``grid.step_pool``.
 ``product_state`` writes the state slab by slab; the marginals and the
 energy's pair density read it in blocks of whole columns of at most SLAB
 amplitudes, and the symmetry defect in contiguous blocks of pairs.
@@ -29,10 +28,7 @@ amplitudes, and the symmetry defect in contiguous blocks of pairs.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +43,7 @@ from .grid import (
     multiplier_matrix,
     pool_size,
     potential_matrix,
+    step_pool,
     step_schedule,
 )
 
@@ -213,28 +210,6 @@ def _rotate(x: np.ndarray, y: np.ndarray, props: list) -> np.ndarray:
     return x
 
 
-def _share(pool, workers: int, count: int, work) -> None:
-    """Call work(w, i) for every i < count, worker w taking the next i when it is free.
-
-    The caller is worker 0 and the pool runs the others, so one worker needs
-    no pool.
-    """
-    todo, lock = iter(range(count)), threading.Lock()
-
-    def drain(w):
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            work(w, i)
-
-    others = [pool.submit(drain, w) for w in range(1, workers)]
-    drain(0)
-    for done in others:
-        done.result()
-
-
 def evolve_nbody(state: NBodyState, potential_samples: np.ndarray, span: float, dt: float) -> NBodyState:
     """Advance the state in place over ``span``, a whole number of steps of dt.
 
@@ -258,12 +233,9 @@ def evolve_nbody(state: NBodyState, potential_samples: np.ndarray, span: float, 
     slab; only the first half step of a call then copies each slab into the
     buffer.
 
-    With several slabs, each pass is shared among the workers of
-    ``_blocking``: the caller and a thread pool that lives for this call.
-    Every worker has its own slab buffer, folded propagators and block
-    buffers, and takes the next slab or block when it is free; each slab
-    and block gets the same products in the same order whichever worker
-    takes it, so the state is bitwise independent of the worker count.
+    With several slabs, each pass hands its slabs or blocks to a
+    ``grid.step_pool`` of ``_blocking``'s workers, each with its own slab
+    buffer, folded propagators and block buffers.
 
     The state's amplitudes are overwritten (after a contiguous copy if they
     are not C-contiguous) and the same state is returned, so a caller that
@@ -322,13 +294,13 @@ def evolve_nbody(state: NBodyState, potential_samples: np.ndarray, span: float, 
         np.copyto(block, x.reshape(block.shape[::-1]).T)
 
     def kinetic(prop, phased):
-        _share(pool, workers, rows, lambda w, i: trailing(w, i, prop, phased))
+        share(rows, lambda w, i: trailing(w, i, prop, phased))
         if rows > 1:
-            _share(pool, workers, -(-cols // width), lambda w, b: leading(w, b, prop))
+            share(-(-cols // width), lambda w, b: leading(w, b, prop))
 
     # Fused Strang sweep: one leading half kinetic step, then [potential,
     # kinetic] pairs with the last kinetic factor demoted to a half step.
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+    with step_pool(workers) as share:
         kinetic(half, False)
         for s in range(n_steps):
             kinetic(full if s < n_steps - 1 else half, True)

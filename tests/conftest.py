@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-about two minutes (109-116 s on a shared 2-vCPU x86-64 host with one BLAS
-thread, where the N-body step runs on two workers, and 124-154 s with two
-BLAS threads; most of it the 250 steps at N = 6) and is shared between the
+about a minute and a quarter (74-84 s over two runs on a shared 2-vCPU
+x86-64 host with one BLAS thread, where the N-body step runs on two
+workers; most of it the 250 steps at N = 6) and is shared between the
 acceptance tests; everything else builds small throwaway objects per test.
 """
 

@@ -2,10 +2,10 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines;
 the slow pieces (the exact N-body sweep and the lattice flows) are module
-or session fixtures, so the whole file costs about 146 s on an idle 2-vCPU
-x86-64 host with two BLAS threads, 122 s of it in the N-body sweep and about
-22 s in the lattice flows, with each timed computation also asserting its
-own wall-clock budget.
+or session fixtures, so the whole file took 90 s in one run on a shared
+2-vCPU x86-64 host with one BLAS thread, 76 s of it in the N-body sweep and
+about 13 s in the lattice flows, with each timed computation also asserting
+its own wall-clock budget.
 """
 
 import json

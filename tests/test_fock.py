@@ -10,7 +10,6 @@ generator, and the dense N-body Hamiltonian of the first-quantized engine.
 import functools
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -30,6 +29,7 @@ from meanfieldlab.grid import (
     normalize,
     potential_matrix,
     sample_potential,
+    step_pool,
 )
 from meanfieldlab.hartree import evolve_hartree
 from meanfieldlab.nbody import interaction_tensor, product_state, reduce_marginal
@@ -381,11 +381,11 @@ def test_column_pool_gives_the_serial_bits(default_lattice):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
         try:
-            for threads in (1, 2, 6):  # the caller is a worker too, and 7 workers outnumber 5 columns
-                with ThreadPoolExecutor(threads) as pool:
-                    assert np.array_equal(fk.expm_multiply(h, block, tau, gens.interval(h), pool), serial)
+            for workers in (2, 3, 7):  # the caller is a worker too, and 7 workers outnumber 5 columns
+                with step_pool(workers) as share:
+                    assert np.array_equal(fk.expm_multiply(h, block, tau, gens.interval(h), share), serial)
                     # one column never splits
-                    assert np.array_equal(fk.expm_multiply(h, block[:, 1], tau, pool=pool), columns[:, 1])
+                    assert np.array_equal(fk.expm_multiply(h, block[:, 1], tau, share=share), columns[:, 1])
         finally:
             sys.setswitchinterval(interval)
 
@@ -636,9 +636,9 @@ def step_sizes(monkeypatch):
     """The basis size of every exponential step taken while the test runs."""
     sizes = []
 
-    def counted(h, x, tau, interval=None, pool=None):
+    def counted(h, x, tau, interval=None, share=None):
         sizes.append(h.shape[0])
-        return FULL_BASIS_EXPM(h, x, tau, interval, pool)
+        return FULL_BASIS_EXPM(h, x, tau, interval, share)
 
     monkeypatch.setattr(fk, "expm_multiply", counted)
     return sizes

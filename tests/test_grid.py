@@ -5,6 +5,8 @@ image sums, and dense matrix identities, so the FFT paths are checked
 against independent constructions.
 """
 
+import sys
+import threading
 from math import comb
 
 import numpy as np
@@ -27,6 +29,7 @@ from meanfieldlab.grid import (
     periodic_convolve,
     potential_matrix,
     sample_potential,
+    step_pool,
     step_schedule,
 )
 
@@ -38,6 +41,78 @@ def random_complex(rng, m):
 def free_flow(values, grid, t):
     """Free evolution over time t through the Fourier multiplier kinetic_phase."""
     return sfft.ifft(kinetic_phase(grid, t) * sfft.fft(values))
+
+
+# ---------------------------------------------------------------------------
+# step pool
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("count", [0, 1, 5, 500])
+def test_share_calls_work_once_per_index(workers, count):
+    calls, lock = [], threading.Lock()
+
+    def work(w, i):
+        assert 0 <= w < workers
+        with lock:
+            calls.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
+    try:
+        with step_pool(workers) as share:
+            assert share.workers == workers
+            share(count, work)
+            share(count, work)  # the pool serves every pass of a step
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted(list(range(count)) * 2)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_zero_is_the_calling_thread(workers):
+    # each of the first tasks waits until every worker holds one, so every
+    # worker takes exactly one of them
+    barrier, seen = threading.Barrier(workers, timeout=10), {}
+
+    def work(w, i):
+        if i < workers:
+            barrier.wait()
+        seen.setdefault(w, set()).add(threading.current_thread())
+
+    with step_pool(workers) as share:
+        share(3 * workers, work)
+    assert sorted(seen) == list(range(workers))
+    assert seen[0] == {threading.current_thread()}
+    assert all(threading.current_thread() not in seen[w] for w in range(1, workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_task_reaches_the_caller_and_no_thread_outlives_the_pool(workers):
+    for raiser in range(workers):
+        barrier = threading.Barrier(workers, timeout=10)
+
+        def work(w, i):
+            if i < workers:
+                barrier.wait()
+                if w == raiser:
+                    raise ValueError(f"task {i} on worker {w}")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"on worker {raiser}"):
+            with step_pool(workers) as share:
+                share(2 * workers, work)
+        assert threading.active_count() == threads
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    pools = []
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", lambda *a: pools.append(a))
+    threads, ran_on = threading.active_count(), set()
+    with step_pool(1) as share:
+        share(4, lambda w, i: ran_on.add((w, threading.current_thread())))
+    assert pools == [] and threading.active_count() == threads
+    assert ran_on == {(0, threading.current_thread())}
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +169,15 @@ def test_single_point_grid_degenerates_cleanly():
     assert np.all(g.wavenumbers == 0.0)
     assert kinetic_matrix(g).shape == (1, 1)
     assert kinetic_matrix(g)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+def test_edge_mass_counts_each_point_once(points):
+    g = GridSpec(points, 2.0)
+    density = np.full(points, 1.0 / g.length)  # total mass 1
+    assert grid.edge_mass(density, g) <= 1.0
+    if points == 1:
+        assert grid.edge_mass(density, g) == 1.0
 
 
 @given(st.integers(2, 32), st.floats(0.5, 50.0))

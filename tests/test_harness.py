@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import meanfieldlab.cli as cli
 import meanfieldlab.fock as fk
+import meanfieldlab.grid as gr
 import meanfieldlab.harness as hn
 import meanfieldlab.nbody as nb
 
@@ -715,7 +716,7 @@ def test_refused_sweep_starts_no_thread(tmp_path, monkeypatch, capsys):
     # N = 5 would run its step on two workers; N = 7 is refused before any N runs
     monkeypatch.setattr(nb, "pool_size", lambda: 2)
     pools = []
-    monkeypatch.setattr(nb, "ThreadPoolExecutor", lambda *a: pools.append(a))
+    monkeypatch.setattr(gr, "ThreadPoolExecutor", lambda *a: pools.append(a))
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"particle_counts": [5, 7]}))
     threads = threading.active_count()
@@ -735,7 +736,7 @@ def test_fock_column_pool_keeps_every_seam_on_the_calling_thread(tmp_path, monke
     path.write_text(json.dumps(tiny_dict()))
     pools, off_main, submitted = [], [], []
 
-    class Pool(fk.ThreadPoolExecutor):
+    class Pool(gr.ThreadPoolExecutor):
         def __init__(self, threads):
             pools.append(threads)
             super().__init__(threads)
@@ -762,7 +763,7 @@ def test_fock_column_pool_keeps_every_seam_on_the_calling_thread(tmp_path, monke
     for workers in (1, 2):
         with monkeypatch.context() as patched:
             patched.setattr(fk, "pool_size", lambda: workers)
-            patched.setattr(fk, "ThreadPoolExecutor", Pool)
+            patched.setattr(gr, "ThreadPoolExecutor", Pool)
             patched.setattr(fk.GeneratorSet, "matrix", on_main(fk.GeneratorSet.matrix))
             patched.setattr(fk, "expm_multiply", on_main(fk.expm_multiply))
             patched.setattr(fk, "evolve_fock", no_thread_outlives)
@@ -780,7 +781,7 @@ def test_fock_column_pool_keeps_every_seam_on_the_calling_thread(tmp_path, monke
 def test_refused_lattice_starts_no_thread(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fk, "pool_size", lambda: 2)
     pools = []
-    monkeypatch.setattr(fk, "ThreadPoolExecutor", lambda *a: pools.append(a))
+    monkeypatch.setattr(gr, "ThreadPoolExecutor", lambda *a: pools.append(a))
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"fock": {"cutoff": 60, "cutoff_step": 6}}))
     threads = threading.active_count()

@@ -409,12 +409,12 @@ def test_blocked_step_matches_the_dense_exponential_at_every_split(monkeypatch):
 def test_blocked_step_is_bitwise_independent_of_the_worker_count(monkeypatch):
     pools = []
 
-    class Pool(nbody.ThreadPoolExecutor):
+    class Pool(grid.ThreadPoolExecutor):
         def __init__(self, threads):
             pools.append(threads)
             super().__init__(threads)
 
-    monkeypatch.setattr(nbody, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", Pool)
 
     def assert_independent(g, vs, packets, span):
         psi = functools.reduce(np.multiply.outer, packets)
