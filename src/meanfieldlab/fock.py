@@ -17,19 +17,19 @@ The fluctuation generator around a Hartree state phi splits into
 and the cubic and quartic parts annihilate the vacuum.  Generators are
 assembled per time step from precomputed sparse skeletons of the
 (m + 1)(2m + 1) distinct operators on m sites, with state-dependent
-coefficients; the step itself is the exponential action of
-the midpoint generator, a Chebyshev expansion whose truncation error is
-bounded before the first matvec (``expm_multiply``).
+coefficients; the step itself (``GeneratorSet.step``) is the exponential
+action of the midpoint generator, a Chebyshev expansion whose truncation
+error is bounded before the first matvec (``expm_multiply``).
 
 The quadratic and quartic parts change the particle number by 0 or 2, so
 they never mix the even and odd sectors; only the cubic part does.  A step
 whose assembled generator has every parity-changing entry exactly zero, on
 a state whose every column lies in one parity class, runs on that class's
-rows and columns only (``GeneratorSet.parity_half``).  It takes the whole
-generator's Gershgorin interval, so its Chebyshev degree and weights are
-those of the full-basis step, and the terms it skips are exact zeros: it
-gives the full-basis step's numbers.  Any other step (a ``full`` or
-``cubic`` generator, a state with mass in both classes) runs on the whole
+rows and columns only.  It takes the whole generator's Gershgorin
+interval, so its Chebyshev degree and weights are those of the full-basis
+step, and the terms it skips are exact zeros: it gives the full-basis
+step's numbers.  Any other step (a ``full`` or ``cubic`` generator with a
+nonzero orbital, a state with mass in both classes) runs on the whole
 basis.
 
 A flow of a block of states (the site backs) splits each step's recurrence
@@ -120,7 +120,8 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None
     direct summand.  The degree follows from tau r alone
     (``_chebyshev_weights``), so the truncation error is at most
     STEP_TAIL_BOUND ||x|| before rounding, every column takes the same path,
-    and the result is deterministic.
+    and the result is deterministic.  An interval of no finite width (an
+    infinite or NaN entry of h) is a ``ValueError`` that names it.
 
     With the ``share`` of a ``grid.step_pool`` and a block of two or more
     columns, the columns split into contiguous groups, one per worker, and
@@ -130,6 +131,8 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None
     """
     lo, hi = gershgorin_interval(h) if interval is None else interval
     centre, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not np.isfinite(half_width):
+        raise ValueError(f"the generator's spectral interval [{lo}, {hi}] has no finite width")
     phase = np.exp(-1j * tau * centre)
     if half_width == 0.0:
         return phase * x
@@ -362,15 +365,6 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-class ParityHalf(NamedTuple):
-    """One parity class of the basis and the diagonal block of a generator on it."""
-
-    members: np.ndarray  # basis positions of the class, ascending
-    positions: np.ndarray  # union-pattern positions of the block's entries, in CSR order
-    indices: np.ndarray  # the block's column indices, as positions in the class
-    indptr: np.ndarray  # the block's row pointers
-
-
 def _skeletons(space: LatticeFockSpace, vmat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Entries (rows, cols, data) of each generator skeleton, in the order of the bank's rows."""
     m = space.grid.points
@@ -387,11 +381,11 @@ def _skeletons(space: LatticeFockSpace, vmat: np.ndarray) -> list[tuple[np.ndarr
         skeleton(np.sqrt(n[:, j] * (n[:, i] + (i != j))), e[i] - e[j]) for i in range(m) for j in range(m)
     ]
     raisers = [
-        skeleton(np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))) * (room >= 2), e[i] + e[j])
+        skeleton(np.where(room >= 2, np.sqrt((n[:, i] + 1) * (n[:, j] + 1 + (i == j))), 0.0), e[i] + e[j])
         for i, j in zip(*np.triu_indices(m))
     ]
     mean = n @ vmat  # sum_i n_i V_ij
-    raisers += [skeleton(np.sqrt(n[:, j] + 1) * mean[:, j] * (room >= 1), e[j]) for j in range(m)]
+    raisers += [skeleton(np.where(room >= 1, np.sqrt(n[:, j] + 1) * mean[:, j], 0.0), e[j]) for j in range(m)]
     lowers = [(cols, rows, data) for rows, cols, data in raisers]
     quart = 0.5 * (np.einsum("si,si->s", n, mean) - n @ np.diag(vmat))
     return transfers + raisers + lowers + [skeleton(quart, np.zeros(m, np.int64))]
@@ -410,7 +404,7 @@ class GeneratorSet:
     matvec over the stored skeleton entries; the one-body weights carry the
     kinetic term.  The set also keeps, per parity class of the particle
     number, the int32 tables that cut a matrix's diagonal block on that
-    class out of its entries (``parity_half``), and the rows of the pattern's
+    class out of its entries (``step``), and the rows of the pattern's
     diagonal entries with their positions, from which a matrix's Gershgorin
     interval reads its diagonal (``interval``).
     """
@@ -450,9 +444,11 @@ class GeneratorSet:
             shape=(self.n_terms, len(indices)),
         )
 
-        # per parity class of the total occupation: the basis positions of the
-        # class, the union positions of its diagonal block with that block's own
-        # indices and indptr, and the union positions that change the parity
+        # the union positions that change the parity and, per parity class of
+        # the total occupation, a tuple: the basis positions of the class,
+        # ascending; the union positions of its diagonal block's entries, in CSR
+        # order; that block's column indices, as positions in the class; and
+        # its row pointers
         odd = space.totals % 2 == 1
         odd_rows = np.repeat(odd, np.diff(indptr))
         changing = odd_rows != odd[indices]
@@ -463,7 +459,7 @@ class GeneratorSet:
             keep = np.flatnonzero(~changing & (odd_rows == side))
             local = np.cumsum(odd == side) - 1  # position in the class of each member
             self._halves.append(
-                ParityHalf(
+                (
                     _frozen(members),
                     _frozen(keep),
                     _frozen(local[indices[keep]]),
@@ -511,43 +507,31 @@ class GeneratorSet:
         diag[rows] = h.data[positions].real
         return gershgorin_interval(h, diag)
 
-    def parity_half(self, h: sparse.csr_matrix, coeffs: np.ndarray):
-        """(basis positions, diagonal block of h) of the parity class that holds coeffs, or None.
+    def step(self, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float, share) -> np.ndarray:
+        """exp(-i tau h) coeffs for a ``matrix`` h of this set, on one parity half of the basis when it can.
 
-        ``h`` is a ``matrix`` of this set.  When every parity-changing entry
-        of h is exactly zero, h is the direct sum of its two diagonal blocks;
-        when, besides, every column of ``coeffs`` is exactly zero on the other
-        class, exp(-i tau h) coeffs is that class's block acting on that
-        class's rows.  Otherwise (a generator that breaks parity, a state with
-        mass in both classes) the answer is None.
+        When every parity-changing entry of h is exactly zero, h is the
+        direct sum of its two diagonal blocks; when, besides, every column of
+        ``coeffs`` is exactly zero on the other class, the step is that
+        class's block acting on that class's rows, and it writes the result
+        into ``coeffs`` in place.  The block is a direct summand of h, so h's
+        Gershgorin interval holds its spectrum and gives the step the weights
+        of the full-basis step; the terms left out are exact zeros.  Any
+        other step (a generator that breaks parity, a state with mass in both
+        classes) runs on the whole basis.  The block lives only inside this
+        call: kept until the next step, it raised the peak RSS of a
+        fock-check run by about 1.3 MB.  Either path hands ``share`` to
+        ``expm_multiply``.
         """
-        if np.any(h.data[self._parity_changing]):
-            return None
-        for half, other in zip(self._halves, self._halves[::-1]):
-            if not np.any(coeffs[other.members]):
-                size = len(half.members)
-                block = sparse.csr_matrix((h.data[half.positions], half.indices, half.indptr), shape=(size, size))
-                return half.members, block
-        return None
-
-
-def _step(gens: GeneratorSet, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float, share) -> np.ndarray:
-    """exp(-i tau h) coeffs, on one parity half of the basis when ``gens.parity_half`` finds one.
-
-    The half's block is a direct summand of h, so h's Gershgorin interval
-    holds its spectrum and gives the step the weights of the full-basis step;
-    the terms left out are exact zeros.  That path writes the result into
-    ``coeffs`` in place.  The block lives only inside this call: kept until
-    the next step, it raised the peak RSS of a fock-check run by about 1.3 MB.
-    Either path hands ``share`` to ``expm_multiply``.
-    """
-    interval = gens.interval(h)
-    half = gens.parity_half(h, coeffs)
-    if half is None:
+        interval = self.interval(h)
+        if not np.any(h.data[self._parity_changing]):
+            for (members, positions, indices, indptr), (others, *_) in zip(self._halves, self._halves[::-1]):
+                if not np.any(coeffs[others]):
+                    size = len(members)
+                    block = sparse.csr_matrix((h.data[positions], indices, indptr), shape=(size, size))
+                    coeffs[members] = expm_multiply(block, coeffs[members], tau, interval, share)
+                    return coeffs
         return expm_multiply(h, coeffs, tau, interval, share)
-    members, block = half
-    coeffs[members] = expm_multiply(block, coeffs[members], tau, interval, share)
-    return coeffs
 
 
 class FockEvolution(NamedTuple):
@@ -571,13 +555,14 @@ def evolve_fock(
 
     The generator is assembled at each step midpoint from the Hartree
     trajectory and applied through the exponential action, to one state or
-    to a block of states at once.  A step runs on one parity half of the
-    basis when the generator keeps parity exactly (every parity-changing
-    entry zero) and every column lies in that half; otherwise, as for a
-    ``full`` generator or a state in both halves, it runs on the whole
-    basis (``_step``).  Either way it is the same step, so the result does
-    not depend on which path ran.  ``top_mass`` is the largest mass seen in
-    the top two sectors of any column, the truncation monitor.
+    to a block of states at once, by one ``GeneratorSet.step`` per step.  A
+    step runs on one parity half of the basis when the generator keeps
+    parity exactly (every parity-changing entry zero) and every column lies
+    in that half; otherwise, as for a ``full`` generator or a state in both
+    halves, it runs on the whole basis.  Either way it is the same step, so
+    the result does not depend on which path ran.  ``top_mass`` is the
+    largest mass seen in the top two sectors of any column, the truncation
+    monitor.
 
     A block of two or more columns opens a ``grid.step_pool`` for this
     call, of as many workers as ``grid.pool_size`` allows and no more than
@@ -604,7 +589,7 @@ def evolve_fock(
             # assembly, its pages went back to the system and the assembly faulted them
             # in again, which made the bank product four times slower
             h = gens.matrix(trajectory.interpolate(mid), which, n_field)
-            coeffs = _step(gens, h, coeffs, sign * dt, share)
+            coeffs = gens.step(h, coeffs, sign * dt, share)
             vec = FockVector(space, coeffs)
             top = np.maximum(top, top_sector_mass(vec))  # a NaN mass stays NaN
             if step + 1 in want:

@@ -31,7 +31,7 @@ from meanfieldlab.grid import (
     sample_potential,
     step_pool,
 )
-from meanfieldlab.hartree import evolve_hartree
+from meanfieldlab.hartree import HartreeTrajectory, evolve_hartree
 from meanfieldlab.nbody import interaction_tensor, product_state, reduce_marginal
 
 
@@ -278,6 +278,23 @@ def test_generator_pattern_matches_the_sorted_union_of_its_skeletons(sites, cuto
         assert np.array_equal(getattr(gens._bank, attr), getattr(bank, attr))
 
 
+def test_infinite_weights_outside_the_basis_are_dropped():
+    """A raiser whose weight overflows to inf keeps no column from which it would leave the basis.
+
+    Its step has no finite interval and is refused with a ``ValueError`` that names the interval.
+    """
+    space = fk.LatticeFockSpace(GridSpec(4, 4.0), 4)
+    vs = sample_potential(PotentialSpec(1e308, 1.0), space.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        skeletons = fk._skeletons(space, potential_matrix(vs, space.grid))
+        assert any(np.isinf(data).any() for _, _, data in skeletons)
+        assert all(np.all(rows < space.dimension) for rows, _, _ in skeletons)
+        gens = fk.GeneratorSet(space, vs)
+        h = gens.matrix(np.full(4, 0.5), "full", 8.0)
+        with pytest.raises(ValueError, match="spectral interval"):
+            gens.step(h, fk.vacuum(space).coeffs, 0.05, None)
+
+
 def test_generator_matrices_share_the_read_only_pattern(lattice):
     _, _, phi0, _, gens = lattice
     h = gens.matrix(phi0, "full", 4.0)
@@ -350,6 +367,15 @@ def test_step_on_a_known_interval():
         assert np.array_equal(fk.expm_multiply(h, block, tau, (lo, hi)), fk.expm_multiply(h, block, tau))
         wide = fk.expm_multiply(h, block, tau, (lo - 3.5, hi + 7.25))
         assert np.linalg.norm(wide - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_step_refuses_a_generator_without_a_finite_interval(entry):
+    """An inf or NaN entry leaves no finite interval: a ``ValueError`` that names it, not an overflow."""
+    h = sparse.csr_matrix(np.array([[1.0, entry], [entry, 0.0]]))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"spectral interval \[.*\] has no finite width"):
+            fk.expm_multiply(h, np.array([1.0, 0.0], dtype=complex), 0.1)
 
 
 @pytest.fixture(scope="module", params=[13, 15])
@@ -655,7 +681,12 @@ def four_sites():
 
 
 def test_parity_path_is_the_full_basis_step(four_sites, step_sizes):
-    """Each flow that keeps parity runs on its half and equals the full-basis loop bit for bit."""
+    """Each flow that keeps parity runs on its half and equals the full-basis loop bit for bit.
+
+    A ``full`` flow along a zero orbital keeps parity too: its cubic weights
+    are exact zeros, and the guard reads the assembled entries, not the
+    generator's name.
+    """
     space, phi0, traj, gens = four_sites
     even = int(np.sum(space.totals % 2 == 0))
     forward = fk.vacuum(space)
@@ -663,27 +694,36 @@ def test_parity_path_is_the_full_basis_step(four_sites, step_sizes):
     a_y = fk.FockVector(
         space, np.stack([space.annihilators[y] @ ahead.coeffs for y in range(4)], axis=1)
     )
+    zero_orbital = HartreeTrajectory(np.array([0.0, 0.2]), np.zeros((2, 4), dtype=complex))
     cases = [
-        # (start, t0, t1, generator, N, size of the class that carries the flow)
-        (forward, 0.0, 0.2, "quadratic", 1.0, even),
-        (a_y, 0.2, 0.0, "quadratic", 1.0, space.dimension - even),
-        (fk.product_state_fock(space, phi0, 3), 0.0, 0.1, "quartic", 4.0, space.dimension - even),
+        # (start, trajectory, t0, t1, generator, N, size of the class that carries the flow)
+        (forward, traj, 0.0, 0.2, "quadratic", 1.0, even),
+        (a_y, traj, 0.2, 0.0, "quadratic", 1.0, space.dimension - even),
+        (fk.product_state_fock(space, phi0, 3), traj, 0.0, 0.1, "quartic", 4.0, space.dimension - even),
+        (forward, zero_orbital, 0.0, 0.2, "full", 4.0, even),
     ]
-    for start, t0, t1, which, n_field, size in cases:
+    for start, along, t0, t1, which, n_field, size in cases:
         step_sizes.clear()
-        got = fk.evolve_fock(gens, start, traj, t0, t1, 1e-2, which, n_field).state.coeffs
+        got = fk.evolve_fock(gens, start, along, t0, t1, 1e-2, which, n_field).state.coeffs
         assert step_sizes == [size] * int(round(abs(t1 - t0) / 1e-2))
-        assert np.array_equal(got, full_basis_flow(gens, start, traj, t0, t1, 1e-2, which, n_field))
+        assert np.array_equal(got, full_basis_flow(gens, start, along, t0, t1, 1e-2, which, n_field))
         masses = fk.sector_masses(fk.FockVector(space, got))
         assert not np.any(masses[1::2] if size == even else masses[0::2])
 
 
 def test_parity_guard_keeps_a_parity_breaking_step_on_the_full_basis(four_sites, step_sizes, monkeypatch):
-    """A full generator, or a cubic weight slipped into a quadratic one, runs on the whole basis."""
-    space, _, traj, gens = four_sites
+    """A full or cubic flow, a state in both classes, or a stray cubic weight runs on the whole basis."""
+    space, phi0, traj, gens = four_sites
     run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, "full", 4.0)
     assert step_sizes == [space.dimension] * 20
     assert fk.odd_sector_mass(run.state) > 0.0
+
+    mixed = fk.FockVector(space, fk.vacuum(space).coeffs + fk.product_state_fock(space, phi0, 1).coeffs)
+    for start, which in ((mixed, "quadratic"), (fk.vacuum(space), "cubic")):
+        step_sizes.clear()
+        got = fk.evolve_fock(gens, start, traj, 0.0, 0.2, 1e-2, which, 4.0).state.coeffs
+        assert step_sizes == [space.dimension] * 20
+        assert np.array_equal(got, full_basis_flow(gens, start, traj, 0.0, 0.2, 1e-2, which, 4.0))
 
     quadratic = gens.coefficients
     cubic = 16 + 10  # the cubic raiser of site 0, after the 16 transfers and the 10 pair raisers
