@@ -19,21 +19,25 @@ assembled per time step from precomputed sparse skeletons of the
 (m + 1)(2m + 1) distinct operators on m sites, with state-dependent
 coefficients; the step itself (``GeneratorSet.step``) is the exponential
 action of the midpoint generator, a Chebyshev expansion whose truncation
-error is bounded before the first matvec (``expm_multiply``).
+error is bounded before the first matvec (``expm_multiply``).  Its
+interval is read from the weights, not from the assembled entries
+(``GeneratorSet.interval``): the one-body part's exact range, which
+follows from the m x m weight matrix because that part keeps the particle
+number, plus a Gershgorin interval of the rest.
 
 The quadratic and quartic parts change the particle number by 0 or 2, so
 they never mix the even and odd sectors; only the cubic part does.  A step
-whose assembled generator has every parity-changing entry exactly zero, on
-a state whose every column lies in one parity class, runs on that class's
-rows and columns only.  It takes the whole generator's Gershgorin
-interval, so its Chebyshev degree and weights are those of the full-basis
-step, and the terms it skips are exact zeros: it gives the full-basis
-step's numbers.  Any other step (a ``full`` or ``cubic`` generator with a
-nonzero orbital, a state with mass in both classes) runs on the whole
-basis.
+whose 2m cubic weights are exactly zero, on a state whose every column
+lies in one parity class, runs on that class's rows and columns only.  It
+takes the whole generator's interval, so its Chebyshev degree and weights
+are those of the full-basis step, and the terms it skips are exact zeros:
+it gives the full-basis step's numbers.  Any other step (a ``full`` or
+``cubic`` generator with a nonzero orbital, a state with mass in both
+classes) runs on the whole basis.
 
 A flow of a block of states (the site backs) splits each step's recurrence
-over groups of the block's columns on ``grid.step_pool``.
+over groups of the block's columns on ``grid.step_pool``.  Site backs from
+two start times run as one block below the earlier one (``site_backs``).
 """
 
 from __future__ import annotations
@@ -79,12 +83,9 @@ def _chebyshev_weights(rho: float) -> np.ndarray:
     return weights
 
 
-def gershgorin_interval(h: sparse.csr_matrix, diagonal=None) -> tuple[float, float]:
-    """Gershgorin interval [a, b] of a Hermitian CSR matrix h; it holds every eigenvalue.
-
-    ``diagonal`` is h's real diagonal, when the caller has read it already.
-    """
-    diag = h.diagonal().real if diagonal is None else diagonal
+def gershgorin_interval(h: sparse.csr_matrix) -> tuple[float, float]:
+    """Gershgorin interval [a, b] of a Hermitian CSR matrix h; it holds every eigenvalue."""
+    diag = h.diagonal().real
     row_sums = sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape) @ np.ones(h.shape[1])
     radii = row_sums - np.abs(diag)
     return np.min(diag - radii), np.max(diag + radii)
@@ -116,12 +117,14 @@ def expm_multiply(h: sparse.csr_matrix, x: np.ndarray, tau: float, interval=None
 
     summed by the three-term recurrence over the whole block.  The interval
     is h's Gershgorin interval unless a known ``interval`` (a, b) is given,
-    such as the Gershgorin interval of a larger matrix of which h is a
-    direct summand.  The degree follows from tau r alone
-    (``_chebyshev_weights``), so the truncation error is at most
-    STEP_TAIL_BOUND ||x|| before rounding, every column takes the same path,
-    and the result is deterministic.  An interval of no finite width (an
-    infinite or NaN entry of h) is a ``ValueError`` that names it.
+    such as the one ``GeneratorSet.interval`` reads from a generator's
+    weights, which also holds any direct summand of that generator.  The
+    degree follows from tau r alone (``_chebyshev_weights``; it grows about
+    as tau r, so a narrower interval takes fewer terms), so the truncation
+    error is at most STEP_TAIL_BOUND ||x|| before rounding, every column
+    takes the same path, and the result is deterministic.  An interval of no
+    finite width (an infinite or NaN entry of h, or weight of a generator)
+    is a ``ValueError`` that names it.
 
     With the ``share`` of a ``grid.step_pool`` and a block of two or more
     columns, the columns split into contiguous groups, one per worker, and
@@ -404,9 +407,10 @@ class GeneratorSet:
     matvec over the stored skeleton entries; the one-body weights carry the
     kinetic term.  The set also keeps, per parity class of the particle
     number, the int32 tables that cut a matrix's diagonal block on that
-    class out of its entries (``step``), and the rows of the pattern's
-    diagonal entries with their positions, from which a matrix's Gershgorin
-    interval reads its diagonal (``interval``).
+    class out of its entries (``step``), and, per basis row, the quartic
+    skeleton's diagonal and each raiser's stored magnitudes, from which the
+    spectral interval of a weight vector follows without the matrix
+    (``interval``).
     """
 
     def __init__(self, space: LatticeFockSpace, potential_samples: np.ndarray):
@@ -431,10 +435,6 @@ class GeneratorSet:
         numbered = sparse.csr_matrix((np.arange(len(indices), dtype=float), indices, indptr), shape=(dim, dim))
         position = np.asarray(numbered[rows, cols], dtype=np.int32).ravel()
         del pattern, numbered, rows, cols
-        pattern_rows = np.repeat(np.arange(dim, dtype=np.int32), np.diff(indptr))
-        (on_diagonal,) = np.nonzero(indices == pattern_rows)
-        self._diagonal = (_frozen(pattern_rows[on_diagonal]), _frozen(on_diagonal))
-        del pattern_rows
         self._bank = sparse.csr_matrix(
             (
                 np.concatenate([data for _, _, data in skeletons]),
@@ -444,15 +444,30 @@ class GeneratorSet:
             shape=(self.n_terms, len(indices)),
         )
 
-        # the union positions that change the parity and, per parity class of
-        # the total occupation, a tuple: the basis positions of the class,
-        # ascending; the union positions of its diagonal block's entries, in CSR
-        # order; that block's column indices, as positions in the class; and
-        # its row pointers
+        # per basis row: the quartic diagonal, and the magnitude stored in that
+        # row by each raiser plus that stored by its adjoint (each skeleton maps
+        # a column to one row and a row from one column, so nothing adds up
+        # within one); and the weight positions of the cubic raisers and their
+        # adjoints, the only parity-changing skeletons
+        m = self.grid.points
+        raisers = (self.n_terms - 1 - m * m) // 2
+        self._quartic = np.zeros(dim)
+        _, cols, data = skeletons[-1]
+        self._quartic[cols] = data
+        self._raiser_magnitudes = np.zeros((dim, raisers))
+        for k, (rows, cols, data) in enumerate(skeletons[m * m : m * m + raisers]):
+            self._raiser_magnitudes[rows, k] += np.abs(data)
+            self._raiser_magnitudes[cols, k] += np.abs(data)
+        cubic = m * m + raisers - m + np.arange(m)
+        self._cubic = np.concatenate([cubic, cubic + raisers])
+
+        # per parity class of the total occupation, a tuple: the basis
+        # positions of the class, ascending; the union positions of its
+        # diagonal block's entries, in CSR order; that block's column indices,
+        # as positions in the class; and its row pointers
         odd = space.totals % 2 == 1
         odd_rows = np.repeat(odd, np.diff(indptr))
         changing = odd_rows != odd[indices]
-        self._parity_changing = _frozen(np.flatnonzero(changing))
         self._halves = []
         for side in (False, True):
             members = np.flatnonzero(odd == side)
@@ -490,41 +505,62 @@ class GeneratorSet:
             c[-1] = 1.0 / n_field
         return c
 
-    def matrix(self, phi, which: str = "full", n_field: float = 1.0) -> sparse.csr_matrix:
+    def matrix(self, weights: np.ndarray) -> sparse.csr_matrix:
+        """The generator of a ``coefficients`` weight vector, on the shared pattern."""
         # the real bank times the (re, im) columns of the weights, viewed as
         # complex, so the bank is never converted to complex; every matrix shares
         # the read-only pattern arrays, so an in-place scipy operation fails loudly
-        c = self.coefficients(phi, which, n_field)
-        data = (self._bank.T @ c.view(float).reshape(-1, 2)).view(complex).ravel()
+        data = (self._bank.T @ weights.view(float).reshape(-1, 2)).view(complex).ravel()
         return sparse.csr_matrix(
             (data, self._indices, self._indptr), shape=(self.space.dimension, self.space.dimension)
         )
 
-    def interval(self, h: sparse.csr_matrix) -> tuple[float, float]:
-        """``gershgorin_interval(h)`` of a ``matrix`` h of this set, its diagonal read at the stored positions."""
-        rows, positions = self._diagonal
-        diag = np.zeros(self.space.dimension)
-        diag[rows] = h.data[positions].real
-        return gershgorin_interval(h, diag)
+    def interval(self, weights: np.ndarray) -> tuple[float, float]:
+        """An interval that holds the spectrum of ``matrix(weights)``, read from the weights alone.
 
-    def step(self, h: sparse.csr_matrix, coeffs: np.ndarray, tau: float, share) -> np.ndarray:
-        """exp(-i tau h) coeffs for a ``matrix`` h of this set, on one parity half of the basis when it can.
-
-        When every parity-changing entry of h is exactly zero, h is the
-        direct sum of its two diagonal blocks; when, besides, every column of
-        ``coeffs`` is exactly zero on the other class, the step is that
-        class's block acting on that class's rows, and it writes the result
-        into ``coeffs`` in place.  The block is a direct summand of h, so h's
-        Gershgorin interval holds its spectrum and gives the step the weights
-        of the full-basis step; the terms left out are exact zeros.  Any
-        other step (a generator that breaks parity, a state with mass in both
-        classes) runs on the whole basis.  The block lives only inside this
-        call: kept until the next step, it raised the peak RSS of a
-        fock-check run by about 1.3 MB.  Either path hands ``share`` to
-        ``expm_multiply``.
+        The one-body part sum_ij c_ij b_i* b_j keeps the particle number, and
+        on a sector of n particles its spectrum is n times that of the m x m
+        weight matrix, whose extreme eigenvalues are e_min and e_max; on
+        totals up to the cutoff K its exact range is [min(0, K e_min),
+        max(0, K e_max)].  The rest (pair, cubic and quartic parts) gets a
+        Gershgorin interval: its diagonal is the quartic skeleton times its
+        weight, and its radius in a row is the sum over raisers of the
+        magnitudes that the raiser and its adjoint store there, times the
+        larger modulus of their two weights.  By Weyl's inequality the sum of
+        the two intervals holds the spectrum.  A non-finite one-body weight
+        gives a NaN interval without an eigenvalue solve, and any other
+        non-finite weight or skeleton entry gives a NaN or infinite one, as
+        the assembled matrix's entries would be.
         """
-        interval = self.interval(h)
-        if not np.any(h.data[self._parity_changing]):
+        m = self.grid.points
+        one_body = weights[: m * m].reshape(m, m)
+        ends = np.linalg.eigvalsh(one_body)[[0, -1]] if np.all(np.isfinite(one_body)) else np.full(2, np.nan)
+        ends = ends * self.space.cutoff
+        raisers = self._raiser_magnitudes.shape[1]
+        moduli = np.abs(weights[m * m : -1])
+        radii = self._raiser_magnitudes @ np.maximum(moduli[:raisers], moduli[raisers:])
+        diag = weights[-1].real * self._quartic
+        return np.minimum(0.0, ends[0]) + np.min(diag - radii), np.maximum(0.0, ends[1]) + np.max(diag + radii)
+
+    def step(self, h: sparse.csr_matrix, weights: np.ndarray, coeffs: np.ndarray, tau: float, share) -> np.ndarray:
+        """exp(-i tau h) coeffs for h = ``matrix(weights)``, on one parity half of the basis when it can.
+
+        The step's Chebyshev interval is ``interval(weights)``.  When every
+        cubic weight is exactly zero, every parity-changing entry of h is
+        too, and h is the direct sum of its two diagonal blocks; when,
+        besides, every column of ``coeffs`` is exactly zero on the other
+        class, the step is that class's block acting on that class's rows,
+        and it writes the result into ``coeffs`` in place.  The block is a
+        direct summand of h, so the interval holds its spectrum and gives
+        the step the weights of the full-basis step; the terms left out are
+        exact zeros.  Any other step (a generator that breaks parity, a state
+        with mass in both classes) runs on the whole basis.  The block lives
+        only inside this call: kept until the next step, it raised the peak
+        RSS of a fock-check run by about 1.3 MB.  Either path hands ``share``
+        to ``expm_multiply``.
+        """
+        interval = self.interval(weights)
+        if not np.any(weights[self._cubic]):
             for (members, positions, indices, indptr), (others, *_) in zip(self._halves, self._halves[::-1]):
                 if not np.any(coeffs[others]):
                     size = len(members)
@@ -555,11 +591,12 @@ def evolve_fock(
 
     The generator is assembled at each step midpoint from the Hartree
     trajectory and applied through the exponential action, to one state or
-    to a block of states at once, by one ``GeneratorSet.step`` per step.  A
-    step runs on one parity half of the basis when the generator keeps
-    parity exactly (every parity-changing entry zero) and every column lies
-    in that half; otherwise, as for a ``full`` generator or a state in both
-    halves, it runs on the whole basis.  Either way it is the same step, so
+    to a block of states at once, by one ``GeneratorSet.step`` per step,
+    which takes the weights that the generator was assembled from.  A step
+    runs on one parity half of the basis when the generator keeps parity
+    exactly (every cubic weight zero) and every column lies in that half;
+    otherwise, as for a ``full`` generator or a state in both halves, it
+    runs on the whole basis.  Either way it is the same step, so
     the result does not depend on which path ran.  ``top_mass`` is the
     largest mass seen in the top two sectors of any column, the truncation
     monitor.
@@ -588,8 +625,9 @@ def evolve_fock(
             # h stays bound until the next generator replaces it: freed before the next
             # assembly, its pages went back to the system and the assembly faulted them
             # in again, which made the bank product four times slower
-            h = gens.matrix(trajectory.interpolate(mid), which, n_field)
-            coeffs = gens.step(h, coeffs, sign * dt, share)
+            weights = gens.coefficients(trajectory.interpolate(mid), which, n_field)
+            h = gens.matrix(weights)
+            coeffs = gens.step(h, weights, coeffs, sign * dt, share)
             vec = FockVector(space, coeffs)
             top = np.maximum(top, top_sector_mass(vec))  # a NaN mass stays NaN
             if step + 1 in want:
@@ -600,29 +638,44 @@ def evolve_fock(
 def site_backs(
     gens: GeneratorSet,
     trajectory: HartreeTrajectory,
-    state: FockVector,
-    t: float,
+    starts,
     dt: float,
     which: str,
     n_field: float,
-    sites=None,
-) -> tuple[FockVector, float]:
-    """Apply a_y to a time-t state and evolve each copy back to time zero.
+) -> tuple[list[FockVector], float]:
+    """Apply a_y to time-t states and evolve every copy back to time zero in one block.
 
-    Returns the backward copies as one (dimension, sites) block, one column
-    per requested site (all sites by default), and the worst truncation mass
-    seen along the way.  The block travels as one, so each step assembles its
-    generator once.
+    ``starts`` holds (state, t, sites) triples, with ``sites`` None for all
+    sites.  The flow starts at the latest t with that start's copies, and at
+    each earlier t the copies of the starts there join the block, so each
+    step below the earlier time assembles its generator once for all of
+    them.  Returns one (dimension, sites) block per start, in the order of
+    ``starts``, and the worst truncation mass seen along the way.  Every
+    column evolves on its own, so a column matches the one of a separate run
+    from its own start, up to the rounding of the step midpoints.
     """
     space = gens.space
     dx = space.grid.dx
-    if sites is None:
-        sites = range(space.grid.points)
-    block = np.stack(
-        [(space.annihilators[site] / np.sqrt(dx)) @ state.coeffs for site in sites], axis=1
-    )
-    run = evolve_fock(gens, FockVector(space, block), trajectory, t, 0.0, dt, which, n_field)
-    return run.state, run.top_mass
+
+    def copies(state, sites):
+        sites = range(space.grid.points) if sites is None else sites
+        return np.stack([(space.annihilators[site] / np.sqrt(dx)) @ state.coeffs for site in sites], axis=1)
+
+    order = sorted(range(len(starts)), key=lambda k: -starts[k][1])  # latest first, ties in given order
+    widths = {}
+    block, now, top = None, starts[order[0]][1], 0.0
+    for k in order:
+        state, t, sites = starts[k]
+        if t < now:
+            run = evolve_fock(gens, FockVector(space, block), trajectory, now, t, dt, which, n_field)
+            block, now, top = run.state.coeffs, t, np.maximum(top, run.top_mass)
+        joining = copies(state, sites)
+        widths[k] = joining.shape[1]
+        block = joining if block is None else np.concatenate([block, joining], axis=1)
+    run = evolve_fock(gens, FockVector(space, block), trajectory, now, 0.0, dt, which, n_field)
+    top = np.maximum(top, run.top_mass)  # a NaN mass stays NaN
+    edges = dict(zip(order, np.cumsum([0] + [widths[k] for k in order])))
+    return [FockVector(space, run.state.coeffs[:, edges[k] : edges[k] + widths[k]]) for k in range(len(starts))], top
 
 
 def residual_aggregates(full_backs: FockVector, quad_backs: FockVector) -> dict[int, float]:

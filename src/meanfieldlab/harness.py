@@ -655,24 +655,28 @@ def _lattice_battery(
     quad = fk.evolve_fock(
         gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "quadratic", 1.0, fsec.snapshot_times()
     )
+    # the kernel columns from the last identity time and the residual's site
+    # backs from the residual time run as one block below the earlier of the two
     t_k = max(fsec.identity_times)
-    col_backs, col_top = fk.site_backs(
-        gens, traj, quad.snapshots[t_k], t_k, fsec.dt, "quadratic", 1.0, sites
+    (col_backs, quad_backs), back_top = fk.site_backs(
+        gens,
+        traj,
+        [(quad.snapshots[t_k], t_k, sites), (quad.snapshots[fsec.residual_time], fsec.residual_time, None)],
+        fsec.dt,
+        "quadratic",
+        1.0,
     )
     columns = fk.one_particle_values(col_backs)
     column_errors = {site: l2_norm(columns[:, k] - kernel_v[site], space.grid) for k, site in enumerate(sites)}
-    quad_backs, qb_top = fk.site_backs(
-        gens, traj, quad.snapshots[fsec.residual_time], fsec.residual_time, fsec.dt, "quadratic", 1.0
-    )
-    tops = [quad.top_mass, col_top, qb_top]
+    tops = [quad.top_mass, back_top]
     moments, residuals = {}, {}
     for n in couplings:
         full = fk.evolve_fock(
             gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "full", n, (fsec.residual_time,)
         )
         moments[n] = fk.number_moment(full.state, 1)
-        full_backs, fb_top = fk.site_backs(
-            gens, traj, full.snapshots[fsec.residual_time], fsec.residual_time, fsec.dt, "full", n
+        (full_backs,), fb_top = fk.site_backs(
+            gens, traj, [(full.snapshots[fsec.residual_time], fsec.residual_time, None)], fsec.dt, "full", n
         )
         residuals[n] = fk.residual_aggregates(full_backs, quad_backs)[1]
         tops += [full.top_mass, fb_top]
@@ -720,6 +724,10 @@ def cross_validate(config: ExperimentConfig, quiet: bool = True) -> tuple[Report
     _named(
         "fock.identity_times and fock.residual_time", step_schedule, fsec.horizon(), fsec.dt, fsec.snapshot_times()
     )
+    # below the earlier of the two, the backward flows share their steps
+    gap = abs(max(fsec.identity_times) - fsec.residual_time)
+    if gap:
+        _named("fock.residual_time (against the last identity time)", step_schedule, gap, fsec.dt)
     swept_cutoff = fsec.cutoff + fsec.cutoff_step
     _named("fock.sites at fock.cutoff + fock.cutoff_step", fk.admit_lattice, fsec.sites, swept_cutoff)
 

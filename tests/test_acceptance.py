@@ -77,8 +77,8 @@ def residual_battery(lattice):
     quad = fk.evolve_fock(
         lattice.gens, fk.vacuum(lattice.space), traj, 0.0, t_res, dt, "quadratic", 1.0, (t_res,)
     )
-    quad_backs, qb_top = fk.site_backs(
-        lattice.gens, traj, quad.snapshots[t_res], t_res, dt, "quadratic", 1.0
+    (quad_backs,), qb_top = fk.site_backs(
+        lattice.gens, traj, [(quad.snapshots[t_res], t_res, None)], dt, "quadratic", 1.0
     )
     leak = max(quad.top_mass, qb_top)
     aggregates = {}
@@ -86,8 +86,8 @@ def residual_battery(lattice):
         full = fk.evolve_fock(
             lattice.gens, fk.vacuum(lattice.space), traj, 0.0, t_res, dt, "full", n, (t_res,)
         )
-        full_backs, fb_top = fk.site_backs(
-            lattice.gens, traj, full.snapshots[t_res], t_res, dt, "full", n
+        (full_backs,), fb_top = fk.site_backs(
+            lattice.gens, traj, [(full.snapshots[t_res], t_res, None)], dt, "full", n
         )
         leak = max(leak, full.top_mass, fb_top)
         aggregates[n] = fk.residual_aggregates(full_backs, quad_backs)[1]

@@ -14,7 +14,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
@@ -290,14 +290,15 @@ def test_infinite_weights_outside_the_basis_are_dropped():
         assert any(np.isinf(data).any() for _, _, data in skeletons)
         assert all(np.all(rows < space.dimension) for rows, _, _ in skeletons)
         gens = fk.GeneratorSet(space, vs)
-        h = gens.matrix(np.full(4, 0.5), "full", 8.0)
+        weights = gens.coefficients(np.full(4, 0.5), "full", 8.0)
+        h = gens.matrix(weights)
         with pytest.raises(ValueError, match="spectral interval"):
-            gens.step(h, fk.vacuum(space).coeffs, 0.05, None)
+            gens.step(h, weights, fk.vacuum(space).coeffs, 0.05, None)
 
 
 def test_generator_matrices_share_the_read_only_pattern(lattice):
     _, _, phi0, _, gens = lattice
-    h = gens.matrix(phi0, "full", 4.0)
+    h = gens.matrix(gens.coefficients(phi0, "full", 4.0))
     assert np.shares_memory(h.indices, gens._indices) and np.shares_memory(h.indptr, gens._indptr)
     with pytest.raises(ValueError, match="read-only"):
         h.indices[0] = 0
@@ -387,33 +388,76 @@ def default_lattice(request):
     return fk.GeneratorSet(space, vs), phi
 
 
+# the interval may miss the dense spectrum by rounding only: 1e-12 of its larger end, at least 1e-12
+INTERVAL_ROUNDING = 1e-12
+COMPLEX_ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.lists(COMPLEX_ENTRIES, min_size=3, max_size=3),
+    st.sampled_from(["full", "quadratic", "cubic", "quartic"]),
+    st.sampled_from([1.0, 8.0, 64.0]),
+)
+@example(3, 8, [0j, 0j, 0j], "full", 1.0)
+def test_interval_holds_the_spectrum(sites, cutoff, orbital, which, n_field):
+    """``interval(weights)`` holds every eigenvalue of the dense ``matrix(weights)``, the zero orbital too."""
+    space = fk.LatticeFockSpace(GridSpec(sites, 1.5 * sites), cutoff)
+    gens = fk.GeneratorSet(space, sample_potential(PotentialSpec(0.5, 1.0), space.grid))
+    weights = gens.coefficients(np.array(orbital[:sites]), which, n_field)
+    lo, hi = gens.interval(weights)
+    eigenvalues = np.linalg.eigvalsh(gens.matrix(weights).toarray())
+    allowance = INTERVAL_ROUNDING * max(abs(lo), abs(hi), 1.0)
+    assert lo - allowance <= eigenvalues[0] and eigenvalues[-1] <= hi + allowance
+
+
 @pytest.mark.parametrize("which", ["quadratic", "full"])
-def test_gershgorin_interval_from_the_stored_diagonal(default_lattice, which):
+def test_interval_is_no_wider_than_gershgorin(default_lattice, which):
+    """On the default four sites the weight-built interval is the narrower one: the premise of its fewer terms."""
     gens, phi = default_lattice
-    h = gens.matrix(phi, which, 8.0)
-    assert gens.interval(h) == fk.gershgorin_interval(h)
+    weights = gens.coefficients(phi, which, 8.0)
+    lo, hi = gens.interval(weights)
+    g_lo, g_hi = fk.gershgorin_interval(gens.matrix(weights))
+    assert hi - lo <= g_hi - g_lo
+
+
+def test_overflowing_one_body_weights_are_refused_before_the_eigenvalue_solve(monkeypatch):
+    """On a 1e-300 lattice the kinetic weights overflow: the step ends in the interval's ``ValueError``."""
+    solves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: solves.append(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        space = fk.LatticeFockSpace(GridSpec(4, 1e-300), 4)
+        gens = fk.GeneratorSet(space, sample_potential(PotentialSpec(0.5, 1.0), space.grid))
+        weights = gens.coefficients(normalize(np.array([1.0, 0.6 + 0.3j, 0.2, 0.5 - 0.1j]), space.grid), "full", 8.0)
+        assert not np.all(np.isfinite(weights[:16]))
+        with pytest.raises(ValueError, match=r"spectral interval \[nan, nan\] has no finite width"):
+            gens.step(gens.matrix(weights), weights, fk.vacuum(space).coeffs, 0.05, None)
+    assert solves == []
 
 
 def test_column_pool_gives_the_serial_bits(default_lattice):
     """A (dim, 5) block: the same bits on pools of 2, 3 and 7 workers, serially, and column by column."""
     gens, phi = default_lattice
-    h = gens.matrix(phi, "full", 8.0)
+    weights = gens.coefficients(phi, "full", 8.0)
+    h, interval = gens.matrix(weights), gens.interval(weights)
     rng = np.random.default_rng(13)
     block = rng.standard_normal((h.shape[0], 5)) + 1j * rng.standard_normal((h.shape[0], 5))
     for tau in (0.025, -1e-3):
-        serial = fk.expm_multiply(h, block, tau)
-        columns = np.stack([fk.expm_multiply(h, block[:, k], tau) for k in range(5)], axis=1)
+        serial = fk.expm_multiply(h, block, tau, interval)
+        columns = np.stack([fk.expm_multiply(h, block[:, k], tau, interval) for k in range(5)], axis=1)
         assert np.array_equal(serial, columns)
-        interval = sys.getswitchinterval()
+        switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
         try:
             for workers in (2, 3, 7):  # the caller is a worker too, and 7 workers outnumber 5 columns
                 with step_pool(workers) as share:
-                    assert np.array_equal(fk.expm_multiply(h, block, tau, gens.interval(h), share), serial)
+                    assert np.array_equal(fk.expm_multiply(h, block, tau, interval, share), serial)
                     # one column never splits
-                    assert np.array_equal(fk.expm_multiply(h, block[:, 1], tau, share=share), columns[:, 1])
+                    assert np.array_equal(fk.expm_multiply(h, block[:, 1], tau, interval, share), columns[:, 1])
         finally:
-            sys.setswitchinterval(interval)
+            sys.setswitchinterval(switch)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +605,7 @@ def test_generator_matches_dense_assembly(which):
         vs = sample_potential(PotentialSpec(0.7, 0.9), grid)
         phi = normalize(np.array(orbital), grid)
         gens = fk.GeneratorSet(space, vs)
-        got = gens.matrix(phi, which, 5.0).toarray()
+        got = gens.matrix(gens.coefficients(phi, which, 5.0)).toarray()
         want = dense_generator(space, vs, phi, which, 5.0)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(got - got.conj().T)) < 1e-12
@@ -572,7 +616,7 @@ def test_generator_is_hermitian(lattice):
     _, _, _, traj, gens = lattice
     for which in ("full", "quadratic"):
         for t in (0.0, 0.25, 0.5):
-            h = gens.matrix(traj.interpolate(t), which, 3.0)
+            h = gens.matrix(gens.coefficients(traj.interpolate(t), which, 3.0))
             assert np.linalg.norm((h - h.conj().T).data) <= 1e-14 * np.linalg.norm(h.data)
 
 
@@ -580,7 +624,7 @@ def test_generator_sector_transfer_structure(lattice):
     space, _, phi0, _, gens = lattice
     totals = space.totals
     for which, allowed in (("quadratic", {0, 2}), ("cubic", {1}), ("quartic", {0})):
-        h = gens.matrix(phi0, which, 4.0).toarray()
+        h = gens.matrix(gens.coefficients(phi0, which, 4.0)).toarray()
         rows, cols = np.nonzero(np.abs(h) > 1e-14)
         jumps = set(np.abs(totals[rows] - totals[cols]).tolist())
         assert jumps <= allowed
@@ -589,8 +633,8 @@ def test_generator_sector_transfer_structure(lattice):
 def test_cubic_and_quartic_annihilate_vacuum(lattice):
     space, _, phi0, _, gens = lattice
     vac = fk.vacuum(space).coeffs
-    assert np.all(gens.matrix(phi0, "cubic", 3.0) @ vac == 0)
-    assert np.all(gens.matrix(phi0, "quartic", 3.0) @ vac == 0)
+    assert np.all(gens.matrix(gens.coefficients(phi0, "cubic", 3.0)) @ vac == 0)
+    assert np.all(gens.matrix(gens.coefficients(phi0, "quartic", 3.0)) @ vac == 0)
     with pytest.raises(ValueError):
         gens.coefficients(phi0, "cubic+quartic", 3.0)
 
@@ -607,7 +651,8 @@ def test_zero_field_generator_is_the_n_body_hamiltonian():
     phi = gaussian_packet(grid, 2.5, 0.8, 1.0)
     n, t, m = 3, 0.3, grid.points
     space = fk.LatticeFockSpace(grid, n + 2)
-    h = fk.GeneratorSet(space, vs).matrix(np.zeros(m), "full", n)
+    gens = fk.GeneratorSet(space, vs)
+    h = gens.matrix(gens.coefficients(np.zeros(m), "full", n))
     coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi, n).coeffs, t)
     outside = np.sum(np.abs(coeffs) ** 2) - np.sum(np.abs(coeffs[space.sector_slice(n)]) ** 2)
     assert abs(outside) < 1e-12
@@ -648,12 +693,12 @@ FULL_BASIS_EXPM = fk.expm_multiply
 
 
 def full_basis_flow(gens, start, traj, t0, t1, dt, which, n_field=1.0):
-    """The step loop on the whole basis: one generator and one exponential per step."""
+    """The step loop on the whole basis: one generator and one exponential per step, on the step's interval."""
     sign = 1.0 if t1 > t0 else -1.0
     coeffs = start.coeffs.copy()
     for step in range(int(round(abs(t1 - t0) / dt))):
-        h = gens.matrix(traj.interpolate(t0 + sign * (step + 0.5) * dt), which, n_field)
-        coeffs = FULL_BASIS_EXPM(h, coeffs, sign * dt)
+        weights = gens.coefficients(traj.interpolate(t0 + sign * (step + 0.5) * dt), which, n_field)
+        coeffs = FULL_BASIS_EXPM(gens.matrix(weights), coeffs, sign * dt, gens.interval(weights))
     return coeffs
 
 
@@ -684,8 +729,8 @@ def test_parity_path_is_the_full_basis_step(four_sites, step_sizes):
     """Each flow that keeps parity runs on its half and equals the full-basis loop bit for bit.
 
     A ``full`` flow along a zero orbital keeps parity too: its cubic weights
-    are exact zeros, and the guard reads the assembled entries, not the
-    generator's name.
+    are exact zeros, and the guard reads those weights, not the generator's
+    name.  The full-basis loop takes the step's interval.
     """
     space, phi0, traj, gens = four_sites
     even = int(np.sum(space.totals % 2 == 0))
@@ -793,11 +838,11 @@ def test_residual_aggregates_decay_with_coupling(lattice):
     space, _, _, traj, gens = lattice
     t, dt = 0.5, 2e-3
     fwd_quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "quadratic")
-    bq, tq = fk.site_backs(gens, traj, fwd_quad.state, t, dt, "quadratic", 1.0)
+    (bq,), tq = fk.site_backs(gens, traj, [(fwd_quad.state, t, None)], dt, "quadratic", 1.0)
     aggs = {}
     for n in (8, 16):
         fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "full", n)
-        bf, tf = fk.site_backs(gens, traj, fwd.state, t, dt, "full", n)
+        (bf,), tf = fk.site_backs(gens, traj, [(fwd.state, t, None)], dt, "full", n)
         aggs[n] = fk.residual_aggregates(bf, bq)
         assert max(fwd_quad.top_mass, tq, tf) < 1e-4
         # the (N+1)^j weights are >= 1 and increasing in j
@@ -809,14 +854,32 @@ def test_residual_aggregates_decay_with_coupling(lattice):
 def test_site_backs_restriction(lattice):
     space, _, _, traj, gens = lattice
     fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic")
-    all_backs, _ = fk.site_backs(gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0)
+    (all_backs,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, None)], 2e-3, "quadratic", 1.0)
     assert all_backs.coeffs.shape == (space.dimension, space.grid.points)
     for site in range(space.grid.points):
-        one_back, _ = fk.site_backs(
-            gens, traj, fwd.state, 0.2, 2e-3, "quadratic", 1.0, sites=(site,)
-        )
+        (one_back,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, (site,))], 2e-3, "quadratic", 1.0)
         assert one_back.coeffs.shape == (space.dimension, 1)
         assert np.array_equal(one_back.coeffs[:, 0], all_backs.coeffs[:, site])
+
+
+@pytest.mark.parametrize("t_k, t_r", [(0.4, 0.2), (0.3, 0.3), (0.2, 0.4)], ids=["below", "equal", "above"])
+def test_merged_site_backs_match_separate_runs(lattice, t_k, t_r):
+    """The kernel columns from t_k and the residual backs from t_r, as one block below the earlier start.
+
+    Each column matches its own separate run to 1e-13 relative (a backward
+    midpoint such as 0.4 - 100.5 dt may differ by one ulp from 0.2 - 0.5 dt),
+    and the top mass is the larger of the two runs' top masses.
+    """
+    space, _, _, traj, gens = lattice
+    dt = 2e-3
+    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.4, dt, "quadratic", 1.0, sorted({t_k, t_r}))
+    starts = [(fwd.snapshots[t_k], t_k, (1,)), (fwd.snapshots[t_r], t_r, None)]
+    merged, top = fk.site_backs(gens, traj, starts, dt, "quadratic", 1.0)
+    separate = [fk.site_backs(gens, traj, [start], dt, "quadratic", 1.0) for start in starts]
+    for got, ((want,), _) in zip(merged, separate):
+        assert got.coeffs.shape == want.coeffs.shape
+        assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-13 * np.linalg.norm(want.coeffs)
+    assert top == max(run_top for _, run_top in separate)
 
 
 def test_site_backs_rerun_is_bitwise_identical(lattice):
@@ -827,11 +890,11 @@ def test_site_backs_rerun_is_bitwise_identical(lattice):
     """
     space, _, phi0, traj, gens = lattice
     t = dt = 0.5
-    h = gens.matrix(traj.interpolate(0.5 * dt), "full", 1.0)
+    h = gens.matrix(gens.coefficients(traj.interpolate(0.5 * dt), "full", 1.0))
     mu = h.diagonal().sum() / space.dimension
     shifted = dt * (h - mu * sparse.identity(space.dimension))
     assert abs(shifted).sum(axis=0).max() > 63.36 / space.grid.points
     state = fk.product_state_fock(space, phi0, 3)
-    runs = [fk.site_backs(gens, traj, state, t, dt, "full", 1.0) for _ in range(2)]
+    runs = [fk.site_backs(gens, traj, [(state, t, None)], dt, "full", 1.0) for _ in range(2)]
     assert runs[0][1] == runs[1][1]
-    assert np.array_equal(runs[0][0].coeffs, runs[1][0].coeffs)
+    assert np.array_equal(runs[0][0][0].coeffs, runs[1][0][0].coeffs)

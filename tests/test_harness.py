@@ -771,9 +771,11 @@ def test_fock_column_pool_keeps_every_seam_on_the_calling_thread(tmp_path, monke
             code = cli.main(["fock-check", "--config", str(path), "--out", str(out), "--quiet"])
             reports.append((code, (out / "fock_check.json").read_bytes()))
     assert off_main == []
-    # two-site blocks: the kernel columns, the quadratic site backs and the site
-    # backs of each of two coupling values at the base cutoff; at the swept one,
-    # the one-column kernel block runs serially
+    # at the base cutoff, two-site blocks: the kernel columns down to the residual
+    # time, then that block with the quadratic site backs joined, and the site
+    # backs of each of two coupling values; at the swept one, the one-column
+    # kernel block runs serially down to the residual time, then the joined block
+    # and the site backs of one coupling value on pools
     assert pools == [1] * 6 and submitted
     assert reports[0] == reports[1]
 
@@ -854,6 +856,8 @@ def test_cli_fock_check_refuses_an_oversized_lattice_before_allocating(
         # two snapshots on one fock.dt step: the battery would keep one of them
         ({"identity_times": [0.25, 0.2500000001, 0.5]}, "fock.identity_times"),
         ({"residual_time": 0.2500000001}, "fock.residual_time"),
+        # each within 1e-9 of a step, but their gap is not: the backward flows could not share steps
+        ({"residual_time": 0.2500000009, "identity_times": [0.4999999991]}, "fock.residual_time (against"),
     ],
 )
 def test_cli_fock_check_refuses_vacuous_settings(tmp_path, capsys, hartree_flows, fock, fragment):

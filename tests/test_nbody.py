@@ -474,7 +474,8 @@ def test_default_grid_sweep_converges_to_the_lattice_engine_at_second_order(n, m
     """
     t = 0.5
     space = fk.LatticeFockSpace(main_grid, n)
-    h = fk.GeneratorSet(space, potential_samples).matrix(np.zeros(main_grid.points), "full", n)
+    gens = fk.GeneratorSet(space, potential_samples)
+    h = gens.matrix(gens.coefficients(np.zeros(main_grid.points), "full", n))
     coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi0, n).coeffs, t)
     lowered = np.stack([b @ coeffs for b in space.annihilators], axis=1)
     oracle = MarginalDensity(main_grid, 1, lowered.T @ lowered.conj() / (n * main_grid.dx), t)

@@ -14,9 +14,11 @@ pair phases; each relative tolerance is ten times the round-off change that
 switch made.
 
 The lattice battery's items at the benchmark's fock-check-coarse config
-(seed 0) were recorded before its one-body flows were shared between the
-two cutoffs; the tolerance is 1e-12 relative, with an absolute floor for
-the exact zeros that stays below 1e-12 of every non-zero value.
+(seed 0) were recorded with each Fock step's Chebyshev interval built from
+the generator's weights and the quadratic site backs run as one block; the
+tolerance is 1e-12 relative, with an absolute floor for the exact zeros
+that stays below 1e-12 of every non-zero value.  The same run counts its
+work: generator assemblies and Chebyshev terms.
 
 The ``laguerre`` table and envelope margin at the default config were
 recorded while the envelope was checked one order per call; the tolerance is
@@ -30,6 +32,7 @@ import numpy as np
 import pytest
 
 from meanfieldlab import bogoliubov as bg
+from meanfieldlab import fock as fk
 from meanfieldlab import hartree as ha
 from meanfieldlab.harness import ExperimentConfig, cross_validate, laguerre_check, run_convergence
 
@@ -90,26 +93,59 @@ def test_small_sweep_keeps_its_recorded_records(config):
 
 # item: (measured, details.base, details.swept)
 RECORDED_BATTERY = {
-    "leakage": (6.26639813541589e-07, 6.26639813541589e-07, 1.0350706755572141e-07),
-    "depletion_identity_t0.25": (6.519133291901791e-06, 0.007610961503568511, 0.0076109615035686445),
-    "depletion_identity_t0.5": (1.8238275533963982e-05, 0.027469257315642367, 0.027469257317004985),
-    "depletion_identity_t1.0": (4.6894171773378956e-05, 0.09635679157085635, 0.09635680158922143),
-    "kernel_columns": (6.305705826087989e-05, 6.305705826087989e-05, 6.293205169848982e-05),
+    "leakage": (6.266398135415886e-07, 6.266398135415886e-07, 1.035070675557212e-07),
+    "depletion_identity_t0.25": (6.519133291899189e-06, 0.0076109615035685136, 0.007610961503568651),
+    "depletion_identity_t0.5": (1.8238275533967452e-05, 0.027469257315642363, 0.02746925731700503),
+    "depletion_identity_t1.0": (4.689417177367039e-05, 0.09635679157085605, 0.09635680158922168),
+    "kernel_columns": (6.305705826206834e-05, 6.305705826206834e-05, 6.293205169798324e-05),
     "parity_odd_mass": (0.0, 0.0, 0.0),
-    "moment_stability": (1.0031860515145277, 0.09575143438790631, 0.09575158711366981),
-    "residual_ratio_8_to_16": (2.038194073675103, 0.00018111907575814226, 0.00018111650428338094),
+    "moment_stability": (1.0031860515145266, 0.09575143438790651, 0.09575158711366993),
+    "residual_ratio_8_to_16": (2.038194073675094, 0.0001811190757581427, 0.00018111650428338064),
 }
 BATTERY_REL_TOL = 1e-12
 BATTERY_ZERO_FLOOR = 1e-20
 
 
-def test_lattice_battery_keeps_its_recorded_items():
-    report, _ = cross_validate(ExperimentConfig.from_dict({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
+@pytest.fixture(scope="module")
+def coarse_battery():
+    """fock-check-coarse's report at seed 0, and its generator assemblies and Chebyshev terms."""
+    work = {"matrix": 0, "terms": 0}
+
+    def matrix(*args, _original=fk.GeneratorSet.matrix):
+        work["matrix"] += 1
+        return _original(*args)
+
+    def chebyshev_weights(rho, _original=fk._chebyshev_weights):
+        weights = _original(rho)
+        work["terms"] += len(weights)
+        return weights
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(fk.GeneratorSet, "matrix", matrix)
+        patched.setattr(fk, "_chebyshev_weights", chebyshev_weights)
+        report, _ = cross_validate(ExperimentConfig.from_dict({"fock": {"dt": 0.025, "coupling_values": [8, 16]}}))
+    return report, work
+
+
+def test_lattice_battery_keeps_its_recorded_items(coarse_battery):
+    report, _ = coarse_battery
     assert [item.name for item in report.items] == list(RECORDED_BATTERY)
     for item in report.items:
         got = (item.measured, item.details["base"], item.details["swept"])
         for what, value, want in zip(("measured", "base", "swept"), got, RECORDED_BATTERY[item.name]):
             assert value == pytest.approx(want, rel=BATTERY_REL_TOL, abs=BATTERY_ZERO_FLOOR), (item.name, what)
+
+
+def test_lattice_battery_takes_its_counted_work(coarse_battery):
+    """340 steps, one assembly each, and at most 7,000 Chebyshev terms in all; counted, not timed.
+
+    The quadratic site backs from t = 1 and from the residual time 0.5 share
+    their steps below 0.5 (380 steps before), and the weight-built interval
+    is narrower than the generator's Gershgorin interval (7,760 terms before).
+    """
+    _, work = coarse_battery
+    assert work["matrix"] == 340
+    assert work["terms"] <= 7000
 
 
 # laguerre.csv rows: n, first_overlap, sum_sq, weighted_sum, scaled_weighted_sum
