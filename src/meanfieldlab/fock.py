@@ -7,16 +7,15 @@ a*(f) = sum_i sqrt(dx) f_i b_i*, and the one-body kinetic matrix is the same
 spectral k^2 operator the kernel solvers use.  States live in the graded
 occupation basis of ``LatticeFockSpace``, keyed and ordered by one integer per state.
 
-The fluctuation generator around a Hartree state phi splits into
-
-* a quadratic part: kinetic + mean-field potential + exchange kernel +
-  pair creation/annihilation,
-* a cubic part sum_j phi_j b_j* (sum_i V_ij n_i) + h.c., scaled by 1/sqrt(N),
-* a quartic part, diagonal in the occupation basis and scaled by 1/N,
-
-and the cubic and quartic parts annihilate the vacuum.  Generators are
-assembled per time step from precomputed sparse skeletons of the
-(m + 1)(2m + 1) distinct operators on m sites, with state-dependent
+The fluctuation generator around a Hartree state phi at coupling N is
+h(N) = Q + N^{-1/2} C + N^{-1} D: Q quadratic (kinetic + mean-field
+potential + exchange kernel + pair creation/annihilation), C cubic
+(sum_j phi_j b_j* (sum_i V_ij n_i) + h.c.) and D quartic, diagonal in the
+occupation basis; C and D annihilate the vacuum.  The coupling alone
+selects the generator: at N = math.inf the weights of C and D are exactly
+zero, so the quadratic (Bogoliubov) flow is the member at N = infinity.
+Generators are assembled per time step from precomputed sparse skeletons
+of the (m + 1)(2m + 1) distinct operators on m sites, with state-dependent
 coefficients; the step itself (``GeneratorSet.step``) is the exponential
 action of the midpoint generator, a Chebyshev expansion whose truncation
 error is bounded before the first matvec (``expm_multiply``).  Its
@@ -25,15 +24,15 @@ interval is read from the weights, not from the assembled entries
 follows from the m x m weight matrix because that part keeps the particle
 number, plus a Gershgorin interval of the rest.
 
-The quadratic and quartic parts change the particle number by 0 or 2, so
-they never mix the even and odd sectors; only the cubic part does.  A step
-whose 2m cubic weights are exactly zero, on a state whose every column
+Q and D change the particle number by 0 or 2, so they never mix the even
+and odd sectors; only C does.  A step whose 2m cubic weights are exactly
+zero (N = infinity, or a zero orbital), on a state whose every column
 lies in one parity class, runs on that class's rows and columns only.  It
 takes the whole generator's interval, so its Chebyshev degree and weights
 are those of the full-basis step, and the terms it skips are exact zeros:
-it gives the full-basis step's numbers.  Any other step (a ``full`` or
-``cubic`` generator with a nonzero orbital, a state with mass in both
-classes) runs on the whole basis.
+it gives the full-basis step's numbers.  Any other step (a finite
+coupling with a nonzero orbital, a state with mass in both classes) runs
+on the whole basis.
 
 A flow of a block of states (the site backs) splits each step's recurrence
 over groups of the block's columns on ``grid.step_pool``.  Site backs from
@@ -482,27 +481,26 @@ class GeneratorSet:
                 )
             )
 
-    def coefficients(self, phi, which: str, n_field: float) -> np.ndarray:
-        """Complex weight per skeleton for the generator at Hartree state phi."""
-        if which not in ("full", "quadratic", "cubic", "quartic"):
-            raise ValueError(f"unknown generator selection {which!r}")
+    def coefficients(self, phi, n_field: float) -> np.ndarray:
+        """Complex weight per skeleton for h(N) at Hartree state phi and coupling N = ``n_field``.
+
+        At N = math.inf the cubic weights sqrt(dx / N) phi_j (zeros, some of
+        them -0.0) and the quartic 1 / N vanish: the quadratic generator.
+        """
         m = self.grid.points
         dx = self.grid.dx
         pairs = m * (m + 1) // 2
         c = np.zeros(self.n_terms, dtype=complex)
         transfers, raisers = c[: m * m], c[m * m : m * m + pairs + m]
         phi = np.asarray(phi, dtype=complex)
-        if which in ("full", "quadratic"):
-            kern = coupling_kernels(phi, self.potential_samples, self.grid)
-            transfers[:] = (self.tmat + dx * kern.k1 + np.diag(kern.u_eff)).reshape(-1)
-            # sum_ij K2_ij b_i* b_j* / 2 on i <= j: K2_ij + K2_ji above the diagonal
-            k2 = np.triu(kern.k2) + np.triu(kern.k2.T, 1)
-            raisers[:pairs] = 0.5 * dx * k2[np.triu_indices(m)]
-        if which in ("full", "cubic"):
-            raisers[pairs:] = np.sqrt(dx / n_field) * phi
+        kern = coupling_kernels(phi, self.potential_samples, self.grid)
+        transfers[:] = (self.tmat + dx * kern.k1 + np.diag(kern.u_eff)).reshape(-1)
+        # sum_ij K2_ij b_i* b_j* / 2 on i <= j: K2_ij + K2_ji above the diagonal
+        k2 = np.triu(kern.k2) + np.triu(kern.k2.T, 1)
+        raisers[:pairs] = 0.5 * dx * k2[np.triu_indices(m)]
+        raisers[pairs:] = np.sqrt(dx / n_field) * phi
         c[m * m + raisers.size : -1] = raisers.conj()
-        if which in ("full", "quartic"):
-            c[-1] = 1.0 / n_field
+        c[-1] = 1.0 / n_field
         return c
 
     def matrix(self, weights: np.ndarray) -> sparse.csr_matrix:
@@ -531,6 +529,11 @@ class GeneratorSet:
         gives a NaN interval without an eigenvalue solve, and any other
         non-finite weight or skeleton entry gives a NaN or infinite one, as
         the assembled matrix's entries would be.
+
+        Where the rest dominates, the sum can be wider than the matrix's
+        Gershgorin interval: 223.2 against 214.9 at coupling 1 and cutoff 13
+        on the default four sites with the normalized orbital (1, 0.2, 0.05,
+        0.2).  No coupling of the default fock-check battery reaches that.
         """
         m = self.grid.points
         one_body = weights[: m * m].reshape(m, m)
@@ -583,21 +586,21 @@ def evolve_fock(
     t0: float,
     t1: float,
     dt: float,
-    which: str = "full",
-    n_field: float = 1.0,
+    n_field: float,
     snapshot_times=(),
 ) -> FockEvolution:
-    """Integrate i d_t psi = H(t) psi from t0 to t1 (either direction).
+    """Integrate i d_t psi = h(N) psi from t0 to t1 (either direction) at coupling N = ``n_field``.
 
     The generator is assembled at each step midpoint from the Hartree
-    trajectory and applied through the exponential action, to one state or
-    to a block of states at once, by one ``GeneratorSet.step`` per step,
-    which takes the weights that the generator was assembled from.  A step
-    runs on one parity half of the basis when the generator keeps parity
-    exactly (every cubic weight zero) and every column lies in that half;
-    otherwise, as for a ``full`` generator or a state in both halves, it
-    runs on the whole basis.  Either way it is the same step, so
-    the result does not depend on which path ran.  ``top_mass`` is the
+    trajectory (at N = math.inf, the quadratic one) and applied through the
+    exponential action, to one state or to a block of states at once, by
+    one ``GeneratorSet.step`` per step, which takes the weights that the
+    generator was assembled from.  A step runs on one parity half of the
+    basis when the generator keeps parity exactly (every cubic weight zero,
+    as at N = math.inf) and every column lies in that half; otherwise, as at
+    a finite coupling or for a state in both halves, it runs on the whole
+    basis.  Either way it is the same step, so the result does not depend
+    on which path ran.  ``top_mass`` is the
     largest mass seen in the top two sectors of any column, the truncation
     monitor.
 
@@ -625,7 +628,7 @@ def evolve_fock(
             # h stays bound until the next generator replaces it: freed before the next
             # assembly, its pages went back to the system and the assembly faulted them
             # in again, which made the bank product four times slower
-            weights = gens.coefficients(trajectory.interpolate(mid), which, n_field)
+            weights = gens.coefficients(trajectory.interpolate(mid), n_field)
             h = gens.matrix(weights)
             coeffs = gens.step(h, weights, coeffs, sign * dt, share)
             vec = FockVector(space, coeffs)
@@ -640,10 +643,9 @@ def site_backs(
     trajectory: HartreeTrajectory,
     starts,
     dt: float,
-    which: str,
     n_field: float,
 ) -> tuple[list[FockVector], float]:
-    """Apply a_y to time-t states and evolve every copy back to time zero in one block.
+    """Apply a_y to time-t states and evolve every copy back to time zero in one block, at coupling N = ``n_field``.
 
     ``starts`` holds (state, t, sites) triples, with ``sites`` None for all
     sites.  The flow starts at the latest t with that start's copies, and at
@@ -667,28 +669,29 @@ def site_backs(
     for k in order:
         state, t, sites = starts[k]
         if t < now:
-            run = evolve_fock(gens, FockVector(space, block), trajectory, now, t, dt, which, n_field)
+            run = evolve_fock(gens, FockVector(space, block), trajectory, now, t, dt, n_field)
             block, now, top = run.state.coeffs, t, np.maximum(top, run.top_mass)
         joining = copies(state, sites)
         widths[k] = joining.shape[1]
         block = joining if block is None else np.concatenate([block, joining], axis=1)
-    run = evolve_fock(gens, FockVector(space, block), trajectory, now, 0.0, dt, which, n_field)
+    run = evolve_fock(gens, FockVector(space, block), trajectory, now, 0.0, dt, n_field)
     top = np.maximum(top, run.top_mass)  # a NaN mass stays NaN
     edges = dict(zip(order, np.cumsum([0] + [widths[k] for k in order])))
     return [FockVector(space, run.state.coeffs[:, edges[k] : edges[k] + widths[k]]) for k in range(len(starts))], top
 
 
 def residual_aggregates(full_backs: FockVector, quad_backs: FockVector) -> dict[int, float]:
-    """Difference between full and quadratic Heisenberg-evolved annihilators.
+    """Difference between the Heisenberg-evolved annihilators at coupling N and at N = infinity.
 
     For each lattice site y the residual vector is
 
         [U(t)* a_y U(t) - U2(t)* a_y U2(t)] vacuum,
 
+    with U the flow of h(N) and U2 that of the quadratic generator h(inf),
     realized by evolving the vacuum forward with each generator, applying
     a_y, and evolving backward again: the columns of the two ``site_backs``
-    blocks of all sites.  Aggregates are
-    sum_y dx * || (N+1)^{j/2} r_y ||^2 for j = 0, 1, 2; their
+    blocks of all sites, ``full_backs`` at N and ``quad_backs`` at math.inf.
+    Aggregates are sum_y dx * || (N+1)^{j/2} r_y ||^2 for j = 0, 1, 2; their
     1/N decay is the quantitative content of the mean-field error bound.
 
     Each site's residual is summed as its own contiguous vector, so an

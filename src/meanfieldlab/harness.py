@@ -643,40 +643,30 @@ def _lattice_battery(
 ) -> LatticeBattery:
     """Every lattice flow the cross checks need, on one generator set.
 
-    One quadratic evolution serves the depletion identity, the parity
-    monitor and the kernel columns (the back-evolved a_y of ``sites``, each
-    against its row of the v kernel ``kernel_v``), and its site backs serve
-    every residual; each coupling value gets a single full evolution whose
-    final state carries the number moment and whose residual-time snapshot
-    seeds the residual.
+    One quadratic evolution (coupling math.inf) serves the depletion
+    identity, the parity monitor and the kernel columns (the back-evolved a_y
+    of ``sites``, each against its row of the v kernel ``kernel_v``), and its
+    site backs serve every residual; each coupling value gets a single full
+    evolution whose final state carries the number moment and whose
+    residual-time snapshot seeds the residual.
     """
     space = gens.space
     horizon = fsec.horizon()
-    quad = fk.evolve_fock(
-        gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "quadratic", 1.0, fsec.snapshot_times()
-    )
+    quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, math.inf, fsec.snapshot_times())
     # the kernel columns from the last identity time and the residual's site
     # backs from the residual time run as one block below the earlier of the two
     t_k = max(fsec.identity_times)
-    (col_backs, quad_backs), back_top = fk.site_backs(
-        gens,
-        traj,
-        [(quad.snapshots[t_k], t_k, sites), (quad.snapshots[fsec.residual_time], fsec.residual_time, None)],
-        fsec.dt,
-        "quadratic",
-        1.0,
-    )
+    starts = [(quad.snapshots[t_k], t_k, sites), (quad.snapshots[fsec.residual_time], fsec.residual_time, None)]
+    (col_backs, quad_backs), back_top = fk.site_backs(gens, traj, starts, fsec.dt, math.inf)
     columns = fk.one_particle_values(col_backs)
     column_errors = {site: l2_norm(columns[:, k] - kernel_v[site], space.grid) for k, site in enumerate(sites)}
     tops = [quad.top_mass, back_top]
     moments, residuals = {}, {}
     for n in couplings:
-        full = fk.evolve_fock(
-            gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, "full", n, (fsec.residual_time,)
-        )
+        full = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, horizon, fsec.dt, n, (fsec.residual_time,))
         moments[n] = fk.number_moment(full.state, 1)
         (full_backs,), fb_top = fk.site_backs(
-            gens, traj, [(full.snapshots[fsec.residual_time], fsec.residual_time, None)], fsec.dt, "full", n
+            gens, traj, [(full.snapshots[fsec.residual_time], fsec.residual_time, None)], fsec.dt, n
         )
         residuals[n] = fk.residual_aggregates(full_backs, quad_backs)[1]
         tops += [full.top_mass, fb_top]

@@ -1,10 +1,11 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-about a minute and a quarter (74-84 s over two runs on a shared 2-vCPU
-x86-64 host with one BLAS thread, where the N-body step runs on two
-workers; most of it the 250 steps at N = 6) and is shared between the
-acceptance tests; everything else builds small throwaway objects per test.
+78-79 s over two runs on a shared 2-vCPU x86-64 host with one BLAS thread,
+where the N-body step runs on two workers, and 108 s with BLAS threads
+unset (one step worker); most of it is the 250 steps at N = 6.  It is
+shared between the acceptance tests; everything else builds small
+throwaway objects per test.
 """
 
 import time

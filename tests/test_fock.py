@@ -10,7 +10,7 @@ generator, and the dense N-body Hamiltonian of the first-quantized engine.
 import functools
 import sys
 import tracemalloc
-from math import comb, factorial, sqrt
+from math import comb, factorial, inf, sqrt
 
 import numpy as np
 import pytest
@@ -290,7 +290,7 @@ def test_infinite_weights_outside_the_basis_are_dropped():
         assert any(np.isinf(data).any() for _, _, data in skeletons)
         assert all(np.all(rows < space.dimension) for rows, _, _ in skeletons)
         gens = fk.GeneratorSet(space, vs)
-        weights = gens.coefficients(np.full(4, 0.5), "full", 8.0)
+        weights = gens.coefficients(np.full(4, 0.5), 8.0)
         h = gens.matrix(weights)
         with pytest.raises(ValueError, match="spectral interval"):
             gens.step(h, weights, fk.vacuum(space).coeffs, 0.05, None)
@@ -298,7 +298,7 @@ def test_infinite_weights_outside_the_basis_are_dropped():
 
 def test_generator_matrices_share_the_read_only_pattern(lattice):
     _, _, phi0, _, gens = lattice
-    h = gens.matrix(gens.coefficients(phi0, "full", 4.0))
+    h = gens.matrix(gens.coefficients(phi0, 4.0))
     assert np.shares_memory(h.indices, gens._indices) and np.shares_memory(h.indptr, gens._indptr)
     with pytest.raises(ValueError, match="read-only"):
         h.indices[0] = 0
@@ -398,29 +398,33 @@ COMPLEX_ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_i
     st.integers(1, 3),
     st.integers(1, 8),
     st.lists(COMPLEX_ENTRIES, min_size=3, max_size=3),
-    st.sampled_from(["full", "quadratic", "cubic", "quartic"]),
-    st.sampled_from([1.0, 8.0, 64.0]),
+    st.sampled_from([1.0, 8.0, 64.0, inf]),
 )
-@example(3, 8, [0j, 0j, 0j], "full", 1.0)
-def test_interval_holds_the_spectrum(sites, cutoff, orbital, which, n_field):
+@example(3, 8, [0j, 0j, 0j], 1.0)
+def test_interval_holds_the_spectrum(sites, cutoff, orbital, n_field):
     """``interval(weights)`` holds every eigenvalue of the dense ``matrix(weights)``, the zero orbital too."""
     space = fk.LatticeFockSpace(GridSpec(sites, 1.5 * sites), cutoff)
     gens = fk.GeneratorSet(space, sample_potential(PotentialSpec(0.5, 1.0), space.grid))
-    weights = gens.coefficients(np.array(orbital[:sites]), which, n_field)
+    weights = gens.coefficients(np.array(orbital[:sites]), n_field)
     lo, hi = gens.interval(weights)
     eigenvalues = np.linalg.eigvalsh(gens.matrix(weights).toarray())
     allowance = INTERVAL_ROUNDING * max(abs(lo), abs(hi), 1.0)
     assert lo - allowance <= eigenvalues[0] and eigenvalues[-1] <= hi + allowance
 
 
-@pytest.mark.parametrize("which", ["quadratic", "full"])
-def test_interval_is_no_wider_than_gershgorin(default_lattice, which):
-    """On the default four sites the weight-built interval is the narrower one: the premise of its fewer terms."""
+@pytest.mark.parametrize("couplings", [pytest.param((inf,), id="quadratic"), pytest.param((8, 16, 32, 64), id="full")])
+def test_interval_is_no_wider_than_gershgorin(default_lattice, couplings):
+    """At every coupling of the default battery the weight-built interval is the narrower one.
+
+    That is the premise of its fewer terms.  It does not hold at every
+    coupling (``GeneratorSet.interval`` names a case at coupling 1).
+    """
     gens, phi = default_lattice
-    weights = gens.coefficients(phi, which, 8.0)
-    lo, hi = gens.interval(weights)
-    g_lo, g_hi = fk.gershgorin_interval(gens.matrix(weights))
-    assert hi - lo <= g_hi - g_lo
+    for n_field in couplings:
+        weights = gens.coefficients(phi, n_field)
+        lo, hi = gens.interval(weights)
+        g_lo, g_hi = fk.gershgorin_interval(gens.matrix(weights))
+        assert hi - lo <= g_hi - g_lo, f"coupling {n_field}"
 
 
 def test_overflowing_one_body_weights_are_refused_before_the_eigenvalue_solve(monkeypatch):
@@ -430,7 +434,7 @@ def test_overflowing_one_body_weights_are_refused_before_the_eigenvalue_solve(mo
     with np.errstate(over="ignore", invalid="ignore"):
         space = fk.LatticeFockSpace(GridSpec(4, 1e-300), 4)
         gens = fk.GeneratorSet(space, sample_potential(PotentialSpec(0.5, 1.0), space.grid))
-        weights = gens.coefficients(normalize(np.array([1.0, 0.6 + 0.3j, 0.2, 0.5 - 0.1j]), space.grid), "full", 8.0)
+        weights = gens.coefficients(normalize(np.array([1.0, 0.6 + 0.3j, 0.2, 0.5 - 0.1j]), space.grid), 8.0)
         assert not np.all(np.isfinite(weights[:16]))
         with pytest.raises(ValueError, match=r"spectral interval \[nan, nan\] has no finite width"):
             gens.step(gens.matrix(weights), weights, fk.vacuum(space).coeffs, 0.05, None)
@@ -440,7 +444,7 @@ def test_overflowing_one_body_weights_are_refused_before_the_eigenvalue_solve(mo
 def test_column_pool_gives_the_serial_bits(default_lattice):
     """A (dim, 5) block: the same bits on pools of 2, 3 and 7 workers, serially, and column by column."""
     gens, phi = default_lattice
-    weights = gens.coefficients(phi, "full", 8.0)
+    weights = gens.coefficients(phi, 8.0)
     h, interval = gens.matrix(weights), gens.interval(weights)
     rng = np.random.default_rng(13)
     block = rng.standard_normal((h.shape[0], 5)) + 1j * rng.standard_normal((h.shape[0], 5))
@@ -561,8 +565,8 @@ def test_product_state_fock_basics(lattice):
 # generators
 
 
-def dense_generator(space, vs, phi, which, n_field):
-    """Second-quantized assembly from raw ladder matrices, term by term."""
+def dense_generator(space, vs, phi, n_field):
+    """Second-quantized assembly from raw ladder matrices, term by term, at coupling N = ``n_field``."""
     from meanfieldlab.bogoliubov import coupling_kernels
     from meanfieldlab.grid import kinetic_matrix, potential_matrix
 
@@ -572,31 +576,25 @@ def dense_generator(space, vs, phi, which, n_field):
     b = [op.toarray() for op in space.annihilators]
     bd = [op.T.conj() for op in b]
     h = np.zeros((space.dimension, space.dimension), dtype=complex)
-    if which in ("full", "quadratic"):
-        kern = coupling_kernels(phi, vs, grid)
-        tmat = kinetic_matrix(grid)
-        for i in range(m):
-            for j in range(m):
-                w = tmat[i, j] + dx * kern.k1[i, j] + (kern.u_eff[i] if i == j else 0.0)
-                h += w * (bd[i] @ b[j])
-                h += 0.5 * dx * kern.k2[i, j] * (bd[i] @ bd[j])
-                h += 0.5 * dx * np.conj(kern.k2[i, j]) * (b[i] @ b[j])
+    kern = coupling_kernels(phi, vs, grid)
+    tmat = kinetic_matrix(grid)
     vmat = potential_matrix(vs, grid)
-    if which in ("full", "cubic"):
-        s = sqrt(dx / n_field)
-        for i in range(m):
-            for j in range(m):
-                term = s * vmat[i, j] * phi[j] * (bd[i] @ bd[j] @ b[i])
-                h += term + term.conj().T
-    if which in ("full", "quartic"):
-        for i in range(m):
-            for j in range(m):
-                h += vmat[i, j] / (2.0 * n_field) * (bd[i] @ bd[j] @ b[j] @ b[i])
+    s = sqrt(dx / n_field)
+    for i in range(m):
+        for j in range(m):
+            w = tmat[i, j] + dx * kern.k1[i, j] + (kern.u_eff[i] if i == j else 0.0)
+            h += w * (bd[i] @ b[j])
+            h += 0.5 * dx * kern.k2[i, j] * (bd[i] @ bd[j])
+            h += 0.5 * dx * np.conj(kern.k2[i, j]) * (b[i] @ b[j])
+            term = s * vmat[i, j] * phi[j] * (bd[i] @ bd[j] @ b[i])
+            h += term + term.conj().T
+            h += vmat[i, j] / (2.0 * n_field) * (bd[i] @ bd[j] @ b[j] @ b[i])
     return h
 
 
-@pytest.mark.parametrize("which", ["quadratic", "cubic", "quartic", "full"])
-def test_generator_matches_dense_assembly(which):
+@pytest.mark.parametrize("couplings", [pytest.param((inf,), id="quadratic"), pytest.param((5.0, 20.0), id="full")])
+def test_generator_matches_dense_assembly(couplings):
+    """Q at N = inf; two finite couplings then pin C and D, which scale as N^{-1/2} and N^{-1}."""
     for grid, cutoff, orbital in (
         (GridSpec(2, 2.0), 3, [1.0, 0.3 - 0.4j]),
         (GridSpec(3, 3.0), 4, [0.8, 0.2 + 0.5j, -0.6 - 0.3j]),
@@ -605,42 +603,49 @@ def test_generator_matches_dense_assembly(which):
         vs = sample_potential(PotentialSpec(0.7, 0.9), grid)
         phi = normalize(np.array(orbital), grid)
         gens = fk.GeneratorSet(space, vs)
-        got = gens.matrix(gens.coefficients(phi, which, 5.0)).toarray()
-        want = dense_generator(space, vs, phi, which, 5.0)
-        assert np.max(np.abs(got - want)) < 1e-12
-        assert np.max(np.abs(got - got.conj().T)) < 1e-12
+        for n_field in couplings:
+            got = gens.matrix(gens.coefficients(phi, n_field)).toarray()
+            want = dense_generator(space, vs, phi, n_field)
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.max(np.abs(got - got.conj().T)) < 1e-12
 
 
 def test_generator_is_hermitian(lattice):
     """The exponential step assumes a Hermitian generator."""
     _, _, _, traj, gens = lattice
-    for which in ("full", "quadratic"):
+    for n_field in (3.0, inf):
         for t in (0.0, 0.25, 0.5):
-            h = gens.matrix(gens.coefficients(traj.interpolate(t), which, 3.0))
+            h = gens.matrix(gens.coefficients(traj.interpolate(t), n_field))
             assert np.linalg.norm((h - h.conj().T).data) <= 1e-14 * np.linalg.norm(h.data)
 
 
 def test_generator_sector_transfer_structure(lattice):
+    """Q moves the particle number by 0 or 2; F(N) - Q by 1 on its parity-changing entries (C), by 0 elsewhere (D)."""
     space, _, phi0, _, gens = lattice
     totals = space.totals
-    for which, allowed in (("quadratic", {0, 2}), ("cubic", {1}), ("quartic", {0})):
-        h = gens.matrix(gens.coefficients(phi0, which, 4.0)).toarray()
+
+    def jumps(h):
         rows, cols = np.nonzero(np.abs(h) > 1e-14)
-        jumps = set(np.abs(totals[rows] - totals[cols]).tolist())
-        assert jumps <= allowed
+        return np.abs(totals[rows] - totals[cols])
+
+    quadratic = gens.matrix(gens.coefficients(phi0, inf)).toarray()
+    assert set(jumps(quadratic).tolist()) <= {0, 2}
+    rest = jumps(gens.matrix(gens.coefficients(phi0, 4.0)).toarray() - quadratic)
+    changing = rest % 2 == 1
+    assert np.any(changing) and np.all(rest[changing] == 1)
+    assert np.any(~changing) and np.all(rest[~changing] == 0)
 
 
 def test_cubic_and_quartic_annihilate_vacuum(lattice):
+    """(F(N) - Q) vacuum is exactly zero."""
     space, _, phi0, _, gens = lattice
     vac = fk.vacuum(space).coeffs
-    assert np.all(gens.matrix(gens.coefficients(phi0, "cubic", 3.0)) @ vac == 0)
-    assert np.all(gens.matrix(gens.coefficients(phi0, "quartic", 3.0)) @ vac == 0)
-    with pytest.raises(ValueError):
-        gens.coefficients(phi0, "cubic+quartic", 3.0)
+    rest = gens.matrix(gens.coefficients(phi0, 3.0)) - gens.matrix(gens.coefficients(phi0, inf))
+    assert np.all(rest @ vac == 0)
 
 
 def test_zero_field_generator_is_the_n_body_hamiltonian():
-    """At phi = 0 the full generator with n_field = N acts on sector N as H_N.
+    """At phi = 0 the generator at coupling N acts on sector N as H_N.
 
     H_N = sum_k T_k + (1/N) sum_{i<j} V(x_i - x_j) is the dense engine's
     Hamiltonian; the lattice one-body density <b_y* b_x> / (N dx) of the
@@ -652,7 +657,7 @@ def test_zero_field_generator_is_the_n_body_hamiltonian():
     n, t, m = 3, 0.3, grid.points
     space = fk.LatticeFockSpace(grid, n + 2)
     gens = fk.GeneratorSet(space, vs)
-    h = gens.matrix(gens.coefficients(np.zeros(m), "full", n))
+    h = gens.matrix(gens.coefficients(np.zeros(m), n))
     coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi, n).coeffs, t)
     outside = np.sum(np.abs(coeffs) ** 2) - np.sum(np.abs(coeffs[space.sector_slice(n)]) ** 2)
     assert abs(outside) < 1e-12
@@ -676,15 +681,15 @@ def test_zero_field_generator_is_the_n_body_hamiltonian():
 def test_evolution_unitary_and_reversible(lattice):
     space, _, _, traj, gens = lattice
     start = fk.product_state_fock(space, normalize(np.array([1.0, 0.8j]), space.grid), 2)
-    fwd = fk.evolve_fock(gens, start, traj, 0.0, 0.3, 2e-3, "full", 6.0)
+    fwd = fk.evolve_fock(gens, start, traj, 0.0, 0.3, 2e-3, 6.0)
     assert fwd.state.norm() == pytest.approx(1.0, abs=1e-11)
-    back = fk.evolve_fock(gens, fwd.state, traj, 0.3, 0.0, 2e-3, "full", 6.0)
+    back = fk.evolve_fock(gens, fwd.state, traj, 0.3, 0.0, 2e-3, 6.0)
     assert np.linalg.norm(back.state.coeffs - start.coeffs) < 1e-10
 
 
 def test_quadratic_flow_preserves_parity(lattice):
     space, _, _, traj, gens = lattice
-    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.5, 2e-3, "quadratic")
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.5, 2e-3, inf)
     assert fk.odd_sector_mass(run.state) == 0.0
     assert run.top_mass < 1e-4
 
@@ -692,12 +697,12 @@ def test_quadratic_flow_preserves_parity(lattice):
 FULL_BASIS_EXPM = fk.expm_multiply
 
 
-def full_basis_flow(gens, start, traj, t0, t1, dt, which, n_field=1.0):
+def full_basis_flow(gens, start, traj, t0, t1, dt, n_field):
     """The step loop on the whole basis: one generator and one exponential per step, on the step's interval."""
     sign = 1.0 if t1 > t0 else -1.0
     coeffs = start.coeffs.copy()
     for step in range(int(round(abs(t1 - t0) / dt))):
-        weights = gens.coefficients(traj.interpolate(t0 + sign * (step + 0.5) * dt), which, n_field)
+        weights = gens.coefficients(traj.interpolate(t0 + sign * (step + 0.5) * dt), n_field)
         coeffs = FULL_BASIS_EXPM(gens.matrix(weights), coeffs, sign * dt, gens.interval(weights))
     return coeffs
 
@@ -728,82 +733,84 @@ def four_sites():
 def test_parity_path_is_the_full_basis_step(four_sites, step_sizes):
     """Each flow that keeps parity runs on its half and equals the full-basis loop bit for bit.
 
-    A ``full`` flow along a zero orbital keeps parity too: its cubic weights
-    are exact zeros, and the guard reads those weights, not the generator's
-    name.  The full-basis loop takes the step's interval.
+    The quadratic flows run at N = inf, where every cubic weight is a zero
+    and some are -0.0 (at this orbital, the imaginary parts of the
+    adjoints' weights); the guard reads them as zero.  A flow at a finite
+    coupling along a zero orbital keeps parity too: its cubic weights are
+    exact zeros, and the guard reads those weights.  The full-basis loop
+    takes the step's interval.
     """
     space, phi0, traj, gens = four_sites
     even = int(np.sum(space.totals % 2 == 0))
     forward = fk.vacuum(space)
-    ahead = fk.FockVector(space, full_basis_flow(gens, forward, traj, 0.0, 0.2, 1e-2, "quadratic"))
+    ahead = fk.FockVector(space, full_basis_flow(gens, forward, traj, 0.0, 0.2, 1e-2, inf))
     a_y = fk.FockVector(
         space, np.stack([space.annihilators[y] @ ahead.coeffs for y in range(4)], axis=1)
     )
     zero_orbital = HartreeTrajectory(np.array([0.0, 0.2]), np.zeros((2, 4), dtype=complex))
     cases = [
-        # (start, trajectory, t0, t1, generator, N, size of the class that carries the flow)
-        (forward, traj, 0.0, 0.2, "quadratic", 1.0, even),
-        (a_y, traj, 0.2, 0.0, "quadratic", 1.0, space.dimension - even),
-        (fk.product_state_fock(space, phi0, 3), traj, 0.0, 0.1, "quartic", 4.0, space.dimension - even),
-        (forward, zero_orbital, 0.0, 0.2, "full", 4.0, even),
+        # (start, trajectory, t0, t1, N, size of the class that carries the flow)
+        (forward, traj, 0.0, 0.2, inf, even),
+        (a_y, traj, 0.2, 0.0, inf, space.dimension - even),
+        (fk.product_state_fock(space, phi0, 3), traj, 0.0, 0.1, inf, space.dimension - even),
+        (forward, zero_orbital, 0.0, 0.2, 4.0, even),
     ]
-    for start, along, t0, t1, which, n_field, size in cases:
+    cubic = gens.coefficients(phi0, inf)[gens._cubic]
+    assert not np.any(cubic) and np.any(np.signbit(cubic.imag))
+    for start, along, t0, t1, n_field, size in cases:
         step_sizes.clear()
-        got = fk.evolve_fock(gens, start, along, t0, t1, 1e-2, which, n_field).state.coeffs
+        got = fk.evolve_fock(gens, start, along, t0, t1, 1e-2, n_field).state.coeffs
         assert step_sizes == [size] * int(round(abs(t1 - t0) / 1e-2))
-        assert np.array_equal(got, full_basis_flow(gens, start, along, t0, t1, 1e-2, which, n_field))
+        assert np.array_equal(got, full_basis_flow(gens, start, along, t0, t1, 1e-2, n_field))
         masses = fk.sector_masses(fk.FockVector(space, got))
         assert not np.any(masses[1::2] if size == even else masses[0::2])
 
 
 def test_parity_guard_keeps_a_parity_breaking_step_on_the_full_basis(four_sites, step_sizes, monkeypatch):
-    """A full or cubic flow, a state in both classes, or a stray cubic weight runs on the whole basis."""
+    """A finite coupling, a state in both classes, or a stray cubic weight runs on the whole basis."""
     space, phi0, traj, gens = four_sites
-    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, "full", 4.0)
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, 4.0)
     assert step_sizes == [space.dimension] * 20
     assert fk.odd_sector_mass(run.state) > 0.0
 
     mixed = fk.FockVector(space, fk.vacuum(space).coeffs + fk.product_state_fock(space, phi0, 1).coeffs)
-    for start, which in ((mixed, "quadratic"), (fk.vacuum(space), "cubic")):
-        step_sizes.clear()
-        got = fk.evolve_fock(gens, start, traj, 0.0, 0.2, 1e-2, which, 4.0).state.coeffs
-        assert step_sizes == [space.dimension] * 20
-        assert np.array_equal(got, full_basis_flow(gens, start, traj, 0.0, 0.2, 1e-2, which, 4.0))
+    step_sizes.clear()
+    got = fk.evolve_fock(gens, mixed, traj, 0.0, 0.2, 1e-2, inf).state.coeffs
+    assert step_sizes == [space.dimension] * 20
+    assert np.array_equal(got, full_basis_flow(gens, mixed, traj, 0.0, 0.2, 1e-2, inf))
 
     quadratic = gens.coefficients
     cubic = 16 + 10  # the cubic raiser of site 0, after the 16 transfers and the 10 pair raisers
     adjoint = cubic + 14  # its adjoint, 14 raisers further on
 
-    def broken(phi, which, n_field):
-        c = quadratic(phi, which, n_field)
+    def broken(phi, n_field):
+        c = quadratic(phi, n_field)
         c[cubic], c[adjoint] = 0.05, 0.05
         return c
 
     monkeypatch.setattr(gens, "coefficients", broken)
     step_sizes.clear()
-    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, "quadratic")
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 1e-2, inf)
     assert step_sizes == [space.dimension] * 20
     assert fk.odd_sector_mass(run.state) > 0.0
 
 
 def test_snapshots_and_span_validation(lattice):
     space, _, _, traj, gens = lattice
-    run = fk.evolve_fock(
-        gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic", snapshot_times=(0.0, 0.1, 0.2)
-    )
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, inf, snapshot_times=(0.0, 0.1, 0.2))
     assert set(run.snapshots) == {0.0, 0.1, 0.2}
     assert np.array_equal(run.snapshots[0.0].coeffs, fk.vacuum(space).coeffs)
     assert np.array_equal(run.snapshots[0.2].coeffs, run.state.coeffs)
-    half = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.1, 2e-3, "quadratic")
+    half = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.1, 2e-3, inf)
     assert np.array_equal(run.snapshots[0.1].coeffs, half.state.coeffs)
     with pytest.raises(ValueError):
-        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.0, 2e-3)
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.0, 2e-3, inf)
     with pytest.raises(ValueError):
-        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2001, 2e-3)
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2001, 2e-3, inf)
     with pytest.raises(ValueError):
-        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, snapshot_times=(0.05001,))
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, inf, snapshot_times=(0.05001,))
     with pytest.raises(ValueError):
-        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, snapshot_times=(0.3,))
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, inf, snapshot_times=(0.3,))
 
 
 @pytest.mark.parametrize("times", [(0.1, 0.1), (0.1, 0.1 + 5e-10)])
@@ -811,7 +818,7 @@ def test_snapshot_times_on_one_step_are_refused(lattice, times):
     # each engine keys its snapshots by step, so it would keep one of the two
     space, vs, _, traj, gens = lattice
     with pytest.raises(ValueError, match="land on one step"):
-        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic", snapshot_times=times)
+        fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, inf, snapshot_times=times)
     with pytest.raises(ValueError, match="land on one step"):
         evolve_pair(space.grid, vs, traj, 0.2, 2e-3, times)
 
@@ -826,7 +833,7 @@ def test_truncation_monitor_carries_a_nan(lattice, monkeypatch):
         return float("nan") if len(calls) == 3 else _original(vec)
 
     monkeypatch.setattr(fk, "top_sector_mass", nan_once)
-    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.1, 2e-3, "quadratic")
+    run = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.1, 2e-3, inf)
     assert len(calls) == 51 and np.isnan(run.top_mass)
 
 
@@ -837,12 +844,12 @@ def test_truncation_monitor_carries_a_nan(lattice, monkeypatch):
 def test_residual_aggregates_decay_with_coupling(lattice):
     space, _, _, traj, gens = lattice
     t, dt = 0.5, 2e-3
-    fwd_quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "quadratic")
-    (bq,), tq = fk.site_backs(gens, traj, [(fwd_quad.state, t, None)], dt, "quadratic", 1.0)
+    fwd_quad = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, inf)
+    (bq,), tq = fk.site_backs(gens, traj, [(fwd_quad.state, t, None)], dt, inf)
     aggs = {}
     for n in (8, 16):
-        fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, "full", n)
-        (bf,), tf = fk.site_backs(gens, traj, [(fwd.state, t, None)], dt, "full", n)
+        fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, t, dt, n)
+        (bf,), tf = fk.site_backs(gens, traj, [(fwd.state, t, None)], dt, n)
         aggs[n] = fk.residual_aggregates(bf, bq)
         assert max(fwd_quad.top_mass, tq, tf) < 1e-4
         # the (N+1)^j weights are >= 1 and increasing in j
@@ -853,11 +860,11 @@ def test_residual_aggregates_decay_with_coupling(lattice):
 
 def test_site_backs_restriction(lattice):
     space, _, _, traj, gens = lattice
-    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, "quadratic")
-    (all_backs,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, None)], 2e-3, "quadratic", 1.0)
+    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.2, 2e-3, inf)
+    (all_backs,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, None)], 2e-3, inf)
     assert all_backs.coeffs.shape == (space.dimension, space.grid.points)
     for site in range(space.grid.points):
-        (one_back,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, (site,))], 2e-3, "quadratic", 1.0)
+        (one_back,), _ = fk.site_backs(gens, traj, [(fwd.state, 0.2, (site,))], 2e-3, inf)
         assert one_back.coeffs.shape == (space.dimension, 1)
         assert np.array_equal(one_back.coeffs[:, 0], all_backs.coeffs[:, site])
 
@@ -872,10 +879,10 @@ def test_merged_site_backs_match_separate_runs(lattice, t_k, t_r):
     """
     space, _, _, traj, gens = lattice
     dt = 2e-3
-    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.4, dt, "quadratic", 1.0, sorted({t_k, t_r}))
+    fwd = fk.evolve_fock(gens, fk.vacuum(space), traj, 0.0, 0.4, dt, inf, sorted({t_k, t_r}))
     starts = [(fwd.snapshots[t_k], t_k, (1,)), (fwd.snapshots[t_r], t_r, None)]
-    merged, top = fk.site_backs(gens, traj, starts, dt, "quadratic", 1.0)
-    separate = [fk.site_backs(gens, traj, [start], dt, "quadratic", 1.0) for start in starts]
+    merged, top = fk.site_backs(gens, traj, starts, dt, inf)
+    separate = [fk.site_backs(gens, traj, [start], dt, inf) for start in starts]
     for got, ((want,), _) in zip(merged, separate):
         assert got.coeffs.shape == want.coeffs.shape
         assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-13 * np.linalg.norm(want.coeffs)
@@ -890,11 +897,11 @@ def test_site_backs_rerun_is_bitwise_identical(lattice):
     """
     space, _, phi0, traj, gens = lattice
     t = dt = 0.5
-    h = gens.matrix(gens.coefficients(traj.interpolate(0.5 * dt), "full", 1.0))
+    h = gens.matrix(gens.coefficients(traj.interpolate(0.5 * dt), 1.0))
     mu = h.diagonal().sum() / space.dimension
     shifted = dt * (h - mu * sparse.identity(space.dimension))
     assert abs(shifted).sum(axis=0).max() > 63.36 / space.grid.points
     state = fk.product_state_fock(space, phi0, 3)
-    runs = [fk.site_backs(gens, traj, [(state, t, None)], dt, "full", 1.0) for _ in range(2)]
+    runs = [fk.site_backs(gens, traj, [(state, t, None)], dt, 1.0) for _ in range(2)]
     assert runs[0][1] == runs[1][1]
     assert np.array_equal(runs[0][0][0].coeffs, runs[1][0][0].coeffs)

@@ -466,7 +466,7 @@ def test_chained_spans_agree_with_one_span_over_their_sum(small):
 def test_default_grid_sweep_converges_to_the_lattice_engine_at_second_order(n, main_grid, potential_samples, phi0):
     """The lattice engine's sector N, exponentiated exactly, as the dense engine's oracle.
 
-    At zero field with n_field = N the full generator acts on sector N as H_N
+    At zero field the generator at coupling N acts on sector N as H_N
     (tests/test_fock.py), so one exponential of the factorized state gives
     the exact marginal <b_y* b_x> / (N dx) at t = 0.5.  The dense engine's
     Strang step is second order: its relative gap to that marginal must fall
@@ -475,7 +475,7 @@ def test_default_grid_sweep_converges_to_the_lattice_engine_at_second_order(n, m
     t = 0.5
     space = fk.LatticeFockSpace(main_grid, n)
     gens = fk.GeneratorSet(space, potential_samples)
-    h = gens.matrix(gens.coefficients(np.zeros(main_grid.points), "full", n))
+    h = gens.matrix(gens.coefficients(np.zeros(main_grid.points), n))
     coeffs = fk.expm_multiply(h, fk.product_state_fock(space, phi0, n).coeffs, t)
     lowered = np.stack([b @ coeffs for b in space.annihilators], axis=1)
     oracle = MarginalDensity(main_grid, 1, lowered.T @ lowered.conj() / (n * main_grid.dx), t)
