@@ -34,6 +34,7 @@ import numpy as np
 
 from .grid import (
     GridSpec,
+    admit,
     kinetic_phase,
     multiplier_matrix,
     periodic_convolve,
@@ -85,6 +86,20 @@ def coupling_kernels(phi, potential_samples, grid: GridSpec) -> CouplingKernels:
 PAIR_CHUNK_STEPS = 32
 
 
+def admit_pair(points: int, snapshots: int) -> None:
+    """Refuse, through ``grid.admit``, a pair flow on ``points`` grid points with ``snapshots`` snapshots.
+
+    Per squared grid point the charge is 64 B per step of a batch for its
+    stage kernels K1 and K2 (2,048 B at 32 steps), 512 B for the kinetic
+    matrices, the (M, 2M) block and a step's temporaries, and 32 B for each
+    snapshot's pair; 1 MiB more covers the batch's stage orbitals and the
+    small arrays.  tracemalloc read 2,305-2,477 B per squared point at
+    M = 32 to 1024, and under 1 MiB in all at M = 4 to 16.
+    """
+    per_entry = 64 * PAIR_CHUNK_STEPS + 512 + 32 * snapshots
+    admit(f"a Bogoliubov pair flow on {points} points", per_entry * points**2 + 2**20)
+
+
 def evolve_pair(
     grid: GridSpec,
     potential_samples: np.ndarray,
@@ -112,11 +127,13 @@ def evolve_pair(
     between consecutive steps are applied as one full step; they are split
     only at the start, at snapshots and at the end.  Stage kernels come from
     one ``coupling_kernels`` call per batch of ``PAIR_CHUNK_STEPS`` steps,
-    and the result does not depend on the batch size.
+    and the result does not depend on the batch size.  Refused by
+    ``admit_pair`` before the first kernel is built.
     """
     n_steps, indices = step_schedule(t_final, dt, snapshot_times)
     if t_final > trajectory.horizon + 1e-9:
         raise ValueError("trajectory does not cover the requested horizon")
+    admit_pair(grid.points, len(indices))
     want = {i: float(ts) for i, ts in zip(indices, snapshot_times)}
     m = grid.points
     dx = grid.dx

@@ -49,9 +49,9 @@ def log_coherent_norm(n: int) -> float:
 def admit_overlaps(n: int) -> None:
     """Refuse, through ``grid.admit``, a table of ``n`` entries before it is built.
 
-    The charge is 48 B per entry.  In ``laguerre``, a table with its weighted
-    sum peaks at 32-33 B per entry and a table with its envelope
-    (``krasikov_check``) at 24-27 B (tracemalloc, n = 10^5 to 10^6).
+    The charge is 48 B per entry.  In ``laguerre``, a table with its
+    weighted sum and its envelope (``krasikov_check``) peaks at 32-33 B per
+    entry (tracemalloc, n = 10^5 to 10^6).
     """
     admit(f"a sector-overlap table of {n} entries", 48 * n)
 

@@ -1,22 +1,47 @@
 """Shared fixtures.
 
 The one heavy session fixture (the exact N-body convergence sweep) takes
-78-79 s over two runs on a shared 2-vCPU x86-64 host with one BLAS thread,
-where the N-body step runs on two workers, and 108 s with BLAS threads
+77-79 s over three runs on a shared 2-vCPU x86-64 host with one BLAS thread,
+where the N-body step runs on two workers, and 108-119 s with BLAS threads
 unset (one step worker); most of it is the 250 steps at N = 6.  It is
 shared between the acceptance tests; everything else builds small
 throwaway objects per test.
+
+Every property test runs under one hypothesis profile: the same examples
+on every run (derandomized), no deadline for a loaded host to miss, and no
+example database.  A test's own ``@settings`` override the profile for the
+fields they name.  What hypothesis still caches (the constants it reads from
+the source at collection) goes to a temporary directory that the session
+removes, not into the checkout.
 """
 
+import tempfile
 import time
 from collections import namedtuple
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from meanfieldlab import bogoliubov as bg
 from meanfieldlab import hartree as ha
 from meanfieldlab.grid import sample_potential
 from meanfieldlab.harness import ExperimentConfig, run_convergence
+
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
+
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[HYPOTHESIS_HOME].cleanup()
+
 
 TimedRun = namedtuple("TimedRun", "run seconds")
 

@@ -208,6 +208,24 @@ def test_pair_flow_memory_stays_bounded(setup):
     assert peak <= 2 * 1024**2
 
 
+@pytest.mark.parametrize("points", [4, 16, 64])
+def test_pair_flow_peaks_within_its_admission_charge(points, monkeypatch):
+    """The batch kernels, kinetic matrices and snapshots of a flow stay inside what ``admit_pair`` charged."""
+    g = GridSpec(points, 16.0)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
+    traj = evolve_hartree(gaussian_packet(g, 8.0, 1.0), vs, g, 0.5, 1e-2)
+    charged = []
+    monkeypatch.setattr(bogoliubov, "admit", lambda what, need: charged.append(need))
+    tracemalloc.start()
+    try:
+        # 50 steps: a whole batch of stage kernels and a partial one
+        evolve_pair(g, vs, traj, 0.5, 1e-2, snapshot_times=(0.0, 0.1, 0.3, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak < charged[0]
+
+
 # ---------------------------------------------------------------------------
 # marginal correction kernel
 

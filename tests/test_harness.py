@@ -40,7 +40,7 @@ def tiny_dict():
             "identity_times": [0.25, 0.5],
             "initial_state": {"center": 0.9, "width": 0.5},
         },
-        "combinatorics": {"counts": [4, 16, 64], "krasikov_grid": [10]},
+        "combinatorics": {"counts": [4, 16, 64]},
     }
 
 
@@ -145,6 +145,8 @@ def test_default_lattice_section_is_self_consistent():
         # the potential checks itself as the loader builds it
         ({"potential": {"width": 0}}, "config.potential: width"),
         ({"potential": {"width": 1e200}}, "config.potential: width"),
+        # every count's table carries its envelope check: the second list of counts is gone
+        ({"combinatorics": {"krasikov_grid": [10]}}, "krasikov_grid"),
     ],
 )
 def test_unknown_keys_are_rejected(bad, fragment):
@@ -527,11 +529,9 @@ def test_cli_laguerre_csv_is_parseable(tmp_path, cfg_file):
     assert np.all(table[:, 2] <= 1.0 + 1e-10)
 
 
-@pytest.mark.parametrize(
-    "counts, krasikov_grid", [((10**5,), (2,)), ((1,), (10**5,))], ids=["table entry", "envelope entry"]
-)
-def test_laguerre_entry_peaks_within_its_admission_charge(counts, krasikov_grid):
-    config = replace(hn.ExperimentConfig(), combinatorics_counts=counts, krasikov_grid=krasikov_grid)
+def test_laguerre_entry_peaks_within_its_admission_charge():
+    """One table of 10^5 entries serves its row, its weighted sum and its envelope."""
+    config = replace(hn.ExperimentConfig(), combinatorics_counts=(10**5,))
     tracemalloc.start()
     try:
         report, _ = hn.laguerre_check(config)
@@ -541,6 +541,38 @@ def test_laguerre_entry_peaks_within_its_admission_charge(counts, krasikov_grid)
     assert report.status == "pass"
     # admit_overlaps charges 48 B per entry
     assert peak < 48 * 10**5
+
+
+def test_laguerre_builds_each_table_once(monkeypatch):
+    built = []
+
+    def counted(n, _original=hn.comb_mod.sector_overlaps):
+        built.append(n)
+        return _original(n)
+
+    monkeypatch.setattr(hn.comb_mod, "sector_overlaps", counted)
+    report, _ = hn.laguerre_check(hn.ExperimentConfig())
+    assert built == list(hn.ExperimentConfig().combinatorics_counts)
+    assert [item.name for item in report.items] == ["total_mass", "envelope_log_margin", "weighted_sum_spread"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, failed",
+    [
+        # twice every entry: four times the mass, and every log margin up by ln 2
+        (lambda n, table: 2.0 * table, {"total_mass", "envelope_log_margin"}),
+        # the table of 1024 alone scaled down: its scaled weighted sum drops 100-fold
+        (lambda n, table: table / 10.0 if n == 1024 else table, {"weighted_sum_spread"}),
+    ],
+    ids=["every table doubled", "one table scaled"],
+)
+def test_each_laguerre_item_fails_a_corrupted_table(monkeypatch, corrupt, failed):
+    monkeypatch.setattr(
+        hn.comb_mod, "sector_overlaps", lambda n, _original=hn.comb_mod.sector_overlaps: corrupt(n, _original(n))
+    )
+    report, _ = hn.laguerre_check(hn.ExperimentConfig())
+    assert {item.name for item in report.items if item.status == "fail"} == failed
+    assert report.status == "fail"
 
 
 def test_cli_fock_check_maps_report_status_to_exit_code(tmp_path, cfg_file):
@@ -681,10 +713,6 @@ BIG = {"grid": {"points": 17}, "particle_counts": [7]}
             "laguerre", "combinatorics.counts [4, 1000000000000]: a sector-overlap table of 1000000000000 entries",
             {"combinatorics": {"counts": [4, 10**12]}}, 3, id="laguerre-count of 10^12",
         ),
-        pytest.param(
-            "laguerre", "combinatorics.krasikov_grid [10, 1000000000000]: a sector-overlap table",
-            {"combinatorics": {"krasikov_grid": [10, 10**12]}}, 3, id="laguerre-envelope count of 10^12",
-        ),
         # 1^65 is one amplitude, but an array of 65 axes is more than numpy holds
         pytest.param(
             "rate", "particle_counts [2, 65]: a sweep over 1^65 amplitudes needs 65 axes",
@@ -699,6 +727,51 @@ def test_cli_refused_run_reports_error(tmp_path, capsys, command, fragment, raw,
     assert code == exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize("command", ["hartree", "bogoliubov"])
+def test_cli_refuses_a_grid_whose_square_arrays_exceed_the_budget(tmp_path, capsys, hartree_flows, command):
+    """At 2^17 points one M x M complex array alone is 256 GiB: refused before the first is built."""
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(
+        {"grid": {"points": 2**17}, "time": {"horizon": 0.001, "sample_times": [0.001]}, "particle_counts": [1]}
+    ))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.points: ") and "exceeds the budget" in err
+    assert not any(out.iterdir())
+    assert hartree_flows == []
+    assert peak < 2**24
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # the free gas: no pair is created, so every number moment and residual is 0
+        {"potential": {"amplitude": 0.0}, "fock": {"dt": 0.05, "coupling_values": [8, 16]}},
+        # at cutoff 1 no pair fits, so the base lattice's flows from the vacuum stay empty
+        {"fock": {"sites": 2, "cutoff": 1, "cutoff_step": 1, "dt": 0.05, "coupling_values": [8, 16]}},
+    ],
+    ids=["free gas", "two sites at cutoff 1"],
+)
+def test_cli_fock_check_fails_a_ratio_of_zeros(tmp_path, capsys, raw):
+    """A ratio of two zero moments or residuals is NaN, and its item fails, swept or not."""
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["fock-check", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    blob = json.loads((out / "fock_check.json").read_text())
+    ratios = {item["name"]: item for item in blob["items"] if item["name"].startswith(("moment", "residual"))}
+    assert sorted(ratios) == ["moment_stability", "residual_ratio_8_to_16"]
+    assert all(item["status"] == "fail" and np.isnan(item["measured"]) for item in ratios.values())
+    assert blob["status"] == "fail"
 
 
 def test_a_count_of_a_billion_is_refused_within_a_second(tmp_path, capsys):
@@ -941,14 +1014,6 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
             "bogoliubov", {"time": {"sample_times": []}}, "time.sample_times", id="bogoliubov-no sample time"
         ),
         pytest.param(
-            "laguerre", {"combinatorics": {"krasikov_grid": []}}, "combinatorics.krasikov_grid",
-            id="laguerre-no envelope count",
-        ),
-        pytest.param(
-            "laguerre", {"combinatorics": {"krasikov_grid": [1]}}, "combinatorics.krasikov_grid",
-            id="laguerre-no envelope order",
-        ),
-        pytest.param(
             "laguerre", {"combinatorics": {"counts": []}}, "combinatorics.counts", id="laguerre-no count"
         ),
         pytest.param("hartree", {"time": {"dt": 0}}, "time.dt", id="hartree-zero step"),
@@ -976,7 +1041,13 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
         pytest.param("hartree", {"grid": {"points": 0}}, "grid.points", id="hartree-no grid point"),
         pytest.param("hartree", {"grid": {"length": -1.0}}, "grid.length", id="hartree-negative length"),
         pytest.param(
-            "laguerre", {"combinatorics": {"counts": [0, 4]}}, "combinatorics.counts", id="laguerre-count below 1"
+            "laguerre", {"combinatorics": {"counts": [0, 4]}}, "combinatorics.counts [0, 4] must all be at least 2",
+            id="laguerre-count below 1",
+        ),
+        # a table of one entry has no envelope order to check
+        pytest.param(
+            "laguerre", {"combinatorics": {"counts": [1, 4]}}, "combinatorics.counts [1, 4] must all be at least 2",
+            id="laguerre-count of 1",
         ),
         pytest.param(
             "rate", {"time": {"sample_times": [0.1, 0.1, 0.2]}}, "time.sample_times [0.1, 0.1, 0.2] repeats",
@@ -1000,10 +1071,6 @@ def test_cli_refuses_a_hartree_trajectory_over_the_budget_before_allocating(tmp_
         pytest.param(
             "laguerre", {"combinatorics": {"counts": [4, 16, 4]}}, "combinatorics.counts [4, 16, 4] repeats",
             id="laguerre-repeated count",
-        ),
-        pytest.param(
-            "laguerre", {"combinatorics": {"krasikov_grid": [10, 10]}}, "combinatorics.krasikov_grid [10, 10] repeats",
-            id="laguerre-repeated envelope count",
         ),
     ],
 )

@@ -1,7 +1,11 @@
 """Hartree split-step solver: conservation laws, oracles, convergence order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import meanfieldlab.hartree as ha
 
 from meanfieldlab.grid import (
     GridSpec,
@@ -42,6 +46,23 @@ def test_zero_potential_matches_free_gaussian():
     want = free_gaussian_exact(g.x, 1.0, 8.0, 1.0, 0.5, g.length) / scale
     # with V = 0 the splitting is exact: only roundoff accumulates
     assert np.max(np.abs(traj.final - want)) < 1e-11
+
+
+@pytest.mark.parametrize("points", [4, 16, 64, 256])
+def test_flow_peaks_within_its_admission_charges(points, monkeypatch):
+    """The step matrices and the trajectory stay inside what ``evolve_hartree`` charged for them."""
+    g = GridSpec(points, 16.0)
+    vs = sample_potential(PotentialSpec(0.5, 1.0), g)
+    phi0 = gaussian_packet(g, 8.0, 1.0)
+    charged = []
+    monkeypatch.setattr(ha, "admit", lambda what, need: charged.append(need))
+    tracemalloc.start()
+    try:
+        evolve_hartree(phi0, vs, g, 0.1, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 2 and peak < sum(charged)
 
 
 # ---------------------------------------------------------------------------
